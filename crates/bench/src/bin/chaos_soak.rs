@@ -96,7 +96,6 @@ fn drive_fleet(
                 return Err("fleet made no progress in 200 worker spawns".to_string());
             }
             let worker_options = WorkerOptions {
-                backoff: Duration::from_millis(20),
                 connect_retry: Duration::from_millis(500),
                 chaos: Some(plan.clone()),
                 ..WorkerOptions::new(format!("soak-w{spawns}"))

@@ -22,9 +22,11 @@
 //! the same grid through the fleet coordinator (in-process queen + one
 //! loopback worker), verifies the checkpoint file byte-identical to
 //! Serial's canonical stream, and records the per-cell dispatch overhead
-//! (`fleet_dispatch`) — protocol round-trips, record validation and the
-//! fsync-per-record checkpoint discipline, everything the fleet adds on
-//! top of the raw simulation (see PERFORMANCE.md for methodology). A
+//! (`fleet_dispatch`) — everything the fleet adds on top of the raw
+//! simulation: connection set-up, protocol round-trips, record validation
+//! and the fsync-per-record checkpoint. No fleet thread waits on a timer,
+//! so none of it is sleep granularity (see PERFORMANCE.md for methodology
+//! and for the recorded history). A
 //! sixth drives a loopback decision server with concurrent batched
 //! clients, verifies every response against local frozen dispatch, and
 //! records the serving throughput and batch round-trip latency

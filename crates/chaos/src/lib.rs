@@ -34,11 +34,18 @@
 //! (`Option<FaultPlan>`): `None` constructs a [`FaultyTransport`] that
 //! is a plain passthrough around the socket with no lock, no RNG and no
 //! logging — the production path stays the production path.
+//!
+//! Every socket either protocol frames is a [`FaultyTransport`], so the
+//! rest of their shared wire layer lives here too: the timeout-safe
+//! [`LineReader`] both sides read lines with, and the [`AcceptWaker`]
+//! that ends the queen's and the server's blocking accept loops.
 
 #![warn(missing_docs)]
 
 mod plan;
 mod transport;
+mod wire;
 
 pub use plan::{ChaosConfig, FaultEvent, FaultKind, FaultPlan, Role};
 pub use transport::FaultyTransport;
+pub use wire::{AcceptWaker, LineReader};

@@ -54,8 +54,10 @@ pub enum Grant {
         /// Number of cells.
         len: usize,
     },
-    /// Every pending cell is leased to a live worker — back off and ask
-    /// again.
+    /// Every pending cell is leased to a live worker. Nothing changes
+    /// before cells return to the pool or
+    /// [`next_deadline`](LeaseTable::next_deadline) passes, so the queen
+    /// holds the request until one of those happens.
     Wait,
     /// Every cell is complete.
     Complete,
@@ -232,6 +234,13 @@ impl LeaseTable {
             }
             None => false,
         }
+    }
+
+    /// The earliest deadline among live leases: the first instant a
+    /// [`grant`](Self::grant) that answers [`Grant::Wait`] now could
+    /// answer a speculative lease instead. `None` with no live lease.
+    pub fn next_deadline(&self) -> Option<Instant> {
+        self.leases.values().map(|l| l.deadline).min()
     }
 
     /// A point-in-time view of every live lease at `now`, ordered by
@@ -428,6 +437,40 @@ mod tests {
         // Would have expired at t0 + TTL without the heartbeat.
         assert_eq!(table.grant("b", t0 + TTL + Duration::from_millis(1)), Grant::Wait);
         assert!(!table.heartbeat(999, t0));
+    }
+
+    #[test]
+    fn next_deadline_is_when_a_waiting_grant_turns_speculative() {
+        let mut table = LeaseTable::new(0..2, 1, TTL);
+        let t0 = Instant::now();
+        assert_eq!(table.next_deadline(), None);
+        assert_eq!(lease(table.grant("a", t0)), (1, 0, 1));
+        let t1 = t0 + Duration::from_secs(1);
+        let (b, _, _) = lease(table.grant("b", t1));
+        assert_eq!(table.next_deadline(), Some(t0 + TTL));
+
+        // Up to the earliest deadline a grant can only wait; at it, the
+        // overdue lease is twinned.
+        assert_eq!(
+            table.grant("c", t0 + TTL - Duration::from_millis(1)),
+            Grant::Wait
+        );
+        let (twin, start, _) = lease(table.grant("c", t0 + TTL));
+        assert_eq!(start, 0);
+        // The twin and the pushed-out original now trail b's deadline.
+        assert_eq!(table.next_deadline(), Some(t1 + TTL));
+
+        // A heartbeat pushes b's deadline past the twins'.
+        let t2 = t0 + TTL + Duration::from_secs(2);
+        assert!(table.heartbeat(b, t2));
+        assert_eq!(table.next_deadline(), Some(t0 + TTL + TTL));
+
+        // Drained leases leave the query.
+        table.complete_cell(0, twin, t2);
+        assert_eq!(table.next_deadline(), Some(t2 + TTL));
+        table.complete_cell(1, b, t2);
+        assert_eq!(table.next_deadline(), None);
+        assert!(table.is_complete());
     }
 
     #[test]

@@ -9,16 +9,20 @@
 //! |---|---|---|
 //! | worker → queen | `HELLO fleet/1 <name>` | join; `<name>` is a label for reporting |
 //! | queen → worker | `HELLO fleet/1 <grid> <fast> <cells> <ttl_ms>` | grid to rebuild (`fast` is `0`/`1` for the scale), expected cell count, lease deadline |
-//! | worker → queen | `LEASE` | ask for work |
+//! | worker → queen | `LEASE` | ask for work; the reply waits until there is some |
 //! | queen → worker | `LEASE <id> <start> <len>` | lease of dense cells `start..start+len` |
-//! | queen → worker | `HEARTBEAT` | no work *right now* — back off and ask again |
 //! | queen → worker | `DONE` | grid complete (or queen stopping) — exit cleanly |
 //! | worker → queen | `RECORD <id> <json>` | one completed cell under lease `<id>` |
 //! | worker → queen | `DONE <id>` | lease `<id>` fully streamed |
 //! | worker → queen | `HEARTBEAT <id>` | still alive and working lease `<id>` |
 //!
 //! `RECORD`, `DONE` and `HEARTBEAT` are fire-and-forget; the queen replies
-//! only to `HELLO` and `LEASE`. Either side handles a protocol violation
+//! only to `HELLO` and `LEASE`. A `LEASE` is a long poll: when every
+//! pending cell is leased to a live worker, the queen holds the request
+//! until cells return to the pool, the earliest lease deadline passes (a
+//! speculative twin is then granted), or the run ends (`DONE`); a worker
+//! treats any other reply, such as the `HEARTBEAT` ("back off") older
+//! queens sent, as a protocol violation. Either side handles a protocol violation
 //! by closing the connection — the lease table treats a dropped worker as
 //! expired and the record ledger reconciles any duplicated completions, so
 //! closing is always safe.
@@ -31,7 +35,7 @@
 //! duplicate or reorder only these lines, never the strict
 //! request/reply `HELLO`/`LEASE` exchanges.
 
-use std::io::{self, Read};
+pub use cohmeleon_chaos::LineReader;
 
 /// The protocol version token both `HELLO`s must carry.
 pub const PROTOCOL_VERSION: &str = "fleet/1";
@@ -156,8 +160,6 @@ pub enum ToWorker {
         /// Number of consecutive cells leased.
         len: usize,
     },
-    /// `HEARTBEAT` — nothing to lease right now; back off and re-ask.
-    Wait,
     /// `DONE` — the grid is complete (or the queen is stopping); exit.
     Complete,
 }
@@ -176,7 +178,6 @@ impl ToWorker {
                 format!("HELLO {PROTOCOL_VERSION} {grid} {fast} {cells} {ttl_ms}")
             }
             ToWorker::Lease { id, start, len } => format!("LEASE {id} {start} {len}"),
-            ToWorker::Wait => "HEARTBEAT".into(),
             ToWorker::Complete => "DONE".into(),
         }
     }
@@ -218,7 +219,6 @@ impl ToWorker {
                 start: parse_u64(line, parts.next())? as usize,
                 len: parse_u64(line, parts.next())? as usize,
             }),
-            "HEARTBEAT" => Ok(ToWorker::Wait),
             "DONE" => Ok(ToWorker::Complete),
             _ => Err(bad(line, "unknown verb")),
         }
@@ -230,63 +230,6 @@ fn parse_u64(line: &str, field: Option<&str>) -> Result<u64, String> {
         .ok_or_else(|| bad(line, "missing field"))?
         .parse::<u64>()
         .map_err(|_| bad(line, "non-numeric field"))
-}
-
-/// Timeout-safe line framing over any [`Read`].
-///
-/// `BufReader::read_line` cannot be used on a socket with a read timeout:
-/// on `Err` its UTF-8 guard discards whatever partial bytes were already
-/// appended, so a timeout mid-line silently eats the line's prefix. This
-/// reader keeps partial data in its own buffer across
-/// [`WouldBlock`](io::ErrorKind::WouldBlock)/[`TimedOut`](io::ErrorKind::TimedOut)
-/// errors — the queen polls its sockets with a short read timeout so it
-/// can notice shutdown, and resumes each line exactly where it left off.
-#[derive(Debug)]
-pub struct LineReader<R> {
-    inner: R,
-    buf: Vec<u8>,
-}
-
-impl<R: Read> LineReader<R> {
-    /// Wraps a byte stream.
-    pub fn new(inner: R) -> LineReader<R> {
-        LineReader {
-            inner,
-            buf: Vec::new(),
-        }
-    }
-
-    /// Reads the next `\n`-terminated line, without the newline (a
-    /// trailing `\r` is also stripped). `Ok(None)` is end-of-stream; any
-    /// unterminated bytes at EOF are a torn line from a dying peer and
-    /// are dropped, exactly as the checkpoint scan drops a torn tail.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying read error. On
-    /// [`WouldBlock`](io::ErrorKind::WouldBlock)/[`TimedOut`](io::ErrorKind::TimedOut)
-    /// the partial line stays buffered; call again to continue it.
-    pub fn read_line(&mut self) -> io::Result<Option<String>> {
-        loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                let line = String::from_utf8(line).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 fleet message")
-                })?;
-                return Ok(Some(line));
-            }
-            let mut chunk = [0u8; 4096];
-            match self.inner.read(&mut chunk) {
-                Ok(0) => return Ok(None),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) => return Err(e),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -326,12 +269,17 @@ mod tests {
                 start: 12,
                 len: 4,
             },
-            ToWorker::Wait,
             ToWorker::Complete,
         ];
         for message in messages {
             assert_eq!(ToWorker::parse(&message.to_line()).unwrap(), message);
         }
+    }
+
+    #[test]
+    fn queen_heartbeat_reply_is_gone() {
+        // The queen long-polls `LEASE` instead of answering "wait".
+        assert!(ToWorker::parse("HEARTBEAT").is_err());
     }
 
     #[test]
@@ -352,54 +300,5 @@ mod tests {
         assert!(ToQueen::parse("HELLO fleet/0 x").is_err());
         assert!(ToQueen::parse("RECORD notanumber {}").is_err());
         assert!(ToWorker::parse("LEASE 1 2").is_err());
-    }
-
-    /// A reader that yields its scripted results one at a time.
-    struct Scripted(Vec<io::Result<Vec<u8>>>);
-
-    impl Read for Scripted {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.0.is_empty() {
-                return Ok(0);
-            }
-            match self.0.remove(0) {
-                Ok(bytes) => {
-                    buf[..bytes.len()].copy_from_slice(&bytes);
-                    Ok(bytes.len())
-                }
-                Err(e) => Err(e),
-            }
-        }
-    }
-
-    #[test]
-    fn line_reader_keeps_partial_lines_across_timeouts() {
-        let timeout = || io::Error::new(io::ErrorKind::WouldBlock, "timed out");
-        let mut reader = LineReader::new(Scripted(vec![
-            Ok(b"HEL".to_vec()),
-            Err(timeout()),
-            Ok(b"LO fleet/1 a\nLEA".to_vec()),
-            Err(timeout()),
-            Ok(b"SE\n".to_vec()),
-        ]));
-        // First read hits the timeout mid-line; the prefix must survive.
-        assert_eq!(
-            reader.read_line().unwrap_err().kind(),
-            io::ErrorKind::WouldBlock
-        );
-        assert_eq!(reader.read_line().unwrap().unwrap(), "HELLO fleet/1 a");
-        assert_eq!(
-            reader.read_line().unwrap_err().kind(),
-            io::ErrorKind::WouldBlock
-        );
-        assert_eq!(reader.read_line().unwrap().unwrap(), "LEASE");
-        assert_eq!(reader.read_line().unwrap(), None);
-    }
-
-    #[test]
-    fn line_reader_drops_torn_tail_at_eof() {
-        let mut reader = LineReader::new(Scripted(vec![Ok(b"DONE 3\nRECORD 3 {\"to".to_vec())]));
-        assert_eq!(reader.read_line().unwrap().unwrap(), "DONE 3");
-        assert_eq!(reader.read_line().unwrap(), None);
     }
 }

@@ -14,11 +14,10 @@ use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use cohmeleon_chaos::{FaultPlan, FaultyTransport, Role};
+use cohmeleon_chaos::{AcceptWaker, FaultPlan, FaultyTransport, Role};
 use cohmeleon_exp::checkpoint::sort_canonical;
 use cohmeleon_exp::{
     finalize_canonical, validate_record, CellCoord, CellId, CellRecord, Checkpoint,
@@ -162,12 +161,30 @@ struct Shared {
     /// Records delivered per worker name (fresh and duplicate alike —
     /// this measures worker throughput, not ledger novelty).
     delivered: HashMap<String, usize>,
+    /// Connection handlers still running; the accept loop ends once the
+    /// run is finished and this is zero.
+    handlers: usize,
 }
 
 impl Shared {
     fn finished(&self) -> bool {
         self.complete || self.capped || self.error.is_some()
     }
+}
+
+/// One running queen: the shared state, the condvar its threads wait on,
+/// and what the connection handlers need to answer workers.
+struct Queen<'a> {
+    grid: &'a SweepGrid,
+    options: &'a QueenOptions,
+    shared: Mutex<Shared>,
+    /// Signalled when cells return to the pool and when the run
+    /// finishes: the events a parked `LEASE` and the status thread wait
+    /// for.
+    changed: Condvar,
+    /// Unblocks the accept loop once the run is finished and the last
+    /// handler left.
+    waker: AcceptWaker,
 }
 
 /// Runs the queen to completion (or to `max_cells`, or to error) and
@@ -214,80 +231,54 @@ pub fn run_queen(
         .chunk
         .unwrap_or_else(|| pending.len().div_ceil(8).clamp(1, 64));
     let writer = CheckpointWriter::open(path, checkpoint.valid_len())?;
-    let shared = Mutex::new(Shared {
-        table: LeaseTable::new(pending.iter().copied(), chunk, options.ttl),
-        ledger: RecordLedger::seed(checkpoint.records()),
-        writer,
-        ran: 0,
-        capped: false,
-        complete: false,
-        error: None,
-        workers: HashSet::new(),
-        delivered: HashMap::new(),
-    });
+    let queen = Queen {
+        grid,
+        options,
+        shared: Mutex::new(Shared {
+            table: LeaseTable::new(pending.iter().copied(), chunk, options.ttl),
+            ledger: RecordLedger::seed(checkpoint.records()),
+            writer,
+            ran: 0,
+            capped: false,
+            complete: false,
+            error: None,
+            workers: HashSet::new(),
+            delivered: HashMap::new(),
+            handlers: 0,
+        }),
+        changed: Condvar::new(),
+        waker: AcceptWaker::new(&listener)?,
+    };
 
-    listener.set_nonblocking(true)?;
-    let active = AtomicUsize::new(0);
-    let started = Instant::now();
-    let mut last_status = started;
     std::thread::scope(|scope| {
-        loop {
-            if shared.lock().expect("queen state").finished()
-                && active.load(Ordering::Acquire) == 0
-            {
+        let queen = &queen;
+        if let Some(every) = options.status_every {
+            scope.spawn(move || queen.report_status(every));
+        }
+        for accepted in listener.incoming() {
+            let mut s = queen.lock();
+            if s.finished() && s.handlers == 0 {
                 break;
             }
-            if let Some(every) = options.status_every {
-                if last_status.elapsed() >= every {
-                    last_status = Instant::now();
-                    let s = shared.lock().expect("queen state");
-                    if !s.finished() {
-                        let now = Instant::now();
-                        let mut delivered: Vec<(String, usize)> = s
-                            .delivered
-                            .iter()
-                            .map(|(name, &cells)| (name.clone(), cells))
-                            .collect();
-                        delivered.sort();
-                        eprintln!(
-                            "{}",
-                            status_line(
-                                s.ledger.records.len(),
-                                grid.num_cells(),
-                                started.elapsed(),
-                                &delivered,
-                                &s.table.lease_stats(now),
-                                s.table.speculative(),
-                            )
-                        );
-                    }
-                }
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    active.fetch_add(1, Ordering::AcqRel);
-                    let shared = &shared;
-                    let active = &active;
+            match accepted {
+                Ok(stream) => {
+                    s.handlers += 1;
+                    drop(s);
                     scope.spawn(move || {
-                        serve_worker(stream, grid, shared, options);
-                        active.fetch_sub(1, Ordering::AcqRel);
+                        serve_worker(stream, queen);
+                        queen.leave();
                     });
                 }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
                 Err(e) => {
-                    shared.lock().expect("queen state").error =
-                        Some(format!("accept failed: {e}"));
+                    s.error = Some(format!("accept failed: {e}"));
+                    queen.changed.notify_all();
+                    break;
                 }
             }
         }
     });
 
-    let shared = shared.into_inner().expect("queen state");
+    let shared = queen.shared.into_inner().expect("queen state");
     if let Some(message) = shared.error {
         return Err(io::Error::new(io::ErrorKind::InvalidData, message));
     }
@@ -308,6 +299,87 @@ pub fn run_queen(
     })
 }
 
+impl Queen<'_> {
+    fn lock(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().expect("queen state")
+    }
+
+    /// Prints a status line every `every` until the run finishes.
+    fn report_status(&self, every: Duration) {
+        let started = Instant::now();
+        let mut s = self.lock();
+        loop {
+            let (guard, wait) = self
+                .changed
+                .wait_timeout_while(s, every, |s| !s.finished())
+                .expect("queen state");
+            s = guard;
+            if !wait.timed_out() {
+                return;
+            }
+            let mut delivered: Vec<(String, usize)> = s
+                .delivered
+                .iter()
+                .map(|(name, &cells)| (name.clone(), cells))
+                .collect();
+            delivered.sort();
+            eprintln!(
+                "{}",
+                status_line(
+                    s.ledger.records.len(),
+                    self.grid.num_cells(),
+                    started.elapsed(),
+                    &delivered,
+                    &s.table.lease_stats(Instant::now()),
+                    s.table.speculative(),
+                )
+            );
+        }
+    }
+
+    /// Answers a `LEASE`: a lease when one can be granted, `DONE` once the
+    /// run is over. Otherwise the request parks until cells return to the
+    /// pool, the run finishes, or the earliest lease deadline passes and a
+    /// speculative twin can be granted. `None` means the run failed and the
+    /// connection should close.
+    fn lease(&self, worker: &str) -> Option<ToWorker> {
+        let mut s = self.lock();
+        loop {
+            if s.error.is_some() {
+                return None;
+            }
+            if s.complete || s.capped {
+                return Some(ToWorker::Complete);
+            }
+            let now = Instant::now();
+            match s.table.grant(worker, now) {
+                Grant::Lease { id, start, len } => return Some(ToWorker::Lease { id, start, len }),
+                Grant::Complete => return Some(ToWorker::Complete),
+                Grant::Wait => {
+                    s = match s.table.next_deadline() {
+                        Some(deadline) => {
+                            let wait = deadline.saturating_duration_since(now);
+                            self.changed.wait_timeout(s, wait).expect("queen state").0
+                        }
+                        None => self.changed.wait(s).expect("queen state"),
+                    };
+                }
+            }
+        }
+    }
+
+    /// Counts a finished connection handler out. The last one out of a
+    /// finished run wakes the accept loop, which then returns.
+    fn leave(&self) {
+        let mut s = self.lock();
+        s.handlers -= 1;
+        if s.finished() && s.handlers == 0 {
+            drop(s);
+            self.waker.wake();
+        }
+    }
+}
+
 /// One worker connection, handled on its own thread until the worker
 /// leaves, violates the protocol, or the run finishes.
 ///
@@ -318,7 +390,8 @@ pub fn run_queen(
 /// lingers one lease-TTL to answer a final `LEASE` with `DONE` (letting
 /// well-behaved workers exit cleanly) before giving up on the
 /// connection.
-fn serve_worker(stream: TcpStream, grid: &SweepGrid, shared: &Mutex<Shared>, options: &QueenOptions) {
+fn serve_worker(stream: TcpStream, queen: &Queen) {
+    let (grid, options) = (queen.grid, queen.options);
     let _ = stream.set_nodelay(true);
     let Ok(stream) = FaultyTransport::from_plan(stream, options.chaos.as_ref(), Role::Queen)
     else {
@@ -347,7 +420,7 @@ fn serve_worker(stream: TcpStream, grid: &SweepGrid, shared: &Mutex<Shared>, opt
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if shared.lock().expect("queen state").finished() {
+                if queen.lock().finished() {
                     let since = *finish_seen.get_or_insert_with(Instant::now);
                     if since.elapsed() >= grace {
                         break;
@@ -371,7 +444,7 @@ fn serve_worker(stream: TcpStream, grid: &SweepGrid, shared: &Mutex<Shared>, opt
                 ttl_ms: options.ttl.as_millis() as u64,
             };
             worker_name = name.clone();
-            shared.lock().expect("queen state").workers.insert(name);
+            queen.lock().workers.insert(name);
             if write_line(&mut writer, &hello).is_err() {
                 break;
             }
@@ -380,24 +453,12 @@ fn serve_worker(stream: TcpStream, grid: &SweepGrid, shared: &Mutex<Shared>, opt
         match message {
             ToQueen::Hello { .. } => break,
             ToQueen::Lease => {
-                let reply = {
-                    let mut s = shared.lock().expect("queen state");
-                    if s.error.is_some() {
-                        break;
-                    }
-                    if s.complete || s.capped {
-                        ToWorker::Complete
-                    } else {
-                        match s.table.grant(&worker_name, Instant::now()) {
-                            Grant::Lease { id, start, len } => {
-                                granted.push(id);
-                                ToWorker::Lease { id, start, len }
-                            }
-                            Grant::Wait => ToWorker::Wait,
-                            Grant::Complete => ToWorker::Complete,
-                        }
-                    }
+                let Some(reply) = queen.lease(&worker_name) else {
+                    break;
                 };
+                if let ToWorker::Lease { id, .. } = reply {
+                    granted.push(id);
+                }
                 if write_line(&mut writer, &reply).is_err() {
                     break;
                 }
@@ -406,7 +467,7 @@ fn serve_worker(stream: TcpStream, grid: &SweepGrid, shared: &Mutex<Shared>, opt
                 let Ok(record) = CellRecord::from_json(&json) else {
                     break;
                 };
-                let mut s = shared.lock().expect("queen state");
+                let mut s = queen.lock();
                 if s.error.is_some() {
                     break;
                 }
@@ -444,6 +505,9 @@ fn serve_worker(stream: TcpStream, grid: &SweepGrid, shared: &Mutex<Shared>, opt
                         } else if state.ran >= options.max_cells {
                             state.capped = true;
                         }
+                        if state.finished() {
+                            queen.changed.notify_all();
+                        }
                     }
                     Ok(Ingest::Duplicate) => {
                         state.table.complete_cell(dense, lease, Instant::now());
@@ -455,24 +519,22 @@ fn serve_worker(stream: TcpStream, grid: &SweepGrid, shared: &Mutex<Shared>, opt
                 }
             }
             ToQueen::Done { lease } => {
-                shared.lock().expect("queen state").table.release(lease);
+                queen.lock().table.release(lease);
+                queen.changed.notify_all();
             }
             ToQueen::Heartbeat { lease } => {
-                shared
-                    .lock()
-                    .expect("queen state")
-                    .table
-                    .heartbeat(lease, Instant::now());
+                queen.lock().table.heartbeat(lease, Instant::now());
             }
         }
     }
 
     // Whatever ended the connection: this worker's unfinished claims go
     // back to the pool (unless a speculative twin still covers them).
-    let mut s = shared.lock().expect("queen state");
+    let mut s = queen.lock();
     for id in granted {
         s.table.release(id);
     }
+    queen.changed.notify_all();
 }
 
 fn write_line(writer: &mut FaultyTransport, message: &ToWorker) -> io::Result<()> {
@@ -481,7 +543,7 @@ fn write_line(writer: &mut FaultyTransport, message: &ToWorker) -> io::Result<()
 
 /// Formats one periodic queen status line: overall progress, per-worker
 /// delivery throughput, live lease ages, and the speculation count. Pure
-/// so the format is unit-testable; the accept loop feeds it live state.
+/// so the format is unit-testable; the status thread feeds it live state.
 fn status_line(
     done: usize,
     total: usize,

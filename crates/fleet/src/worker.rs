@@ -12,7 +12,8 @@
 
 use std::io::{self, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -29,8 +30,6 @@ pub struct WorkerOptions {
     /// Keep retrying the initial connect for this long — workers are
     /// typically launched alongside (or before) the queen.
     pub connect_retry: Duration,
-    /// Sleep between `LEASE` re-asks after a `HEARTBEAT` (wait) reply.
-    pub backoff: Duration,
     /// Fault injection for tests and the CI smoke: after streaming this
     /// many `RECORD`s total, drop the connection without `DONE` and
     /// return with [`WorkerReport::aborted`] set — simulating a worker
@@ -43,13 +42,11 @@ pub struct WorkerOptions {
 }
 
 impl WorkerOptions {
-    /// Defaults: 10 s connect window, 200 ms wait backoff, no fault
-    /// injection.
+    /// Defaults: 10 s connect window, no fault injection.
     pub fn new(name: impl Into<String>) -> WorkerOptions {
         WorkerOptions {
             name: name.into(),
             connect_retry: Duration::from_secs(10),
-            backoff: Duration::from_millis(200),
             fail_after: None,
             chaos: None,
         }
@@ -124,26 +121,16 @@ where
 
     // Heartbeat ticker: whatever lease is current gets a HEARTBEAT at a
     // third of the TTL, so a long-running cell does not look dead.
+    // Dropping `stop` ends the ticker's wait at once, so a finished
+    // worker never waits out a period (seconds) on exit.
     let current_lease = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
+    let (stop, stopped) = mpsc::channel::<()>();
     let ticker = {
         let writer = Arc::clone(&writer);
         let current_lease = Arc::clone(&current_lease);
-        let stop = Arc::clone(&stop);
         let period = Duration::from_millis((ttl_ms / 3).max(50));
-        // Sleep in short slices so a finished worker joins the ticker
-        // promptly instead of waiting out a full period (a third of the
-        // TTL — seconds — which would dominate short sweeps' wall time).
-        let slice = period.min(Duration::from_millis(20));
         std::thread::spawn(move || {
-            let mut slept = Duration::ZERO;
-            while !stop.load(Ordering::Acquire) {
-                std::thread::sleep(slice);
-                slept += slice;
-                if slept < period {
-                    continue;
-                }
-                slept = Duration::ZERO;
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
                 let lease = current_lease.load(Ordering::Acquire);
                 if lease != 0 {
                     // A failed send means the connection is gone; the
@@ -168,8 +155,8 @@ where
         options,
         &mut report,
     );
-    stop.store(true, Ordering::Release);
     current_lease.store(0, Ordering::Release);
+    drop(stop);
     let _ = ticker.join();
     outcome.map(|()| report)
 }
@@ -210,7 +197,6 @@ fn work_loop(
                 current_lease.store(0, Ordering::Release);
                 report.leases += 1;
             }
-            ToWorker::Wait => std::thread::sleep(options.backoff),
             ToWorker::Complete => return Ok(()),
             ToWorker::Hello { .. } => {
                 return Err(invalid("unexpected mid-session HELLO".into()))
@@ -220,9 +206,8 @@ fn work_loop(
 }
 
 /// Retries the initial connect in 20 ms slices capped at the remaining
-/// window — the same slicing discipline as the heartbeat ticker — so
-/// `--retry-ms` bounds how long a worker lingers instead of overshooting
-/// by up to a full backoff period.
+/// window, so `--retry-ms` bounds how long a worker lingers instead of
+/// overshooting it by a full retry period.
 fn connect_with_retry(addr: &str, window: Duration) -> io::Result<TcpStream> {
     let deadline = Instant::now() + window;
     let slice = Duration::from_millis(20);

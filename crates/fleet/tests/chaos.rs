@@ -83,7 +83,6 @@ fn run_chaotic_queen(
                 plan.render_log()
             );
             let worker_options = WorkerOptions {
-                backoff: Duration::from_millis(20),
                 connect_retry: Duration::from_millis(500),
                 chaos: Some(plan.clone()),
                 ..WorkerOptions::new(format!("chaos-w{spawns}"))

@@ -2,21 +2,23 @@
 //! `127.0.0.1:0` must land the byte-identical canonical JSONL a clean
 //! Serial run produces — including with a worker killed mid-lease, with
 //! the queen capped ("killed") and resumed, and with a stalled worker
-//! whose lease must expire and be speculatively re-dispatched.
+//! whose lease must expire and be speculatively re-dispatched. Raw-socket
+//! workers pin the `LEASE` long poll: a request that finds every cell
+//! leased gets no reply until cells return to the pool or the run ends.
 
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::io::{self, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use cohmeleon_exp::{canonical_jsonl, Experiment, PolicyKind, Serial, SweepGrid};
+use cohmeleon_exp::{canonical_jsonl, CellRecord, Experiment, PolicyKind, Serial, SweepGrid};
 use cohmeleon_fleet::{
-    run_queen, run_worker, LineReader, QueenOptions, ToQueen, ToWorker, WorkerOptions,
+    run_queen, run_worker, LineReader, QueenOptions, QueenReport, ToQueen, ToWorker, WorkerOptions,
 };
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 
-fn grid() -> SweepGrid {
+fn grid_over(policies: &[PolicyKind], seeds: &[u64]) -> SweepGrid {
     let config = soc1();
     let params = GeneratorParams {
         phases: 1,
@@ -24,10 +26,20 @@ fn grid() -> SweepGrid {
     };
     let app = generate_app(&config, &params, 1);
     Experiment::evaluate(config, app)
-        .policy_kinds([PolicyKind::FixedNonCoh, PolicyKind::Manual])
-        .seeds([1, 2, 3])
+        .policy_kinds(policies.iter().copied())
+        .seeds(seeds.iter().copied())
         .build()
         .unwrap()
+}
+
+/// Six cheap cells.
+fn grid() -> SweepGrid {
+    grid_over(&[PolicyKind::FixedNonCoh, PolicyKind::Manual], &[1, 2, 3])
+}
+
+/// One cell: a single lease covers the whole grid.
+fn one_cell_grid() -> SweepGrid {
+    grid_over(&[PolicyKind::FixedNonCoh], &[1])
 }
 
 fn tmp_path(name: &str) -> PathBuf {
@@ -46,6 +58,36 @@ fn resolver(grid: &SweepGrid) -> impl Fn(&str, bool) -> Result<SweepGrid, String
     }
 }
 
+/// Runs a real worker named `name` until the queen says `DONE`.
+fn finish(addr: &str, grid: &SweepGrid, name: &str) {
+    run_worker(addr, resolver(grid), &WorkerOptions::new(name)).unwrap();
+}
+
+/// Runs a queen over `grid` on an ephemeral loopback port while `drive`
+/// plays its workers, and returns the queen's report.
+fn with_queen(
+    grid: &SweepGrid,
+    path: &Path,
+    options: &QueenOptions,
+    drive: impl FnOnce(&str),
+) -> QueenReport {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::scope(|scope| {
+        let queen = scope.spawn(|| run_queen(grid, listener, path, options));
+        drive(&addr);
+        queen.join().unwrap().unwrap()
+    })
+}
+
+/// Asserts the checkpoint at `path` is byte-identical to a clean Serial
+/// run of `grid`, then deletes it.
+fn assert_serial_bytes(grid: &SweepGrid, path: &Path) {
+    let clean = canonical_jsonl(&grid.collect_records(&Serial));
+    assert_eq!(std::fs::read_to_string(path).unwrap(), clean);
+    std::fs::remove_file(path).unwrap();
+}
+
 fn queen_options(ttl_ms: u64) -> QueenOptions {
     QueenOptions {
         ttl: Duration::from_millis(ttl_ms),
@@ -54,113 +96,134 @@ fn queen_options(ttl_ms: u64) -> QueenOptions {
     }
 }
 
-fn worker_options(name: &str) -> WorkerOptions {
-    WorkerOptions {
-        backoff: Duration::from_millis(20),
-        ..WorkerOptions::new(name)
+/// A worker driven line by line over a raw socket.
+struct RawWorker {
+    stream: TcpStream,
+    reader: LineReader<TcpStream>,
+}
+
+impl RawWorker {
+    /// Connects and completes the `HELLO` exchange.
+    fn join(addr: &str, name: &str) -> RawWorker {
+        let stream = TcpStream::connect(addr).unwrap();
+        let reader = LineReader::new(stream.try_clone().unwrap());
+        let mut worker = RawWorker { stream, reader };
+        worker.send(&ToQueen::Hello { name: name.into() }).unwrap();
+        assert!(matches!(worker.reply(), ToWorker::Hello { .. }));
+        worker
+    }
+
+    fn send(&mut self, message: &ToQueen) -> io::Result<()> {
+        self.stream
+            .write_all(format!("{}\n", message.to_line()).as_bytes())
+    }
+
+    fn reply(&mut self) -> ToWorker {
+        ToWorker::parse(&self.reader.read_line().unwrap().unwrap()).unwrap()
+    }
+
+    /// Asks for a lease and expects one: `(id, start, len)`.
+    fn lease(&mut self) -> (u64, usize, usize) {
+        self.send(&ToQueen::Lease).unwrap();
+        match self.reply() {
+            ToWorker::Lease { id, start, len } => (id, start, len),
+            other => panic!("expected a lease, got {other:?}"),
+        }
+    }
+
+    /// Runs dense cell `dense` and streams its record under `lease`.
+    fn record(&mut self, grid: &SweepGrid, lease: u64, dense: usize) -> io::Result<()> {
+        let record = CellRecord::from_cell(&grid.run_cell(grid.cell_at(dense)));
+        self.send(&ToQueen::Record {
+            lease,
+            json: record.to_json(),
+        })
+    }
+
+    /// Sends `LEASE` and asserts the queen holds it: a short read
+    /// timeout expires before any reply line. Then waits for the reply
+    /// with a generous timeout, so a lost wake-up fails instead of
+    /// hanging.
+    fn park_lease(&mut self) {
+        self.send(&ToQueen::Lease).unwrap();
+        self.stream
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let err = self.reader.read_line().unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "expected no reply yet, got {err}"
+        );
+        self.stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+    }
+
+    /// Closes the connection for real: the socket is shut down, so the
+    /// reader's cloned handle cannot keep it open.
+    fn hang_up(self) {
+        self.stream.shutdown(Shutdown::Both).unwrap();
     }
 }
 
 #[test]
 fn three_workers_one_killed_mid_lease_still_byte_identical() {
     let grid = grid();
-    let clean = canonical_jsonl(&grid.collect_records(&Serial));
     let path = tmp_path("killed-worker");
-
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
     // Short TTL so the killed worker's lease expires within the test.
-    let options = queen_options(300);
-
-    let report = std::thread::scope(|scope| {
-        let queen = scope.spawn(|| run_queen(&grid, listener, &path, &options));
-
+    let report = with_queen(&grid, &path, &queen_options(300), |addr| {
         // The victim goes first so it deterministically holds a lease,
         // then vanishes after one RECORD — mid-lease, no DONE. Its torn
         // connection returns the unfinished cell to the pool.
-        let victim_options = WorkerOptions {
+        let victim = WorkerOptions {
             fail_after: Some(1),
-            ..worker_options("victim")
+            ..WorkerOptions::new("victim")
         };
-        let victim = {
-            let addr = addr.clone();
-            let grid = &grid;
-            scope
-                .spawn(move || run_worker(&addr, resolver(grid), &victim_options).unwrap())
-        };
-        assert!(victim.join().unwrap().aborted);
-
-        let mut workers = Vec::new();
-        for name in ["steady-1", "steady-2"] {
-            let addr = addr.clone();
-            let grid = &grid;
-            workers.push(scope.spawn(move || {
-                run_worker(&addr, resolver(grid), &worker_options(name)).unwrap()
-            }));
-        }
-        for worker in workers {
-            worker.join().unwrap();
-        }
-        queen.join().unwrap().unwrap()
+        assert!(run_worker(addr, resolver(&grid), &victim).unwrap().aborted);
+        let grid = &grid;
+        std::thread::scope(|scope| {
+            for name in ["steady-1", "steady-2"] {
+                scope.spawn(move || finish(addr, grid, name));
+            }
+        });
     });
 
     assert!(report.complete);
     assert_eq!(report.ran + report.reused, grid.num_cells());
     assert!(report.workers >= 3);
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), clean);
-    std::fs::remove_file(&path).unwrap();
+    assert_serial_bytes(&grid, &path);
 }
 
 #[test]
 fn capped_queen_resumes_to_byte_identical() {
     let grid = grid();
-    let clean = canonical_jsonl(&grid.collect_records(&Serial));
     let path = tmp_path("capped-queen");
 
     // First queen "dies" after 2 fresh cells (the networked sibling of
     // run_resumable_capped's kill stand-in).
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
     let options = QueenOptions {
         max_cells: 2,
         ..queen_options(2_000)
     };
-    let first = std::thread::scope(|scope| {
-        let queen = scope.spawn(|| run_queen(&grid, listener, &path, &options));
-        let worker = {
-            let addr = addr.clone();
-            let grid = &grid;
-            scope.spawn(move || run_worker(&addr, resolver(grid), &worker_options("w")))
-        };
+    let first = with_queen(&grid, &path, &options, |addr| {
         // The worker may exit cleanly (told DONE) or see the queen close
         // the connection first — both are acceptable deaths here.
-        let _ = worker.join().unwrap();
-        queen.join().unwrap().unwrap()
+        let _ = run_worker(addr, resolver(&grid), &WorkerOptions::new("w"));
     });
     assert!(!first.complete);
     assert_eq!(first.ran, 2);
 
     // A fresh queen on the same checkpoint finishes the grid.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let options = queen_options(2_000);
-    let second = std::thread::scope(|scope| {
-        let queen = scope.spawn(|| run_queen(&grid, listener, &path, &options));
-        let worker = {
-            let addr = addr.clone();
-            let grid = &grid;
-            scope.spawn(move || {
-                run_worker(&addr, resolver(grid), &worker_options("w")).unwrap()
-            })
-        };
-        worker.join().unwrap();
-        queen.join().unwrap().unwrap()
+    let second = with_queen(&grid, &path, &queen_options(2_000), |addr| {
+        finish(addr, &grid, "w");
     });
     assert!(second.complete);
     assert_eq!(second.reused, 2);
     assert_eq!(second.ran, grid.num_cells() - 2);
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), clean);
-    std::fs::remove_file(&path).unwrap();
+    assert_serial_bytes(&grid, &path);
 }
 
 /// Dynamic chunk sizing over the wire: with a configured chunk far larger
@@ -170,59 +233,28 @@ fn capped_queen_resumes_to_byte_identical() {
 #[test]
 fn tail_chunks_shrink_over_loopback() {
     let grid = grid(); // 6 cells
-    let clean = canonical_jsonl(&grid.collect_records(&Serial));
     let path = tmp_path("tail-chunk");
-
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
     let options = QueenOptions {
         chunk: Some(64),
         ..queen_options(2_000)
     };
-
-    let report = std::thread::scope(|scope| {
-        let queen = scope.spawn(|| run_queen(&grid, listener, &path, &options));
-
+    let report = with_queen(&grid, &path, &options, |addr| {
         // A raw-socket observer asks for the first lease.
-        let mut probe = TcpStream::connect(&addr).unwrap();
-        let mut reader = LineReader::new(probe.try_clone().unwrap());
-        let hello = ToQueen::Hello {
-            name: "probe".into(),
-        };
-        probe
-            .write_all(format!("{}\n{}\n", hello.to_line(), ToQueen::Lease.to_line()).as_bytes())
-            .unwrap();
-        let hello_line = reader.read_line().unwrap().unwrap();
-        assert!(matches!(
-            ToWorker::parse(&hello_line).unwrap(),
-            ToWorker::Hello { .. }
-        ));
-        let lease_line = reader.read_line().unwrap().unwrap();
-        let len = match ToWorker::parse(&lease_line).unwrap() {
-            ToWorker::Lease { len, .. } => len,
-            other => panic!("expected a lease, got {other:?}"),
-        };
+        let mut probe = RawWorker::join(addr, "probe");
+        let (_, _, len) = probe.lease();
         // 6 unleased cells spread over TAIL_PARALLELISM (4) workers, not
         // the configured 64-cell chunk.
         assert_eq!(len, 2);
 
-        // Dropping the connection returns the cells; a real worker
-        // finishes the grid.
-        drop(probe);
-        let real = {
-            let addr = addr.clone();
-            let grid = &grid;
-            scope.spawn(move || {
-                run_worker(&addr, resolver(grid), &worker_options("real")).unwrap()
-            })
-        };
-        real.join().unwrap();
-        queen.join().unwrap().unwrap()
+        // Hanging up returns the cells; a real worker finishes the grid.
+        probe.hang_up();
+        finish(addr, &grid, "real");
     });
 
     assert!(report.complete);
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), clean);
-    std::fs::remove_file(&path).unwrap();
+    // The probe's cells came back through the release, not by expiring.
+    assert_eq!(report.speculative, 0);
+    assert_serial_bytes(&grid, &path);
 }
 
 /// A raw-socket worker that takes a lease and goes silent: the lease must
@@ -231,70 +263,85 @@ fn tail_chunks_shrink_over_loopback() {
 #[test]
 fn stalled_lease_is_speculatively_re_dispatched() {
     let grid = grid();
-    let clean = canonical_jsonl(&grid.collect_records(&Serial));
     let path = tmp_path("stalled");
-
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
     // Tiny TTL: the staller is overdue almost immediately.
-    let options = queen_options(50);
-
-    let report = std::thread::scope(|scope| {
-        let queen = scope.spawn(|| run_queen(&grid, listener, &path, &options));
-
+    let report = with_queen(&grid, &path, &queen_options(50), |addr| {
         // The staller grabs a lease by hand and never works it.
-        let mut stall = TcpStream::connect(&addr).unwrap();
-        let mut stall_reader = LineReader::new(stall.try_clone().unwrap());
-        let hello = ToQueen::Hello {
-            name: "staller".into(),
-        };
-        stall
-            .write_all(format!("{}\n{}\n", hello.to_line(), ToQueen::Lease.to_line()).as_bytes())
-            .unwrap();
-        let hello_line = stall_reader.read_line().unwrap().unwrap();
-        assert!(matches!(
-            ToWorker::parse(&hello_line).unwrap(),
-            ToWorker::Hello { .. }
-        ));
-        let lease_line = stall_reader.read_line().unwrap().unwrap();
-        let (id, start, len) = match ToWorker::parse(&lease_line).unwrap() {
-            ToWorker::Lease { id, start, len } => (id, start, len),
-            other => panic!("expected a lease, got {other:?}"),
-        };
+        let mut staller = RawWorker::join(addr, "staller");
+        let (id, start, len) = staller.lease();
         assert!(len >= 1);
 
         // Let it expire, then bring up a real worker to finish the grid
         // (including the stalled cells, via speculative re-lease).
         std::thread::sleep(Duration::from_millis(120));
-        let real = {
-            let addr = addr.clone();
-            let grid = &grid;
-            scope.spawn(move || {
-                run_worker(&addr, resolver(grid), &worker_options("real")).unwrap()
-            })
-        };
-        real.join().unwrap();
+        finish(addr, &grid, "real");
 
         // The staller finally wakes up and streams its (now duplicate)
         // records — the queen must reconcile or drop them, never
         // conflict. (The queen may already have closed the connection
         // after completing; a failed write is fine.)
         for dense in start..start + len {
-            let record =
-                cohmeleon_exp::CellRecord::from_cell(&grid.run_cell(grid.cell_at(dense)));
-            let message = ToQueen::Record {
-                lease: id,
-                json: record.to_json(),
-            };
-            let _ = stall.write_all(format!("{}\n", message.to_line()).as_bytes());
+            let _ = staller.record(&grid, id, dense);
         }
-        drop(stall);
-
-        queen.join().unwrap().unwrap()
     });
 
     assert!(report.complete);
     assert!(report.speculative >= 1, "no speculative re-lease happened");
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), clean);
-    std::fs::remove_file(&path).unwrap();
+    assert_serial_bytes(&grid, &path);
+}
+
+/// The long poll's release path: a `LEASE` that finds every cell leased
+/// gets no reply while the holder lives, and exactly the holder's cells
+/// once it hangs up.
+#[test]
+fn parked_lease_gets_the_cells_a_disconnect_returns() {
+    let grid = one_cell_grid();
+    let path = tmp_path("parked-release");
+    // A TTL no test run reaches: nothing may be re-leased speculatively.
+    let report = with_queen(&grid, &path, &queen_options(60_000), |addr| {
+        let mut holder = RawWorker::join(addr, "holder");
+        let (_, start, len) = holder.lease();
+        assert_eq!((start, len), (0, 1), "the holder leases the whole grid");
+
+        let mut waiter = RawWorker::join(addr, "waiter");
+        waiter.park_lease();
+        holder.hang_up();
+        let id = match waiter.reply() {
+            ToWorker::Lease { id, start, len } => {
+                assert_eq!((start, len), (0, 1), "not the returned cell");
+                id
+            }
+            other => panic!("expected the returned cell, got {other:?}"),
+        };
+
+        // The waiter works the cell, and its next request ends the run.
+        waiter.record(&grid, id, 0).unwrap();
+        waiter.send(&ToQueen::Done { lease: id }).unwrap();
+        waiter.send(&ToQueen::Lease).unwrap();
+        assert_eq!(waiter.reply(), ToWorker::Complete);
+    });
+
+    assert!(report.complete);
+    assert_eq!(report.speculative, 0);
+    assert_serial_bytes(&grid, &path);
+}
+
+/// The long poll's finish path: a `LEASE` parked when the last `RECORD`
+/// lands is answered `DONE`.
+#[test]
+fn parked_lease_is_answered_done_when_the_last_record_lands() {
+    let grid = one_cell_grid();
+    let path = tmp_path("parked-done");
+    let report = with_queen(&grid, &path, &queen_options(60_000), |addr| {
+        let mut holder = RawWorker::join(addr, "holder");
+        let (id, _, _) = holder.lease();
+        let mut waiter = RawWorker::join(addr, "waiter");
+        waiter.park_lease();
+        holder.record(&grid, id, 0).unwrap();
+        assert_eq!(waiter.reply(), ToWorker::Complete);
+    });
+
+    assert!(report.complete);
+    assert_eq!(report.speculative, 0);
+    assert_serial_bytes(&grid, &path);
 }

@@ -34,8 +34,8 @@
 //! connection. Other connections are never affected either way.
 
 use std::fmt;
-use std::io::{self, Read};
 
+pub use cohmeleon_chaos::LineReader;
 use cohmeleon_core::router::AgentScope;
 
 /// The protocol version token both `HELLO`s must carry.
@@ -414,60 +414,6 @@ fn parse_scope(line: &str, field: Option<&str>) -> Result<AgentScope, String> {
         .map_err(|e| bad(line, &format!("{e}")))
 }
 
-/// Timeout-safe line framing over any [`Read`] — the same discipline as
-/// the fleet's reader: `BufReader::read_line` cannot be used on a socket
-/// with a read timeout (its UTF-8 guard discards partial bytes on `Err`),
-/// so this reader keeps partial data buffered across
-/// [`WouldBlock`](io::ErrorKind::WouldBlock)/[`TimedOut`](io::ErrorKind::TimedOut)
-/// and resumes each line exactly where it left off.
-#[derive(Debug)]
-pub struct LineReader<R> {
-    inner: R,
-    buf: Vec<u8>,
-}
-
-impl<R: Read> LineReader<R> {
-    /// Wraps a byte stream.
-    pub fn new(inner: R) -> LineReader<R> {
-        LineReader {
-            inner,
-            buf: Vec::new(),
-        }
-    }
-
-    /// Reads the next `\n`-terminated line, without the newline (a
-    /// trailing `\r` is also stripped). `Ok(None)` is end-of-stream; any
-    /// unterminated bytes at EOF are a torn line from a dying peer and
-    /// are dropped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying read error. On
-    /// [`WouldBlock`](io::ErrorKind::WouldBlock)/[`TimedOut`](io::ErrorKind::TimedOut)
-    /// the partial line stays buffered; call again to continue it.
-    pub fn read_line(&mut self) -> io::Result<Option<String>> {
-        loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                let line = String::from_utf8(line).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 serve message")
-                })?;
-                return Ok(Some(line));
-            }
-            let mut chunk = [0u8; 4096];
-            match self.inner.read(&mut chunk) {
-                Ok(0) => return Ok(None),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,53 +545,5 @@ mod tests {
         assert!(ToServer::parse("SWAP").is_err());
         assert!(ToClient::parse("MODES 1 x").is_err());
         assert!(ToClient::parse("HELLO serve/1 1 per-socket 243 1").is_err());
-    }
-
-    /// A reader that yields its scripted results one at a time.
-    struct Scripted(Vec<io::Result<Vec<u8>>>);
-
-    impl Read for Scripted {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.0.is_empty() {
-                return Ok(0);
-            }
-            match self.0.remove(0) {
-                Ok(bytes) => {
-                    buf[..bytes.len()].copy_from_slice(&bytes);
-                    Ok(bytes.len())
-                }
-                Err(e) => Err(e),
-            }
-        }
-    }
-
-    #[test]
-    fn line_reader_keeps_partial_lines_across_timeouts() {
-        let timeout = || io::Error::new(io::ErrorKind::WouldBlock, "timed out");
-        let mut reader = LineReader::new(Scripted(vec![
-            Ok(b"DEC".to_vec()),
-            Err(timeout()),
-            Ok(b"IDE 1 0:0:1:15\nST".to_vec()),
-            Err(timeout()),
-            Ok(b"AT\n".to_vec()),
-        ]));
-        assert_eq!(
-            reader.read_line().unwrap_err().kind(),
-            io::ErrorKind::WouldBlock
-        );
-        assert_eq!(reader.read_line().unwrap().unwrap(), "DECIDE 1 0:0:1:15");
-        assert_eq!(
-            reader.read_line().unwrap_err().kind(),
-            io::ErrorKind::WouldBlock
-        );
-        assert_eq!(reader.read_line().unwrap().unwrap(), "STAT");
-        assert_eq!(reader.read_line().unwrap(), None);
-    }
-
-    #[test]
-    fn line_reader_drops_torn_tail_at_eof() {
-        let mut reader = LineReader::new(Scripted(vec![Ok(b"STAT\nDECIDE 1 0:".to_vec())]));
-        assert_eq!(reader.read_line().unwrap().unwrap(), "STAT");
-        assert_eq!(reader.read_line().unwrap(), None);
     }
 }

@@ -1,9 +1,10 @@
 //! The decision server: concurrent clients, a lock-free read path, and
 //! atomic snapshot hot-swap.
 //!
-//! Mirrors the fleet queen's shape — a non-blocking accept loop inside
+//! Mirrors the fleet queen's shape — a blocking accept loop inside
 //! `std::thread::scope`, one handler thread per connection polling with a
-//! short read timeout — but the shared state is deliberately different:
+//! short read timeout, and the last handler out after `SHUTDOWN` waking
+//! the accept loop — but the shared state is deliberately different:
 //! where the queen funnels every message through one mutex, the server's
 //! hot path touches **no lock at all**. The live table is an
 //! `Arc<TableVersion>` behind a [`SwapCell`]; a `DECIDE` handler loads it
@@ -19,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cohmeleon_chaos::{FaultPlan, FaultyTransport, Role};
+use cohmeleon_chaos::{AcceptWaker, FaultPlan, FaultyTransport, Role};
 use cohmeleon_core::frozen::{mask_modes, FrozenSnapshot};
 use cohmeleon_core::{AccelInstanceId, AccelKindId};
 
@@ -98,8 +99,8 @@ struct Shared {
 ///
 /// # Errors
 ///
-/// Setup failures (non-blocking mode) and accept-loop I/O errors. Per-
-/// connection errors close that connection only.
+/// Setup failures (reading the listener's address) and accept-loop I/O
+/// errors. Per-connection errors close that connection only.
 pub fn run_server(
     listener: TcpListener,
     initial: FrozenSnapshot,
@@ -120,42 +121,37 @@ pub fn run_server(
         shutdown: AtomicBool::new(false),
     };
 
-    listener.set_nonblocking(true)?;
+    let waker = AcceptWaker::new(&listener)?;
     let active = AtomicUsize::new(0);
-    let mut accept_error: Option<io::Error> = None;
-    std::thread::scope(|scope| {
-        loop {
+    let served = std::thread::scope(|scope| {
+        for accepted in listener.incoming() {
+            // Re-checked after every accept: the last handler out after a
+            // SHUTDOWN connects once just to get this loop here.
             if shared.shutdown.load(Ordering::Acquire) && active.load(Ordering::Acquire) == 0 {
-                break;
+                return Ok(());
             }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    shared.clients.fetch_add(1, Ordering::Relaxed);
-                    active.fetch_add(1, Ordering::AcqRel);
-                    let shared = &shared;
-                    let active = &active;
-                    let options = options.clone();
-                    scope.spawn(move || {
-                        serve_client(stream, shared, &options);
-                        active.fetch_sub(1, Ordering::AcqRel);
-                    });
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+            let stream = match accepted {
+                Ok(stream) => stream,
                 Err(e) => {
-                    accept_error = Some(e);
                     shared.shutdown.store(true, Ordering::Release);
+                    return Err(e);
                 }
-            }
+            };
+            shared.clients.fetch_add(1, Ordering::Relaxed);
+            active.fetch_add(1, Ordering::AcqRel);
+            let (shared, active, waker) = (&shared, &active, &waker);
+            let options = options.clone();
+            scope.spawn(move || {
+                serve_client(stream, shared, &options);
+                let last = active.fetch_sub(1, Ordering::AcqRel) == 1;
+                if last && shared.shutdown.load(Ordering::Acquire) {
+                    waker.wake();
+                }
+            });
         }
+        Ok(())
     });
-    if let Some(e) = accept_error {
-        return Err(e);
-    }
+    served?;
 
     Ok(ServerReport {
         decisions: shared.decisions.load(Ordering::Relaxed),
