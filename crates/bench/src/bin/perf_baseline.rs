@@ -14,36 +14,29 @@
 //! comparable across machines and checkouts; a third measurement runs one
 //! multi-seed grid under `Serial` and `WorkStealing`, asserts the per-cell
 //! results are bit-identical, and records the parallel speedup
-//! (`sweep_executor`). A fourth runs the same grid as two worker
-//! *processes* (re-executions of this binary) through `ShardExecutor`,
-//! verifies the merged record stream bit-identical to Serial, and records
-//! the multi-process speedup (`sweep_shards`) — spawn and grid-rebuild
-//! overhead included, so on a 1-CPU machine expect ≤ 1.0x. A fifth runs
-//! the same grid through the fleet coordinator (in-process queen + one
-//! loopback worker), verifies the checkpoint file byte-identical to
-//! Serial's canonical stream, and records the per-cell dispatch overhead
-//! (`fleet_dispatch`) — everything the fleet adds on top of the raw
-//! simulation: connection set-up, protocol round-trips, record validation
-//! and the fsync-per-record checkpoint. No fleet thread waits on a timer,
-//! so none of it is sleep granularity (see PERFORMANCE.md for methodology
-//! and for the recorded history). A
-//! sixth drives a loopback decision server with concurrent batched
-//! clients, verifies every response against local frozen dispatch, and
-//! records the serving throughput and batch round-trip latency
-//! percentiles (`serve_dispatch`).
+//! (`sweep_executor`). A fourth runs the same grid through the fleet
+//! coordinator (in-process queen + one loopback worker), verifies the
+//! checkpoint file byte-identical to Serial's canonical stream, and
+//! records the per-cell dispatch overhead (`fleet_dispatch`) — everything
+//! the fleet adds on top of the raw simulation: connection set-up,
+//! protocol round-trips, record validation and the fsync-per-record
+//! checkpoint. No fleet thread waits on a timer, so none of it is sleep
+//! granularity (see PERFORMANCE.md for methodology and for the recorded
+//! history). A fifth drives a loopback decision server with concurrent
+//! batched clients, verifies every response against local frozen
+//! dispatch, and records the serving throughput and batch round-trip
+//! latency percentiles (`serve_dispatch`).
 //!
 //! ```text
 //! perf_baseline [--smoke] [--out FILE] [--reps N]
 //!
 //!   --smoke   correctness-only: run a reduced suite, assert determinism,
-//!             Serial/WorkStealing bit-equality and shard-merge
+//!             Serial/WorkStealing bit-equality and fleet-checkpoint
 //!             bit-equality, write nothing (unless --out is given). For
 //!             CI.
 //!   --out     output JSON path (default BENCH_hotpath.json)
 //!   --reps    timed repetitions; the best (fastest) rep is recorded
 //!             (default 3)
-//!   --shard I/N   internal worker mode for the sharded measurement
-//!             (requires --out)
 //! ```
 //!
 //! Each tracked entry keeps `baseline` (the first measurement ever
@@ -68,8 +61,8 @@ use cohmeleon_core::{
     AccelInstanceId, AccelKindId, CoherenceMode, FrozenSnapshot, ModeSet, PartitionId, State,
 };
 use cohmeleon_exp::{
-    canonical_jsonl, merge_records, CellRecord, CellResult, Executor, Experiment, PolicySpec,
-    Serial, ShardExecutor, ShardSpec, SweepGrid, WorkStealing,
+    canonical_jsonl, CellResult, Executor, Experiment, PolicySpec, Serial, SweepGrid,
+    WorkStealing,
 };
 use cohmeleon_fleet::{run_queen, run_worker, QueenOptions, WorkerOptions};
 use cohmeleon_serve::{run_load, run_server, LoadOptions, LoadReport, ServeClient, ServeOptions};
@@ -94,9 +87,6 @@ struct Args {
     /// `Some` iff `--out` was passed explicitly.
     out_flag: Option<String>,
     reps: usize,
-    /// Internal worker mode for the sharded-sweep measurement: run only
-    /// this shard of the executor-speedup grid and write it to `--out`.
-    shard: Option<ShardSpec>,
 }
 
 impl Args {
@@ -110,7 +100,6 @@ fn parse_args() -> Result<Args, String> {
         smoke: false,
         out_flag: None,
         reps: 3,
-        shard: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -124,19 +113,8 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--reps: {e}"))?;
             }
-            "--shard" => {
-                args.shard = Some(
-                    it.next()
-                        .ok_or("--shard needs I/N")?
-                        .parse()
-                        .map_err(|e| format!("--shard: {e}"))?,
-                );
-            }
             other => return Err(format!("unknown argument {other}")),
         }
-    }
-    if args.shard.is_some() && args.out_flag.is_none() {
-        return Err("--shard requires an explicit --out".into());
     }
     if args.reps == 0 {
         return Err("--reps must be at least 1".into());
@@ -485,28 +463,9 @@ fn smoke(args: &Args) -> ExitCode {
         eprintln!("perf_baseline --smoke: WorkStealing results differ from Serial");
         return ExitCode::FAILURE;
     }
-    // Every shard partition must fold back into the serial record stream
-    // bit for bit (in-process here; the subprocess path is the sweep
-    // binary's CI smoke).
-    let canon = canonical_jsonl(&grid.collect_records(&Serial));
-    for n in [2usize, 3] {
-        let batches: Vec<Vec<CellRecord>> = (0..n)
-            .map(|i| grid.collect_shard_records(ShardSpec::new(i, n), &Serial))
-            .collect();
-        match merge_records(batches, Some(&grid)) {
-            Ok(merged) if canonical_jsonl(&merged) == canon => {}
-            Ok(_) => {
-                eprintln!("perf_baseline --smoke: {n}-shard merge is not bit-identical");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("perf_baseline --smoke: {n}-shard merge failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     // The fleet path (queen + loopback worker) must land the identical
     // bytes the Serial run canonicalises to — dispatch is pure plumbing.
+    let canon = canonical_jsonl(&grid.collect_records(&Serial));
     match run_fleet_dispatch(&grid) {
         Ok((_wall, bytes)) if bytes == canon => {}
         Ok(_) => {
@@ -677,7 +636,7 @@ fn smoke(args: &Args) -> ExitCode {
 
     println!(
         "perf_baseline --smoke: ok ({e1} events, {i1} invocations, {c1} simulated cycles; \
-         soc6 {}/{}/{}; executors bit-identical; 2- and 3-shard merges bit-identical; \
+         soc6 {}/{}/{}; executors bit-identical; \
          Global-routed cohmeleon bit-identical; {dispatch_decides} router dispatches)",
         pins6.0, pins6.1, pins6.2
     );
@@ -701,16 +660,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(shard) = args.shard {
-        // Worker mode for the sharded-sweep measurement: run this
-        // shard's cells of the measurement grid and write them out.
-        let records = sweep_grid().collect_shard_records(shard, &Serial);
-        if let Err(e) = std::fs::write(args.out(), canonical_jsonl(&records)) {
-            eprintln!("perf_baseline: shard {shard}: cannot write {}: {e}", args.out());
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
     if args.smoke {
         return smoke(&args);
     }
@@ -760,7 +709,7 @@ fn main() -> ExitCode {
     let sweep_grid = sweep_grid();
     // One serial pass serves both references: per-cell hashes against
     // WorkStealing here, the canonical record stream against the
-    // sharded run below (Serial delivers in dense order, matching
+    // fleet run below (Serial delivers in dense order, matching
     // cell_hashes' indexing).
     let sweep_serial_records = sweep_grid.collect_records(&Serial);
     let serial_hashes: Vec<u64> = sweep_serial_records
@@ -792,61 +741,13 @@ fn main() -> ExitCode {
         sweep_grid.num_cells()
     );
 
-    // Sharded-process speedup on the same grid: each worker is a
-    // re-execution of this binary (`--shard i/n`); the merged stream is
-    // verified bit-identical to Serial before any number is recorded.
-    const SHARD_COUNT: usize = 2;
-    let shard_dir =
-        std::env::temp_dir().join(format!("cohmeleon-perf-shards-{}", std::process::id()));
-    let serial_canon = canonical_jsonl(&sweep_serial_records);
-    let mut shard_wall = f64::MAX;
-    for _ in 0..args.reps {
-        let start = Instant::now();
-        let merged = ShardExecutor::new(SHARD_COUNT).run(&sweep_grid, &shard_dir, |spec, out| {
-            vec![
-                "--shard".to_owned(),
-                spec.to_string(),
-                "--out".to_owned(),
-                out.display().to_string(),
-            ]
-        });
-        let wall = start.elapsed().as_secs_f64();
-        match merged {
-            Ok(records) if canonical_jsonl(&records) == serial_canon => {
-                shard_wall = shard_wall.min(wall);
-            }
-            Ok(_) => {
-                eprintln!(
-                    "perf_baseline: sharded results differ from Serial — refusing to record"
-                );
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("perf_baseline: sharded run failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&shard_dir);
-    let shard_speedup = serial_wall / shard_wall;
-    let current_shards = format!(
-        "{{\"cells\": {}, \"shards\": {SHARD_COUNT}, \"cpus\": {}, \
-         \"serial_wall_s\": {serial_wall:.6}, \"shard_wall_s\": {shard_wall:.6}, \
-         \"speedup\": {shard_speedup:.2}}}",
-        sweep_grid.num_cells(),
-        cpus()
-    );
-    println!(
-        "  sweep: {SHARD_COUNT} worker processes: {shard_wall:.3} s → {shard_speedup:.2}x \
-         vs serial (bit-identical; includes process spawn + rebuild cost)"
-    );
-
     // Fleet dispatch overhead on the same grid: an in-process queen and
     // one loopback worker vs the direct serial run. Everything above the
     // raw simulation — protocol round-trips, validation, the
     // fsync-per-record checkpoint — shows up as overhead per cell. The
     // checkpoint bytes are verified identical to Serial's canonical
     // stream before any number is recorded.
+    let serial_canon = canonical_jsonl(&sweep_serial_records);
     let mut fleet_wall = f64::MAX;
     for _ in 0..args.reps {
         match run_fleet_dispatch(&sweep_grid) {
@@ -990,12 +891,6 @@ fn main() -> ExitCode {
         .and_then(|sect| extract_object(sect, "baseline"))
         .map(str::to_owned)
         .unwrap_or_else(|| current_sweep.clone());
-    let baseline_shards = previous
-        .as_deref()
-        .and_then(|json| extract_object(json, "sweep_shards"))
-        .and_then(|sect| extract_object(sect, "baseline"))
-        .map(str::to_owned)
-        .unwrap_or_else(|| current_shards.clone());
     let baseline_fleet = previous
         .as_deref()
         .and_then(|json| extract_object(json, "fleet_dispatch"))
@@ -1024,9 +919,6 @@ fn main() -> ExitCode {
          \"sweep_executor\": {{\n    \
          \"suite\": \"soc1 x quick x 3 policies x 4 seeds, Serial vs WorkStealing\",\n    \
          \"baseline\": {baseline_sweep},\n    \"current\": {current_sweep}\n  }},\n  \
-         \"sweep_shards\": {{\n    \
-         \"suite\": \"same grid, 2 worker processes via ShardExecutor (spawn + rebuild included)\",\n    \
-         \"baseline\": {baseline_shards},\n    \"current\": {current_shards}\n  }},\n  \
          \"fleet_dispatch\": {{\n    \
          \"suite\": \"same grid, in-process queen + 1 loopback worker vs direct Serial (protocol + validation + fsync overhead)\",\n    \
          \"baseline\": {baseline_fleet},\n    \"current\": {current_fleet}\n  }},\n  \

@@ -1,12 +1,11 @@
-//! `sweep` — run, resume, shard and merge grid sweeps from the command
-//! line.
+//! `sweep` — run, resume and shard grid sweeps, and serve their frozen
+//! tables, from the command line.
 //!
 //! ```text
 //! sweep run    --grid NAME [--out PATH] [--executor serial|work-stealing]
-//!              [--max-cells N] [--fresh] [--shard I/N] [--reuse OLD.jsonl]
+//!              [--max-cells N] [--fresh] [--reuse OLD.jsonl]
 //! sweep resume --grid NAME [--out PATH] [--executor ...]
-//! sweep shard  --grid NAME --shards N [--out PATH] [--dir DIR]
-//! sweep merge  --out PATH [--grid NAME] FILE...
+//! sweep shard  --grid NAME --shards N [--out PATH]
 //! sweep queen  --grid NAME --listen ADDR [--resume PATH] [--chunk N]
 //!              [--ttl-ms MS] [--max-cells N] [--fresh] [--status-ms MS]
 //!              [--chaos-seed N]
@@ -28,18 +27,14 @@
 //!   stand-in for a kill; CI uses it for the resume smoke), `--fresh`
 //!   deletes the checkpoint first.
 //! * `resume` is `run` spelled for humans reading a script.
-//! * `shard` re-executes this binary once per shard (`run --grid NAME
-//!   --shard i/n --out DIR/shard-i.jsonl`), waits, merges the shard
-//!   files (verifying every cell exactly once, each owned by its
-//!   writer), and writes the canonical stream to `--out`. Workers
-//!   inherit the environment, so `COHMELEON_FAST=1` propagates.
-//! * `merge` folds already-written shard/partial files into one
-//!   canonical stream; with `--grid` it also verifies completeness
-//!   against that grid.
+//! * `shard` is a fleet on this machine: a queen on a loopback port and
+//!   N `worker` processes of this binary. Like `run`, it resumes the
+//!   checkpoint at `--out` and finalises it byte-identical to a serial
+//!   run; a worker process that fails fails the run.
 //! * `queen` serves the named grid over TCP to `worker` processes on
 //!   other hosts (or this one): contiguous cell ranges are leased out,
 //!   completed records stream back and are checkpointed exactly as `run`
-//!   does, silent workers get their shards speculatively re-leased, and
+//!   does, silent workers get their cells speculatively re-leased, and
 //!   a killed queen re-run on the same `--resume` path picks up where it
 //!   stopped. `worker` connects, rebuilds the grid the queen names, and
 //!   works leases until the queen says done. See the "Fleet" section of
@@ -73,23 +68,20 @@
 //! the queen's HELLO names, regardless of their own environment.
 
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
+use std::process::{Command, ExitCode};
 
 use cohmeleon_bench::sweeps::{named_experiment, GRID_NAMES};
 use cohmeleon_chaos::FaultPlan;
 use cohmeleon_bench::Scale;
-use cohmeleon_exp::{
-    canonical_jsonl, merge_files, Checkpoint, ResumeOutcome, Serial, ShardExecutor, ShardSpec,
-    SweepGrid, WorkStealing,
-};
+use cohmeleon_exp::{Checkpoint, ResumeOutcome, Serial, SweepGrid, WorkStealing};
 use cohmeleon_core::FrozenSnapshot;
 use cohmeleon_exp::{write_snapshot, SnapshotMeta};
-use cohmeleon_fleet::{run_queen, run_worker, QueenOptions, WorkerOptions};
+use cohmeleon_fleet::{run_local, run_queen, run_worker, QueenOptions, WorkerOptions};
 use cohmeleon_serve::{run_load, run_server, LoadOptions, ServeClient, ServeOptions, SwapPlan};
 
 fn usage() -> String {
     let mut out = String::from(
-        "usage:\n  sweep run    --grid NAME [--out PATH] [--executor serial|work-stealing]\n               [--max-cells N] [--fresh] [--shard I/N] [--reuse OLD.jsonl]\n  sweep resume --grid NAME [--out PATH] [--executor ...]\n  sweep shard  --grid NAME --shards N [--out PATH] [--dir DIR]\n  sweep merge  --out PATH [--grid NAME] FILE...\n  sweep queen  --grid NAME --listen ADDR [--resume PATH] [--chunk N]\n               [--ttl-ms MS] [--max-cells N] [--fresh] [--status-ms MS]\n               [--chaos-seed N]\n  sweep worker --connect ADDR [--name LABEL] [--retry-ms MS] [--chaos-seed N]\n  sweep freeze --grid NAME --out SNAP.tsv\n               [--cell I | --scenario LABEL --policy LABEL --seed N]\n  sweep serve  --table SNAP.tsv --listen ADDR [--states N] [--chaos-seed N]\n  sweep clients --connect ADDR [-n N] [--batches N] [--batch N] [--seed N]\n               [--verify FILE,FILE] [--swap PATH [--swap-after J]]\n               [--hist OUT.jsonl] [--shutdown] [--chaos-seed N]\n\ngrids (COHMELEON_FAST=1 for reduced scale):\n",
+        "usage:\n  sweep run    --grid NAME [--out PATH] [--executor serial|work-stealing]\n               [--max-cells N] [--fresh] [--reuse OLD.jsonl]\n  sweep resume --grid NAME [--out PATH] [--executor ...]\n  sweep shard  --grid NAME --shards N [--out PATH]\n               (a local queen + N worker processes; resumes --out like run)\n  sweep queen  --grid NAME --listen ADDR [--resume PATH] [--chunk N]\n               [--ttl-ms MS] [--max-cells N] [--fresh] [--status-ms MS]\n               [--chaos-seed N]\n  sweep worker --connect ADDR [--name LABEL] [--retry-ms MS] [--chaos-seed N]\n  sweep freeze --grid NAME --out SNAP.tsv\n               [--cell I | --scenario LABEL --policy LABEL --seed N]\n  sweep serve  --table SNAP.tsv --listen ADDR [--states N] [--chaos-seed N]\n  sweep clients --connect ADDR [-n N] [--batches N] [--batch N] [--seed N]\n               [--verify FILE,FILE] [--swap PATH [--swap-after J]]\n               [--hist OUT.jsonl] [--shutdown] [--chaos-seed N]\n\ngrids (COHMELEON_FAST=1 for reduced scale):\n",
     );
     for (name, what) in GRID_NAMES {
         out.push_str(&format!("  {name:<10} {what}\n"));
@@ -150,7 +142,6 @@ fn main() -> ExitCode {
     let result = match command.as_str() {
         "run" | "resume" => cmd_run(rest),
         "shard" => cmd_shard(rest),
-        "merge" => cmd_merge(rest),
         "queen" => cmd_queen(rest),
         "worker" => cmd_worker(rest),
         "freeze" => cmd_freeze(rest),
@@ -194,7 +185,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     };
     let mut max_cells = usize::MAX;
     let mut fresh = false;
-    let mut shard: Option<ShardSpec> = None;
     let mut reuse: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -212,14 +202,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("--max-cells: {e}"))?;
             }
             "--fresh" => fresh = true,
-            "--shard" => {
-                shard = Some(
-                    it.next()
-                        .ok_or("--shard needs I/N")?
-                        .parse()
-                        .map_err(|e: cohmeleon_exp::shard::ParseShardSpecError| e.to_string())?,
-                );
-            }
             "--reuse" => {
                 reuse = Some(PathBuf::from(it.next().ok_or("--reuse needs a path")?));
             }
@@ -229,32 +211,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if common.grid.is_empty() {
         return Err(format!("--grid is required\n{}", usage()));
     }
-    if shard.is_some() && common.out.is_none() {
-        // Without this, a worker would clobber the grid's default
-        // checkpoint file with one shard's slice.
-        return Err("--shard requires an explicit --out".into());
-    }
-    if shard.is_some() && reuse.is_some() {
-        return Err("--reuse seeds a checkpoint; shard workers don't keep one".into());
-    }
     let (grid, out) = build_grid(&common)?;
-
-    if let Some(shard) = shard {
-        // Worker mode: run exactly the owned cells serially and write
-        // this shard's canonical slice (workers are processes — the
-        // parallelism is between them, not inside them).
-        let records = grid.collect_shard_records(shard, &Serial);
-        std::fs::write(&out, canonical_jsonl(&records))
-            .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-        println!(
-            "sweep: shard {shard} of `{}`: wrote {} of {} cells to {}",
-            common.grid,
-            records.len(),
-            grid.num_cells(),
-            out.display()
-        );
-        return Ok(());
-    }
 
     if fresh {
         match std::fs::remove_file(&out) {
@@ -304,10 +261,9 @@ fn cmd_shard(args: &[String]) -> Result<(), String> {
     let mut common = CommonArgs {
         grid: String::new(),
         out: None,
-        executor: Exec::Serial,
+        executor: Exec::Serial, // unused: workers execute the cells
     };
     let mut shards = 0usize;
-    let mut dir: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -320,7 +276,6 @@ fn cmd_shard(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("--shards: {e}"))?;
             }
-            "--dir" => dir = Some(PathBuf::from(it.next().ok_or("--dir needs a path")?)),
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
         }
     }
@@ -331,34 +286,21 @@ fn cmd_shard(args: &[String]) -> Result<(), String> {
         return Err("--shards must be at least 1".into());
     }
     let (grid, out) = build_grid(&common)?;
-    let dir = dir.unwrap_or_else(|| {
-        let mut d = out.as_os_str().to_owned();
-        d.push(".shards");
-        PathBuf::from(d)
-    });
-
-    let grid_name = common.grid.clone();
-    let records = ShardExecutor::new(shards)
-        .run(&grid, &dir, |shard, shard_out| {
-            vec![
-                "run".to_owned(),
-                "--grid".to_owned(),
-                grid_name.clone(),
-                "--shard".to_owned(),
-                shard.to_string(),
-                "--out".to_owned(),
-                shard_out.display().to_string(),
-            ]
-        })
-        .map_err(|e| e.to_string())?;
-    std::fs::write(&out, canonical_jsonl(&records))
-        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    let program =
+        std::env::current_exe().map_err(|e| format!("cannot resolve this executable: {e}"))?;
+    let options = QueenOptions::new(&common.grid, matches!(Scale::from_env(), Scale::Fast));
+    let report = run_local(&grid, &out, &options, shards, |addr| {
+        let mut worker = Command::new(&program);
+        worker.args(["worker", "--connect", addr]);
+        worker
+    })
+    .map_err(|e| format!("{}: {e}", out.display()))?;
     println!(
-        "sweep: `{}` over {shards} worker processes: merged {} cells to {} (shard files in {})",
+        "sweep: `{}` over {shards} worker processes: {} cells reused, {} run → {}",
         common.grid,
-        records.len(),
-        out.display(),
-        dir.display()
+        report.reused,
+        report.ran,
+        out.display()
     );
     Ok(())
 }
@@ -821,39 +763,5 @@ fn cmd_clients(args: &[String]) -> Result<(), String> {
             report.mismatches
         ));
     }
-    Ok(())
-}
-
-fn cmd_merge(args: &[String]) -> Result<(), String> {
-    let mut out: Option<PathBuf> = None;
-    let mut grid_name: Option<String> = None;
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a path")?)),
-            "--grid" => grid_name = Some(it.next().ok_or("--grid needs a name")?.clone()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown argument `{other}`\n{}", usage()))
-            }
-            file => files.push(PathBuf::from(file)),
-        }
-    }
-    let out = out.ok_or_else(|| format!("--out is required\n{}", usage()))?;
-    if files.is_empty() {
-        return Err(format!("merge needs at least one input file\n{}", usage()));
-    }
-    let grid = match &grid_name {
-        Some(name) => Some(
-            named_experiment(name, Scale::from_env())?
-                .build()
-                .map_err(|e| e.to_string())?,
-        ),
-        None => None,
-    };
-    let records = merge_files(files, grid.as_ref()).map_err(|e| e.to_string())?;
-    std::fs::write(&out, canonical_jsonl(&records))
-        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    println!("sweep: merged {} cells to {}", records.len(), out.display());
     Ok(())
 }

@@ -3,65 +3,37 @@
 //! writes the per-cell JSONL record.
 //!
 //! ```text
-//! weight_sensitivity [--out PATH] [--resume] [--shards N] [--shard I/N]
+//! weight_sensitivity [--out PATH] [--resume]
 //! ```
 //!
 //! Default output is `weight_sensitivity.jsonl` (`COHMELEON_FAST=1` for
 //! the reduced grid). `--resume` skips cells already recorded at the
-//! output path; `--shards N` splits the grid over N worker processes of
-//! this binary and merges their outputs; `--shard I/N` is the internal
-//! worker mode. All paths end in the same canonical record stream,
-//! byte-identical to a serial run.
+//! output path. To spread the grid over N processes, run `sweep shard
+//! --grid weights --shards N --out PATH`, then `weight_sensitivity
+//! --resume --out PATH` prints the figure from the finished file. All
+//! paths end in the same canonical record stream, byte-identical to a
+//! serial run.
 
 use cohmeleon_bench::figures::weight_sensitivity;
 use cohmeleon_bench::Scale;
-use cohmeleon_exp::{canonical_jsonl, Serial, ShardExecutor, ShardSpec, WorkStealing};
+use cohmeleon_exp::{canonical_jsonl, WorkStealing};
 
 fn main() {
     let mut out_flag: Option<String> = None;
     let mut resume = false;
-    let mut shards: Option<usize> = None;
-    let mut shard: Option<ShardSpec> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--out" => out_flag = Some(args.next().expect("--out needs a path")),
             "--resume" => resume = true,
-            "--shards" => {
-                shards = Some(
-                    args.next()
-                        .expect("--shards needs a count")
-                        .parse()
-                        .expect("--shards needs a number"),
-                );
-            }
-            "--shard" => {
-                shard = Some(
-                    args.next()
-                        .expect("--shard needs I/N")
-                        .parse()
-                        .expect("--shard needs I/N"),
-                );
-            }
             other => panic!("unknown argument `{other}`"),
         }
     }
-    assert!(
-        !(resume && shards.is_some()),
-        "--resume and --shards are exclusive (a sharded run re-merges from scratch)"
-    );
-    assert!(
-        shard.is_none() || out_flag.is_some(),
-        "--shard requires an explicit --out (a worker must not clobber the default checkpoint)"
-    );
 
     let scale = Scale::from_env();
     let mut experiment = weight_sensitivity::experiment(scale);
     if let Some(out) = &out_flag {
         experiment = experiment.resume_from(out);
-    }
-    if let Some(n) = shards {
-        experiment = experiment.shards(n);
     }
     let grid = experiment
         .build()
@@ -71,30 +43,7 @@ fn main() {
         .expect("the weight-sensitivity experiment carries its checkpoint path")
         .to_owned();
 
-    if let Some(shard) = shard {
-        // Worker mode: run this shard's cells and write its slice.
-        let records = grid.collect_shard_records(shard, &Serial);
-        std::fs::write(&out, canonical_jsonl(&records)).expect("write shard records");
-        println!("weight_sensitivity: shard {shard}: wrote {} cells", records.len());
-        return;
-    }
-
-    let records = if let Some(n) = grid.shard_count() {
-        let mut dir = out.as_os_str().to_owned();
-        dir.push(".shards");
-        let records = ShardExecutor::new(n)
-            .run(&grid, dir.as_ref(), |shard, shard_out| {
-                vec![
-                    "--shard".to_owned(),
-                    shard.to_string(),
-                    "--out".to_owned(),
-                    shard_out.display().to_string(),
-                ]
-            })
-            .expect("sharded weight sensitivity");
-        std::fs::write(&out, canonical_jsonl(&records)).expect("write merged records");
-        records
-    } else if resume {
+    let records = if resume {
         let outcome = grid
             .run_resumable(&out, &WorkStealing::new())
             .expect("resume weight sensitivity");

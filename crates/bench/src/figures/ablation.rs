@@ -84,7 +84,6 @@ pub fn run(scale: Scale) -> Data {
             PolicySpec::custom("oracle off-chip attribution", full_system).with_options(
                 EngineOptions {
                     attribution: Attribution::GroundTruth,
-                    ..EngineOptions::default()
                 },
             ),
         )

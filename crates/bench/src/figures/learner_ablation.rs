@@ -71,7 +71,7 @@ pub fn specs() -> Vec<LearnerSpec> {
 /// train/test), the 18 learner cells of [`specs`], one seed, with the
 /// harness's conventional checkpoint path (`learner_ablation.jsonl`)
 /// pre-set so `--resume` runs pick up where a killed sweep stopped. The
-/// binary may override the path or add shards before building.
+/// binary may override the path before building.
 pub fn experiment(scale: Scale) -> Experiment {
     let config = soc1();
     let iterations = scale.pick(10, 2);
@@ -97,8 +97,9 @@ pub fn run(scale: Scale) -> Data {
 }
 
 /// Rebuilds the ablation table from persisted cell records — what the
-/// `--resume` and `--shards` paths (and any post-hoc figure regeneration
-/// from a JSONL artifact) use instead of re-simulating. The per-phase
+/// `--resume` path (and any post-hoc figure regeneration from a JSONL
+/// artifact, such as a `sweep shard` output) uses instead of
+/// re-simulating. The per-phase
 /// normalization is numerically identical to
 /// [`summarize`](cohmeleon_workloads::runner::summarize) on the live
 /// results: both divide the same integer totals in the same order.

@@ -6,7 +6,7 @@
 //! grid instead — each [`WeightPreset`] is a serializable [`LearnerSpec`]
 //! cell, crossed with the agent scope ([`AgentScope::Global`] vs
 //! [`AgentScope::PerKind`]), so weight exploration gets resumable
-//! checkpoints, shard workers and JSONL artifacts for free (exactly like
+//! checkpoints, fleet workers and JSONL artifacts for free (exactly like
 //! `learner_ablation`). Every cell is normalized against the paper cell
 //! (global scope, paper weights — the grid's policy 0).
 
@@ -83,9 +83,9 @@ pub fn run(scale: Scale) -> Data {
     data_from_records(records)
 }
 
-/// Rebuilds the table from persisted cell records — the `--resume` /
-/// `--shards` / post-hoc regeneration path, numerically identical to the
-/// live normalization (same integer totals divided in the same order).
+/// Rebuilds the table from persisted cell records — the `--resume` and
+/// post-hoc regeneration path, numerically identical to the live
+/// normalization (same integer totals divided in the same order).
 pub fn data_from_records(records: Vec<CellRecord>) -> Data {
     let specs = specs();
     let baselines: HashMap<(usize, usize), &CellRecord> = records

@@ -1,14 +1,14 @@
 //! Named sweep grids for the `sweep` command-line harness.
 //!
-//! Sharded runs re-execute the current binary, so a worker process must
-//! be able to rebuild *exactly* the grid its parent is running from
-//! nothing but a name on its command line (grids hold policy-builder
-//! closures — no wire format can carry them). This module is that name
-//! table: every entry is a deterministic function of `(name, scale)`,
-//! which is what makes `sweep run --grid suite --shard 1/3` in a child
-//! process meaningful, and what lets a resumed run trust that the
-//! checkpoint on disk belongs to the grid being resumed (the checkpoint
-//! layer verifies labels and seeds against the rebuilt grid).
+//! A fleet worker process (`sweep worker`, on this host as one of `sweep
+//! shard`'s workers or on another) must rebuild *exactly* the grid its
+//! queen is running from nothing but the name in the queen's `HELLO`
+//! (grids hold policy-builder closures — no wire format can carry them).
+//! This module is that name table: every entry is a deterministic
+//! function of `(name, scale)`, which is what makes a worker's records
+//! meaningful, and what lets a resumed run trust that the checkpoint on
+//! disk belongs to the grid being resumed (the checkpoint layer verifies
+//! labels and seeds against the rebuilt grid).
 //!
 //! Each experiment comes with its conventional checkpoint path
 //! (`<name>.jsonl`) pre-set via
@@ -54,8 +54,8 @@ pub const GRID_NAMES: &[(&str, &str)] = &[
 ];
 
 /// Builds the named experiment at `scale`. The returned builder still
-/// accepts [`Experiment::resume_from`] / [`Experiment::shards`]
-/// overrides before [`Experiment::build`].
+/// accepts an [`Experiment::resume_from`] override before
+/// [`Experiment::build`].
 ///
 /// # Errors
 ///
@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn rebuilding_a_named_grid_is_deterministic() {
-        // The shard-worker contract: a child process rebuilding the grid
+        // The fleet-worker contract: a worker process rebuilding the grid
         // by name must get bit-identical cells.
         let a = named_experiment("suite", Scale::Fast).unwrap().build().unwrap();
         let b = named_experiment("suite", Scale::Fast).unwrap().build().unwrap();

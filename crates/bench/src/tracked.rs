@@ -54,9 +54,8 @@ pub fn suite_grid(
         .expect("tracked suite is non-empty")
 }
 
-/// The executor/shard measurement grid (soc1 × quick over
-/// [`SWEEP_SEEDS`]). Deterministic so a `--shard` worker process
-/// rebuilds exactly the grid its parent is measuring.
+/// The executor and fleet measurement grid (soc1 × quick over
+/// [`SWEEP_SEEDS`]).
 pub fn sweep_grid() -> SweepGrid {
     let config = soc1();
     let train = generate_app(&config, &GeneratorParams::quick(), 1);

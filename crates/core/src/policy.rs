@@ -90,7 +90,7 @@ pub trait Policy: Send {
     ///
     /// **Stability contract.** Names are not just display strings: the
     /// experiment layer records them in every persisted cell record, and
-    /// resumable sweeps and shard merges *verify* a record's stored name
+    /// resumable sweeps and fleet queens *verify* a record's stored name
     /// against the rebuilt grid's policy labels before trusting it (a
     /// mismatch means the checkpoint belongs to a different sweep).
     /// Renaming a policy therefore invalidates existing checkpoints and
@@ -696,7 +696,7 @@ mod tests {
     #[test]
     fn policy_names_are_stable() {
         // These strings are persisted cell-record coordinates: resumable
-        // sweeps and shard merges in `cohmeleon-exp` verify stored
+        // sweeps and fleet queens in `cohmeleon-exp` verify stored
         // records against them, so changing one silently orphans every
         // existing checkpoint and JSONL artifact. See `Policy::name`.
         assert_eq!(FixedPolicy::new(CoherenceMode::NonCohDma).name(), "fixed-non-coh-dma");

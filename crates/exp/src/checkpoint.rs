@@ -39,8 +39,9 @@
 //! mode also means two processes accidentally resuming the same file
 //! interleave whole lines rather than bytes; the duplicated cells they
 //! produce are byte-identical and collapse on the next load. (Racing
-//! resumes waste work and are not a supported workflow — sharding is —
-//! but they degrade to duplicates, not corruption.)
+//! resumes waste work and are not a supported workflow — a fleet queen,
+//! the one writer its workers report to, is — but they degrade to
+//! duplicates, not corruption.)
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -54,7 +55,7 @@ use crate::sink::{CellRecord, ResultSink};
 /// A cell's stable coordinate on its grid:
 /// `(scenario_index, policy_index, seed_index)`.
 ///
-/// Checkpoint dedup and shard merging key on this triple; lexicographic
+/// Checkpoint and fleet-ledger dedup key on this triple; lexicographic
 /// order over it equals the grid's dense
 /// [`cell_index`](SweepGrid::cell_index) order, which is what makes the
 /// canonical record stream well-defined without the grid in hand.

@@ -8,11 +8,9 @@
 //! never change results**, only wall time.
 //!
 //! Executors schedule closures *within* one process. Scaling past one
-//! process is the [`shard`](crate::shard) module's job: a
-//! [`ShardExecutor`](crate::ShardExecutor) runs whole grid slices in
-//! worker subprocesses and cannot implement this trait (closures don't
-//! cross process boundaries) — each worker instead runs its slice
-//! through one of these executors internally.
+//! process is the fleet's job (`cohmeleon-fleet`): worker processes
+//! rebuild the grid by name and run the cells a queen leases them, since
+//! closures don't cross process boundaries.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

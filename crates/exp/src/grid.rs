@@ -241,7 +241,6 @@ pub struct Experiment {
     protocol: Protocol,
     options: EngineOptions,
     resume_from: Option<PathBuf>,
-    shards: Option<usize>,
 }
 
 impl Experiment {
@@ -373,37 +372,6 @@ impl Experiment {
         self
     }
 
-    /// Declares the intended shard count for multi-process runs (clamped
-    /// to at least 1). The grid itself never spawns processes — shard
-    /// `i` of `n` owns the cells whose dense index satisfies
-    /// `index % n == i`, and harnesses drive
-    /// [`ShardExecutor`](crate::ShardExecutor) with that partition (see
-    /// the `sweep` binary in `cohmeleon-bench`).
-    ///
-    /// ```
-    /// use cohmeleon_exp::{Experiment, PolicyKind, ShardSpec};
-    /// use cohmeleon_soc::config::soc1;
-    /// use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
-    ///
-    /// let config = soc1();
-    /// let app = generate_app(&config, &GeneratorParams::quick(), 1);
-    /// let grid = Experiment::evaluate(config, app)
-    ///     .policy_kinds([PolicyKind::FixedNonCoh, PolicyKind::Manual])
-    ///     .seeds([1, 2, 3])
-    ///     .shards(2)
-    ///     .build()
-    ///     .unwrap();
-    ///
-    /// // Six cells, dealt round-robin by stable dense index.
-    /// assert_eq!(grid.shard_count(), Some(2));
-    /// assert_eq!(grid.shard_cells(ShardSpec::new(0, 2)), [0, 2, 4]);
-    /// assert_eq!(grid.shard_cells(ShardSpec::new(1, 2)), [1, 3, 5]);
-    /// ```
-    pub fn shards(mut self, shards: usize) -> Experiment {
-        self.shards = Some(shards.max(1));
-        self
-    }
-
     /// Validates the axes and produces the grid.
     pub fn build(self) -> Result<SweepGrid, ExperimentError> {
         if self.scenarios.is_empty() {
@@ -428,7 +396,6 @@ impl Experiment {
             protocol: self.protocol,
             options: self.options,
             resume_from: self.resume_from,
-            shards: self.shards,
         })
     }
 }
@@ -480,7 +447,6 @@ pub struct SweepGrid {
     protocol: Protocol,
     options: EngineOptions,
     resume_from: Option<PathBuf>,
-    shards: Option<usize>,
 }
 
 impl SweepGrid {
@@ -513,11 +479,6 @@ impl SweepGrid {
     /// [`Experiment::resume_from`], if any.
     pub fn resume_path(&self) -> Option<&Path> {
         self.resume_from.as_deref()
-    }
-
-    /// The shard count set by [`Experiment::shards`], if any.
-    pub fn shard_count(&self) -> Option<usize> {
-        self.shards
     }
 
     /// Total number of cells (scenarios × policies × seeds).
@@ -635,8 +596,7 @@ impl SweepGrid {
 
     /// Executes only the cells at the given dense `indices` (each exactly
     /// once), streaming each result to `sink` — the primitive behind
-    /// resumed runs (skip what a checkpoint holds) and shard workers (run
-    /// the cells a [`ShardSpec`](crate::ShardSpec) owns).
+    /// resumed runs, which skip what a checkpoint holds.
     pub fn execute_subset<E: Executor + ?Sized>(
         &self,
         indices: &[usize],
@@ -905,7 +865,6 @@ mod tests {
                 })
                 .with_options(EngineOptions {
                     attribution: Attribution::GroundTruth,
-                    ..EngineOptions::default()
                 }),
             )
             .seed(4)

@@ -29,12 +29,10 @@
 //!   append fresh ones durably (one fsynced JSONL line per cell, with a
 //!   corruption-tolerant tail scan on load), and finalise the file in
 //!   canonical order, byte-identical to an uninterrupted [`Serial`] run.
-//! * [`shard`] — multi-process sweeps: [`ShardSpec`] deals cells
-//!   round-robin by stable dense index, [`ShardExecutor`] re-executes the
-//!   current binary once per shard (`--shard i/n --out shard-i.jsonl`; no
-//!   network, no serialized closures), and [`merge_records`] folds the
-//!   shard files back into the canonical stream, verifying every cell
-//!   appears exactly once.
+//!   Multi-process sweeps, on one machine or many, are the
+//!   `cohmeleon-fleet` queen's: it validates worker records against the
+//!   grid, keeps each cell exactly once and finalises the same
+//!   checkpoint file.
 //! * [`snapshot`] — serving provenance: [`SnapshotMeta`] stamps a frozen
 //!   table export with the grid name, cell coordinates and structural
 //!   hash of the run that produced it, as a comment line the frozen
@@ -98,7 +96,6 @@ pub mod executor;
 pub mod grid;
 pub mod learner;
 pub mod policies;
-pub mod shard;
 pub mod sink;
 pub mod snapshot;
 
@@ -115,6 +112,5 @@ pub use learner::{
     AgentScope, ExplorationKind, LearnerSpec, StateSpaceKind, StoreKind, UpdateKind, WeightPreset,
 };
 pub use policies::{build_policy, policy_suite, PolicyKind};
-pub use shard::{merge_files, merge_records, MergeError, ShardError, ShardExecutor, ShardSpec};
 pub use sink::{read_jsonl, CellRecord, CollectSink, CsvSink, JsonlSink, ResultSink};
 pub use snapshot::{write_snapshot, SnapshotMeta};

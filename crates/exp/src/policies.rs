@@ -60,7 +60,7 @@ impl PolicyKind {
     /// [`Policy::name`] of the policy [`build_policy`] instantiates.
     ///
     /// Like policy names, these labels are persisted cell-record
-    /// coordinates: checkpointed sweeps and shard merges verify stored
+    /// coordinates: checkpointed sweeps and the fleet queen verify stored
     /// records against them, so they must stay stable across versions
     /// (see the stability contract on [`Policy::name`]).
     pub fn label(self) -> &'static str {

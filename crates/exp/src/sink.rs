@@ -14,16 +14,14 @@
 //! `serde` stand-in is a no-op marker, not a serializer.
 //!
 //! The JSONL record stream is also the substrate of resumable and
-//! sharded sweeps: a record's `(scenario_index, policy_index,
+//! multi-process sweeps: a record's `(scenario_index, policy_index,
 //! seed_index)` triple ([`CellRecord::coord`]) is its durable identity,
-//! [`Checkpoint`](crate::Checkpoint) loads partial streams back
-//! (tolerating a kill-torn final line), and
-//! [`merge_records`](crate::merge_records) folds shard streams into the
-//! canonical order — see the [`checkpoint`](crate::checkpoint) and
-//! [`shard`](crate::shard) modules. `read_jsonl` here stays strict (any
-//! malformed line is an error): use it for complete files; use the
-//! tolerant [`scan_jsonl_tail`](crate::scan_jsonl_tail) for files a
-//! crash may have truncated.
+//! and [`Checkpoint`](crate::Checkpoint) loads partial streams back
+//! (tolerating a kill-torn final line) — see the
+//! [`checkpoint`](crate::checkpoint) module. `read_jsonl` here stays
+//! strict (any malformed line is an error): use it for complete files;
+//! use the tolerant [`scan_jsonl_tail`](crate::scan_jsonl_tail) for
+//! files a crash may have truncated.
 
 use std::io::{self, BufWriter, Write};
 use std::path::Path;

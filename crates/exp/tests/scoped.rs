@@ -1,14 +1,15 @@
 //! Scoped learner cells through the sweep lifecycle: a grid whose policy
 //! axis carries `PerKind`/`PerInstance` routers and reweighted agents must
-//! survive a kill+resume at any prefix and an n-way shard merge
-//! byte-identical to a clean Serial run — the acceptance bar for making
-//! scope and reward weights grid axes.
+//! survive a kill+resume at any prefix byte-identical to a clean Serial
+//! run — the acceptance bar for making scope and reward weights grid
+//! axes. (The CI `scoped` smoke runs the same kind of grid through `sweep
+//! shard`'s worker processes.)
 
 use std::path::PathBuf;
 
 use cohmeleon_exp::{
-    canonical_jsonl, merge_records, AgentScope, CellRecord, Experiment, LearnerSpec, Serial,
-    ShardSpec, SweepGrid, WeightPreset, WorkStealing,
+    canonical_jsonl, AgentScope, Experiment, LearnerSpec, Serial, SweepGrid, WeightPreset,
+    WorkStealing,
 };
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
@@ -76,17 +77,4 @@ fn scoped_cells_survive_kill_and_resume_bit_identically() {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), clean_text, "prefix {k}");
     }
     std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn scoped_cells_merge_from_three_shards_bit_identically() {
-    let grid = grid();
-    let clean_text = canonical_jsonl(&grid.collect_records(&Serial));
-    for n in [2usize, 3] {
-        let batches: Vec<Vec<CellRecord>> = (0..n)
-            .map(|i| grid.collect_shard_records(ShardSpec::new(i, n), &Serial))
-            .collect();
-        let merged = merge_records(batches, Some(&grid)).unwrap_or_else(|e| panic!("{n}: {e}"));
-        assert_eq!(canonical_jsonl(&merged), clean_text, "{n}-way shard merge");
-    }
 }

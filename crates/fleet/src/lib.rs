@@ -13,8 +13,7 @@
 //!
 //! * **Cells are pure functions of their coordinates**, so a worker needs
 //!   only `(grid name, fast flag, dense index)` to produce the exact
-//!   bytes a local run would — the rebuild contract the `shard`
-//!   subcommand already relies on.
+//!   bytes a local run would.
 //! * **Duplicates are free**, so fault tolerance is *speculative
 //!   re-lease*: a lease silent past its TTL is carved into a twin lease
 //!   for another worker, first completion wins, and the queen's record
@@ -37,9 +36,13 @@
 //! checkpoints stay byte-identical to a clean serial run across seeded
 //! schedules. See the "Chaos testing" section of `docs/ARCHITECTURE.md`.
 //!
+//! The same queen serves one machine: [`run_local`] binds it to a
+//! loopback port, spawns worker processes against it and reaps them —
+//! the whole multi-process path of `sweep shard`.
+//!
 //! See the "Fleet" section of `docs/ARCHITECTURE.md` for the message
 //! table and coordination diagram, and `cohmeleon-bench`'s `sweep queen`
-//! / `sweep worker` subcommands for the CLI entry points.
+//! / `sweep worker` / `sweep shard` subcommands for the CLI entry points.
 
 #![warn(missing_docs)]
 
@@ -50,5 +53,5 @@ pub mod worker;
 
 pub use lease::{Grant, Lease, LeaseStat, LeaseTable};
 pub use protocol::{LineReader, ToQueen, ToWorker, PROTOCOL_VERSION};
-pub use queen::{run_queen, QueenOptions, QueenReport};
+pub use queen::{run_local, run_queen, QueenOptions, QueenReport};
 pub use worker::{run_worker, WorkerOptions, WorkerReport};

@@ -9,11 +9,16 @@
 //! durably through the same [`CheckpointWriter`] discipline a local
 //! resumable run uses. A killed queen therefore resumes exactly like a
 //! killed local sweep: reload the checkpoint, lease out what is missing.
+//!
+//! [`run_local`] is the one-machine form: the queen on a loopback port
+//! plus worker processes it spawns and reaps itself — how `sweep shard`
+//! spreads a sweep over processes.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
+use std::process::{Child, Command};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -161,14 +166,22 @@ struct Shared {
     /// Records delivered per worker name (fresh and duplicate alike —
     /// this measures worker throughput, not ledger novelty).
     delivered: HashMap<String, usize>,
-    /// Connection handlers still running; the accept loop ends once the
-    /// run is finished and this is zero.
+    /// Connection handlers still running.
     handlers: usize,
+    /// Worker processes [`run_local`] spawned that have not exited yet.
+    children: usize,
 }
 
 impl Shared {
     fn finished(&self) -> bool {
         self.complete || self.capped || self.error.is_some()
+    }
+
+    /// Whether the accept loop may end: the run is finished and no
+    /// handler or local worker process is left that could still talk to
+    /// the queen.
+    fn drained(&self) -> bool {
+        self.finished() && self.handlers == 0 && self.children == 0
     }
 }
 
@@ -183,7 +196,7 @@ struct Queen<'a> {
     /// for.
     changed: Condvar,
     /// Unblocks the accept loop once the run is finished and the last
-    /// handler left.
+    /// handler and local worker process left.
     waker: AcceptWaker,
 }
 
@@ -208,7 +221,63 @@ pub fn run_queen(
     path: impl AsRef<Path>,
     options: &QueenOptions,
 ) -> io::Result<QueenReport> {
-    let path = path.as_ref();
+    run(grid, listener, path.as_ref(), options, || Ok(Vec::new()))
+}
+
+/// Runs a queen on a loopback port with `workers` (at least one) local
+/// worker processes and returns its report: one machine's multi-process
+/// sweep. `worker(addr)` builds the command of one worker that connects
+/// to the queen at `addr`, such as `sweep worker --connect ADDR` of the
+/// current binary.
+///
+/// Like [`run_queen`], the run resumes the checkpoint at `path` and
+/// finalises it byte-identical to a clean [`Serial`](cohmeleon_exp::Serial)
+/// run. Workers are spawned only if cells are left to run. A worker
+/// process that exits unsuccessfully before the run finishes fails the
+/// run, and so does the last one leaving cells unrun; either way the
+/// call returns only after every worker process has been reaped.
+///
+/// # Errors
+///
+/// Everything [`run_queen`] returns; a worker process that could not be
+/// spawned; `InvalidData` naming the exit status of a worker process that
+/// failed.
+pub fn run_local(
+    grid: &SweepGrid,
+    path: impl AsRef<Path>,
+    options: &QueenOptions,
+    workers: usize,
+    worker: impl Fn(&str) -> Command,
+) -> io::Result<QueenReport> {
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?.to_string();
+    run(grid, listener, path.as_ref(), options, || {
+        let mut children = Vec::new();
+        for _ in 0..workers.max(1) {
+            match worker(&addr).spawn() {
+                Ok(child) => children.push(child),
+                Err(e) => {
+                    for mut child in children {
+                        let _ = child.kill();
+                        let _ = child.wait();
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        Ok(children)
+    })
+}
+
+/// The queen proper; `spawn` starts [`run_local`]'s worker processes once
+/// there is work for them.
+fn run(
+    grid: &SweepGrid,
+    listener: TcpListener,
+    path: &Path,
+    options: &QueenOptions,
+    spawn: impl FnOnce() -> io::Result<Vec<Child>>,
+) -> io::Result<QueenReport> {
     let checkpoint = Checkpoint::load(path, grid)?;
     let pending = checkpoint.pending(grid);
     let reused = checkpoint.len();
@@ -231,6 +300,8 @@ pub fn run_queen(
         .chunk
         .unwrap_or_else(|| pending.len().div_ceil(8).clamp(1, 64));
     let writer = CheckpointWriter::open(path, checkpoint.valid_len())?;
+    let waker = AcceptWaker::new(&listener)?;
+    let children = spawn()?;
     let queen = Queen {
         grid,
         options,
@@ -245,9 +316,10 @@ pub fn run_queen(
             workers: HashSet::new(),
             delivered: HashMap::new(),
             handlers: 0,
+            children: children.len(),
         }),
         changed: Condvar::new(),
-        waker: AcceptWaker::new(&listener)?,
+        waker,
     };
 
     std::thread::scope(|scope| {
@@ -255,9 +327,12 @@ pub fn run_queen(
         if let Some(every) = options.status_every {
             scope.spawn(move || queen.report_status(every));
         }
+        for child in children {
+            scope.spawn(move || queen.watch(child));
+        }
         for accepted in listener.incoming() {
             let mut s = queen.lock();
-            if s.finished() && s.handlers == 0 {
+            if s.drained() {
                 break;
             }
             match accepted {
@@ -373,7 +448,30 @@ impl Queen<'_> {
     fn leave(&self) {
         let mut s = self.lock();
         s.handlers -= 1;
-        if s.finished() && s.handlers == 0 {
+        if s.drained() {
+            drop(s);
+            self.waker.wake();
+        }
+    }
+
+    /// Reaps one local worker process. If it failed, or was the last one
+    /// and left cells unrun, the run fails: nobody is left to finish it.
+    fn watch(&self, mut child: Child) {
+        let status = child.wait();
+        let mut s = self.lock();
+        s.children -= 1;
+        if !s.finished() {
+            s.error = match status {
+                Ok(status) if status.success() && s.children > 0 => None,
+                Ok(status) if status.success() => {
+                    Some("every worker process exited before the run finished".into())
+                }
+                Ok(status) => Some(format!("worker process failed: {status}")),
+                Err(e) => Some(format!("cannot wait on a worker process: {e}")),
+            };
+            self.changed.notify_all();
+        }
+        if s.drained() {
             drop(s);
             self.waker.wake();
         }

@@ -82,9 +82,10 @@ fn invalid(message: String) -> io::Error {
 /// # Errors
 ///
 /// Connect failures (after the retry window), I/O errors, `InvalidData`
-/// for protocol violations, a failed `resolve`, or a cell-count
-/// mismatch. The queen closing the connection early (killed, or capped
-/// without a final `DONE`) is `UnexpectedEof`.
+/// for protocol violations (a lease reaching past the grid among them), a
+/// failed `resolve`, or a cell-count mismatch. The queen closing the
+/// connection early (killed, or capped without a final `DONE`) is
+/// `UnexpectedEof`.
 pub fn run_worker<F>(
     addr: &str,
     resolve: F,
@@ -175,8 +176,17 @@ fn work_loop(
         send(writer, &ToQueen::Lease)?;
         match read_reply(reader)? {
             ToWorker::Lease { id, start, len } => {
+                let end = start
+                    .checked_add(len)
+                    .filter(|&end| end <= grid.num_cells())
+                    .ok_or_else(|| {
+                        invalid(format!(
+                            "lease of cells {start}+{len} is outside the {}-cell grid",
+                            grid.num_cells()
+                        ))
+                    })?;
                 current_lease.store(id, Ordering::Release);
-                for dense in start..start + len {
+                for dense in start..end {
                     let result = grid.run_cell(grid.cell_at(dense));
                     let record = CellRecord::from_cell(&result);
                     send(

@@ -5,15 +5,22 @@
 //! whose lease must expire and be speculatively re-dispatched. Raw-socket
 //! workers pin the `LEASE` long poll: a request that finds every cell
 //! leased gets no reply until cells return to the pool or the run ends.
+//! A raw-socket queen pins that a worker rejects a lease outside the
+//! grid. `run_local` gets real worker processes from this test binary
+//! (see [`worker_process_entry`]) and failing `sh` ones.
 
 use std::io::{self, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
-use cohmeleon_exp::{canonical_jsonl, CellRecord, Experiment, PolicyKind, Serial, SweepGrid};
+use cohmeleon_exp::{
+    canonical_jsonl, CellRecord, Checkpoint, Experiment, PolicyKind, Serial, SweepGrid,
+};
 use cohmeleon_fleet::{
-    run_queen, run_worker, LineReader, QueenOptions, QueenReport, ToQueen, ToWorker, WorkerOptions,
+    run_local, run_queen, run_worker, LineReader, QueenOptions, QueenReport, ToQueen, ToWorker,
+    WorkerOptions,
 };
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
@@ -344,4 +351,120 @@ fn parked_lease_is_answered_done_when_the_last_record_lands() {
     assert!(report.complete);
     assert_eq!(report.speculative, 0);
     assert_serial_bytes(&grid, &path);
+}
+
+/// A worker must reject a lease that reaches past the grid — or whose end
+/// overflows — instead of indexing out of bounds.
+#[test]
+fn worker_rejects_a_lease_outside_the_grid() {
+    let grid = grid(); // 6 cells
+    for lease in ["LEASE 1 1000 1", "LEASE 1 18446744073709551615 2"] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::scope(|scope| {
+            let queen = scope.spawn(|| {
+                let (stream, _) = listener.accept().unwrap();
+                let mut writer = stream.try_clone().unwrap();
+                let mut reader = LineReader::new(stream);
+                let mut expect = |message: fn(&ToQueen) -> bool| {
+                    let line = reader.read_line().unwrap().unwrap();
+                    assert!(message(&ToQueen::parse(&line).unwrap()), "{line}");
+                };
+                expect(|m| matches!(m, ToQueen::Hello { .. }));
+                writer
+                    .write_all(b"HELLO fleet/1 test-grid 0 6 10000\n")
+                    .unwrap();
+                expect(|m| *m == ToQueen::Lease);
+                writer.write_all(format!("{lease}\n").as_bytes()).unwrap();
+            });
+            let err = run_worker(&addr, resolver(&grid), &WorkerOptions::new("w")).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{lease}: {err}");
+            queen.join().unwrap();
+        });
+    }
+}
+
+/// The environment variable that turns [`worker_process_entry`] into a
+/// fleet worker.
+const WORKER_ENV: &str = "COHMELEON_FLEET_TEST_QUEEN";
+
+/// A no-op as a test. In a process `run_local` spawned, the variable
+/// names the queen and this runs one worker against it: this test binary
+/// doubles as the worker program.
+#[test]
+fn worker_process_entry() {
+    if let Ok(addr) = std::env::var(WORKER_ENV) {
+        finish(&addr, &grid(), "child");
+    }
+}
+
+#[test]
+fn local_worker_processes_land_serial_bytes() {
+    let grid = grid();
+    let path = tmp_path("local");
+    let exe = std::env::current_exe().unwrap();
+    let report = run_local(&grid, &path, &queen_options(10_000), 2, |addr| {
+        let mut worker = Command::new(&exe);
+        worker
+            .args(["--exact", "worker_process_entry"])
+            .env(WORKER_ENV, addr)
+            .stdout(Stdio::null());
+        worker
+    })
+    .unwrap();
+
+    assert!(report.complete);
+    assert_eq!(report.ran, grid.num_cells());
+    assert_serial_bytes(&grid, &path);
+}
+
+/// Worker processes that exit before the run is done fail it promptly —
+/// never a hang in `accept()` — and are all reaped; the checkpoint stays
+/// loadable. A successful exit fails the run too once no worker is left.
+#[cfg(target_os = "linux")]
+#[test]
+fn failing_local_workers_fail_the_run_and_are_reaped() {
+    for (exit, expected) in [(3, "exit status: 3"), (0, "before the run finished")] {
+        let grid = grid();
+        let path = tmp_path(&format!("local-exit-{exit}"));
+        let pid_file = tmp_path(&format!("local-exit-{exit}-pids"));
+        let script = format!("echo $$ >> {}; exit {exit}", pid_file.display());
+        let (done, result) = std::sync::mpsc::channel();
+        let started = Instant::now();
+        let runner = {
+            let (grid, path) = (grid.clone(), path.clone());
+            std::thread::spawn(move || {
+                let report = run_local(&grid, &path, &queen_options(60_000), 2, |_addr| {
+                    let mut worker = Command::new("sh");
+                    worker.args(["-c", &script]);
+                    worker
+                });
+                done.send(report).unwrap();
+            })
+        };
+        // A hung run leaves its thread behind; only a finished one is joined.
+        let err = result
+            .recv_timeout(Duration::from_secs(20))
+            .expect("run_local hung on dead workers")
+            .unwrap_err();
+        runner.join().unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "{:?}",
+            started.elapsed()
+        );
+        assert!(err.to_string().contains(expected), "exit {exit}: {err}");
+
+        let pids = std::fs::read_to_string(&pid_file).unwrap();
+        assert_eq!(pids.lines().count(), 2, "{pids}");
+        for pid in pids.lines() {
+            assert!(
+                !Path::new(&format!("/proc/{pid}")).exists(),
+                "worker {pid} was not reaped"
+            );
+        }
+        assert_eq!(Checkpoint::load(&path, &grid).unwrap().len(), 0);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&pid_file);
+    }
 }

@@ -15,11 +15,8 @@
 //! to the policy.
 
 use std::collections::VecDeque;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread;
 
-use cohmeleon_accel::{AccelProfile, BurstSchedule};
+use cohmeleon_accel::BurstSchedule;
 use cohmeleon_cache::CacheId;
 use cohmeleon_core::policy::PolicyComplexity;
 use cohmeleon_core::reward::InvocationMeasurement;
@@ -198,18 +195,6 @@ pub enum Attribution {
 pub struct EngineOptions {
     /// Off-chip attribution mode.
     pub attribution: Attribution,
-    /// Intra-cell parallelism: offload the *pure* per-accelerator part of
-    /// invocation startup (burst-schedule sampling) to worker threads
-    /// while the coordinating thread keeps applying shared-state mutations
-    /// (caches, NoC, DRAM, policy) in deterministic FIFO event order.
-    ///
-    /// A burst schedule is a pure function of `(profile, lines, seed)`, so
-    /// moving its construction off-thread cannot change any simulated
-    /// outcome: results are **bit-identical** to the serial path by
-    /// construction, and a test pins the structural hash both ways. Off by
-    /// default; complements the *inter*-cell `ShardExecutor` parallelism
-    /// in `cohmeleon-exp`.
-    pub parallel_cell: bool,
 }
 
 /// Runs `app` on `soc` under `policy`. The SoC must be freshly elaborated
@@ -240,14 +225,6 @@ pub fn run_app_with_options(
     let walk_before = soc.caches().tag_stats();
     let mut engine = Engine::new(soc, policy, seed);
     engine.options = options;
-    if options.parallel_cell {
-        // One worker per spare core, bounded: schedule sampling is cheap
-        // relative to event processing, so a small pool saturates it.
-        let spare = thread::available_parallelism()
-            .map(|n| n.get().saturating_sub(1))
-            .unwrap_or(0);
-        engine.sched_pool = Some(SchedPool::spawn(spare.clamp(1, 4)));
-    }
     // Event-queue arena: each runnable thread keeps exactly one event in
     // flight, so the widest phase bounds the heap. Pre-size it once; the
     // buffer is reused across phases, so no phase pays a mid-simulation
@@ -272,106 +249,13 @@ pub fn run_app_with_options(
 // Engine internals
 // ---------------------------------------------------------------------
 
-/// One burst-schedule sampling job for the [`SchedPool`].
-struct SchedJob {
-    profile: AccelProfile,
-    lines: u64,
-    seed: u64,
-    reply: mpsc::Sender<BurstSchedule>,
-}
-
-/// Worker pool behind [`EngineOptions::parallel_cell`]: each invocation's
-/// burst schedule is sampled on a worker thread between the invocation's
-/// *start* event (where every input is known) and its first *running*
-/// event (where the schedule is first consumed) — the window the
-/// coordinating thread spends processing other accelerators' events.
-struct SchedPool {
-    jobs: Option<mpsc::Sender<SchedJob>>,
-    workers: Vec<thread::JoinHandle<()>>,
-}
-
-impl SchedPool {
-    fn spawn(workers: usize) -> SchedPool {
-        let (tx, rx) = mpsc::channel::<SchedJob>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                thread::spawn(move || loop {
-                    // Hold the lock only to take a job, not to run it.
-                    let job = match rx.lock().expect("scheduler queue poisoned").recv() {
-                        Ok(job) => job,
-                        Err(_) => return, // pool dropped, no more jobs
-                    };
-                    let sched = BurstSchedule::generate(&job.profile, job.lines, job.seed);
-                    // The engine may have panicked and dropped the receiver;
-                    // that is not the worker's problem.
-                    let _ = job.reply.send(sched);
-                })
-            })
-            .collect();
-        SchedPool {
-            jobs: Some(tx),
-            workers,
-        }
-    }
-
-    fn submit(&self, profile: AccelProfile, lines: u64, seed: u64) -> mpsc::Receiver<BurstSchedule> {
-        let (reply, rx) = mpsc::channel();
-        self.jobs
-            .as_ref()
-            .expect("pool not shut down")
-            .send(SchedJob {
-                profile,
-                lines,
-                seed,
-                reply,
-            })
-            .expect("schedule worker exited early");
-        rx
-    }
-}
-
-impl Drop for SchedPool {
-    fn drop(&mut self) {
-        // Close the job channel so workers observe disconnect and exit.
-        self.jobs = None;
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// A burst schedule that is either already built (serial path) or still
-/// being sampled by a [`SchedPool`] worker (parallel-cell path). Resolved
-/// at most once, on first use.
-#[derive(Debug)]
-enum SchedSlot {
-    Ready(BurstSchedule),
-    Pending(mpsc::Receiver<BurstSchedule>),
-}
-
-impl SchedSlot {
-    /// The schedule, blocking on the worker if it is still in flight.
-    fn get(&mut self) -> &BurstSchedule {
-        if let SchedSlot::Pending(rx) = self {
-            let sched = rx.recv().expect("schedule worker died");
-            *self = SchedSlot::Ready(sched);
-        }
-        match self {
-            SchedSlot::Ready(sched) => sched,
-            SchedSlot::Pending(_) => unreachable!("resolved above"),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct RunCtx {
     step: usize,
     loop_i: u32,
     instance: AccelInstanceId,
     decision: Decision,
-    sched: SchedSlot,
+    sched: BurstSchedule,
     op: usize,
     invoke_start: Cycle,
     accel_start: Cycle,
@@ -429,8 +313,6 @@ struct Engine<'a> {
     totals_pool: Vec<Vec<u64>>,
     /// Scratch: equal-timestamp event batch drained from the queue.
     batch_scratch: Vec<usize>,
-    /// Burst-schedule workers when `options.parallel_cell` is on.
-    sched_pool: Option<SchedPool>,
 }
 
 impl<'a> Engine<'a> {
@@ -455,7 +337,6 @@ impl<'a> Engine<'a> {
             totals_scratch: Vec::new(),
             totals_pool: Vec::new(),
             batch_scratch: Vec::new(),
-            sched_pool: None,
         }
     }
 
@@ -590,12 +471,7 @@ impl<'a> Engine<'a> {
 
         let sched_seed = self.sched_seeds.nth(self.invocation_counter).next_u64();
         let profile = &self.soc.config().accels[a].spec.profile;
-        let sched = match &self.sched_pool {
-            // Parallel cell: sample the schedule on a worker while this
-            // thread keeps draining events; first consumed at `t3`.
-            Some(pool) => SchedSlot::Pending(pool.submit(profile.clone(), dataset.lines, sched_seed)),
-            None => SchedSlot::Ready(BurstSchedule::generate(profile, dataset.lines, sched_seed)),
-        };
+        let sched = BurstSchedule::generate(profile, dataset.lines, sched_seed);
         self.invocation_counter += 1;
 
         self.threads[i].state = TState::Running(Box::new(RunCtx {
@@ -624,7 +500,7 @@ impl<'a> Engine<'a> {
         while ctx.inflight.front().is_some_and(|c| *c <= t) {
             ctx.inflight.pop_front();
         }
-        if ctx.op < ctx.sched.get().ops().len() {
+        if ctx.op < ctx.sched.ops().len() {
             if ctx.inflight.len() >= MAX_INFLIGHT_BURSTS {
                 // Request queue full: wait for the oldest burst to retire.
                 let until = *ctx.inflight.front().expect("non-empty window");
@@ -632,7 +508,7 @@ impl<'a> Engine<'a> {
                 self.queue.schedule(until, i);
                 return;
             }
-            let op = ctx.sched.get().ops()[ctx.op];
+            let op = ctx.sched.ops()[ctx.op];
             let dataset = self.threads[i].dataset;
             let out = self
                 .soc
@@ -905,45 +781,6 @@ mod tests {
             .iter()
             .any(|a| invs.iter().any(|b| a.accel != b.accel && a.start < b.end && b.start < a.end));
         assert!(overlap, "distinct accelerators should run concurrently");
-    }
-
-    /// `parallel_cell` moves burst-schedule sampling to worker threads but
-    /// must not move a single bit of the result: the schedule is a pure
-    /// function of `(profile, lines, seed)` and every shared-state mutation
-    /// stays on the coordinating thread in FIFO event order.
-    #[test]
-    fn parallel_cell_is_bit_identical_to_serial() {
-        let app = AppSpec {
-            name: "parcell".into(),
-            phases: vec![PhaseSpec {
-                name: "p".into(),
-                threads: (0..6)
-                    .map(|i| ThreadSpec {
-                        dataset_bytes: (16 * 1024) << (i % 3),
-                        chain: vec![AccelInstanceId(i), AccelInstanceId((i + 1) % 6)],
-                        loops: 2,
-                        check_output: i % 2 == 0,
-                    })
-                    .collect(),
-            }],
-        };
-        let run_with = |parallel_cell: bool| {
-            let mut soc = Soc::new(motivation_isolation_soc());
-            let mut policy = FixedPolicy::new(CoherenceMode::LlcCohDma);
-            let options = EngineOptions {
-                parallel_cell,
-                ..EngineOptions::default()
-            };
-            run_app_with_options(&mut soc, &app, &mut policy, 7, options)
-        };
-        let serial = run_with(false);
-        let parallel = run_with(true);
-        assert_eq!(
-            serial.structural_hash(),
-            parallel.structural_hash(),
-            "parallel cell changed the structural hash"
-        );
-        assert_eq!(serial, parallel, "parallel cell changed a result bit");
     }
 
     #[test]

@@ -83,7 +83,6 @@ fn ground_truth_attribution_reports_exact_counts() {
         1,
         EngineOptions {
             attribution: Attribution::GroundTruth,
-            ..EngineOptions::default()
         },
     );
     let rec = &result.phases[0].invocations[0];

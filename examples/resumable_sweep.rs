@@ -1,19 +1,18 @@
-//! Checkpointed sweeps: interrupt a grid run, resume it, shard it — and
-//! end with the exact bytes a clean serial run would have written.
+//! Checkpointed sweeps: interrupt a grid run, resume it, rerun it on a
+//! thread pool — and end with the exact bytes a clean serial run would
+//! have written.
 //!
 //! The experiment layer persists one JSONL `CellRecord` per completed
 //! cell (fsynced, so a kill loses at most the line in flight). Resuming
 //! loads the checkpoint with a corruption-tolerant tail scan, skips the
 //! recorded cells, and — once complete — finalises the file in canonical
-//! order. Sharding deals cells round-robin by stable dense index and
-//! merges the slices back, verified cell-complete. Every path converges
-//! on the same byte stream.
+//! order. Every path converges on the same byte stream; `sweep shard`
+//! (a local fleet of worker processes) writes it too.
 //!
 //! Run with: `cargo run --release --example resumable_sweep`
 
 use cohmeleon_repro::exp::{
-    canonical_jsonl, merge_records, CellRecord, Experiment, PolicyKind, Serial, ShardSpec,
-    SweepGrid,
+    canonical_jsonl, Experiment, PolicyKind, Serial, SweepGrid, WorkStealing,
 };
 use cohmeleon_repro::soc::config::soc1;
 use cohmeleon_repro::workloads::generator::{generate_app, GeneratorParams};
@@ -54,26 +53,17 @@ fn main() {
         resumed.reused, resumed.ran, resumed.complete
     );
 
-    // --- 3. The same grid, as 3 in-process shards, merged ----------------
-    // (The `sweep` binary does this across real worker processes; the
-    // partition/merge algebra is identical.)
-    let batches: Vec<Vec<CellRecord>> = (0..3)
-        .map(|i| grid.collect_shard_records(ShardSpec::new(i, 3), &Serial))
-        .collect();
-    println!(
-        "3 shards:        {:?} cells per shard",
-        batches.iter().map(Vec::len).collect::<Vec<_>>()
-    );
-    let merged = merge_records(batches, Some(&grid)).expect("shards merge completely");
+    // --- 3. The same grid, uninterrupted, on a work-stealing pool -------
+    let pooled = grid.collect_records(&WorkStealing::new());
 
     // --- 4. All three paths produced the same bytes ----------------------
     let checkpoint_bytes = std::fs::read_to_string(path).expect("read checkpoint");
     assert_eq!(canonical_jsonl(&resumed.records), checkpoint_bytes);
-    assert_eq!(canonical_jsonl(&merged), checkpoint_bytes);
+    assert_eq!(canonical_jsonl(&pooled), checkpoint_bytes);
     println!(
-        "interrupted+resumed, sharded+merged and the on-disk checkpoint all \
+        "interrupted+resumed, work-stealing and the on-disk checkpoint all \
          agree: {} cells, {} bytes",
-        merged.len(),
+        pooled.len(),
         checkpoint_bytes.len()
     );
 

@@ -12,10 +12,10 @@
 //! cells (serially or on a work-stealing pool, bit-identically), and
 //! results stream to observers as cells complete. Long sweeps are
 //! checkpointed (`Experiment::resume_from` — interrupted runs resume
-//! instead of restarting), shardable across worker processes
-//! (`ShardExecutor`), and distributable across hosts (the [`fleet`]
-//! queen/worker coordinator), with every path pinned byte-identical to a
-//! clean serial run; `docs/ARCHITECTURE.md` walks the whole lifecycle.
+//! instead of restarting) and spread across worker processes on one host
+//! or many (the [`fleet`] queen/worker coordinator), with every path
+//! pinned byte-identical to a clean serial run; `docs/ARCHITECTURE.md`
+//! walks the whole lifecycle.
 //!
 //! ```
 //! use cohmeleon_repro::exp::{Experiment, PolicyKind, WorkStealing};
