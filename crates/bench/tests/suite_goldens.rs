@@ -1,20 +1,21 @@
-//! Golden per-cell structural hashes of the tracked perf suites.
+//! Golden per-cell structural hashes of the tracked suites.
 //!
-//! `perf_baseline` times the soc1 × quick and soc6 × large/extra-large
-//! grids; these tests pin every cell's structural hash so hot-path work —
-//! the flat-state sense path, equal-timestamp event draining, cache
-//! layout changes — fails loudly if it moves modeled behaviour by a
-//! single bit. The constants were recorded from the per-pop, map-shaped
-//! reference implementation (print them with `--nocapture` after an
-//! *intentional* model change to regenerate). These run under the
-//! default run-level tag walk; `tests/walk_modes.rs` replays the soc1
-//! suite under `WalkMode::PerLine` and pins the same hashes, so both
-//! walk modes are anchored to the same recorded machine.
+//! The soc1 × quick and soc6 × large/extra-large grids pin every cell's
+//! structural hash so hot-path work — the flat-state sense path,
+//! equal-timestamp event draining, cache layout changes — fails loudly if
+//! it moves modeled behaviour by a single bit. The constants were
+//! recorded from the per-pop, map-shaped reference implementation (print
+//! them with `--nocapture` after an *intentional* model change to
+//! regenerate). These run under the default run-level tag walk;
+//! `tests/walk_modes.rs` replays both suites under `WalkMode::PerLine`
+//! and pins the same hashes, so both walk modes are anchored to the same
+//! recorded machine.
 
-use cohmeleon_bench::tracked::{soc6_params, suite_grid, TRAIN_ITERATIONS};
-use cohmeleon_exp::{CellResult, Serial, SweepGrid};
+use cohmeleon_bench::tracked::{soc6_params, suite_grid, SEED, TRAIN_ITERATIONS};
+use cohmeleon_core::agent::AgentBuilder;
+use cohmeleon_exp::{CellResult, Experiment, PolicySpec, Serial, SweepGrid};
 use cohmeleon_soc::config::{soc1, soc6};
-use cohmeleon_workloads::generator::GeneratorParams;
+use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 
 fn hashes(grid: &SweepGrid) -> Vec<u64> {
     let mut out = vec![0u64; grid.num_cells()];
@@ -40,8 +41,8 @@ fn soc1_quick_suite_hashes_are_golden() {
     );
 }
 
-/// soc6 × large/extra-large (the cache-thrashing regime whose throughput
-/// `perf_baseline` tracks as `soc6_scale`), same policy order.
+/// soc6 × large/extra-large (the cache-thrashing regime), same policy
+/// order.
 #[test]
 fn soc6_large_suite_hashes_are_golden() {
     let got = hashes(&suite_grid(soc6(), &soc6_params(), TRAIN_ITERATIONS));
@@ -52,5 +53,33 @@ fn soc6_large_suite_hashes_are_golden() {
         got,
         vec![0x66a6_1b52_9cb7_62f2, 0x193c_f5ec_ba4b_191c, 0x7708_82f6_7f86_feb9],
         "soc6 suite moved — modeled behaviour changed"
+    );
+}
+
+/// Agent orchestration is invisible in the Global configuration: the
+/// soc1 × quick suite's cohmeleon cell, built through the
+/// `PolicySpec::custom` grid path with the agent routed through a Global
+/// `PolicyRouter`, hashes exactly like the bare agent's golden above.
+#[test]
+fn global_routed_cohmeleon_matches_the_bare_golden() {
+    let config = soc1();
+    let train = generate_app(&config, &GeneratorParams::quick(), 1);
+    let test = generate_app(&config, &GeneratorParams::quick(), 2);
+    let grid = Experiment::train_test(config, train, test)
+        .policy(PolicySpec::custom("cohmeleon", |_, iters, seed| {
+            Box::new(
+                AgentBuilder::paper(iters, seed)
+                    .label("cohmeleon")
+                    .build_routed(),
+            )
+        }))
+        .seed(SEED)
+        .train_iterations(TRAIN_ITERATIONS)
+        .build()
+        .expect("routed suite is non-empty");
+    assert_eq!(
+        hashes(&grid),
+        vec![0x49cb_7da5_f241_9441],
+        "Global-routed cohmeleon differs from the bare agent"
     );
 }

@@ -13,8 +13,8 @@
 //!    agent bare: the only allocations on a routed decide are the
 //!    agent's own (ε-greedy's tie-break vector), in equal number.
 //!
-//! The companion throughput number is the `router_dispatch` tracked
-//! measurement in `perf_baseline`.
+//! Host time spent in `decide`/`observe` is measured by the repository
+//! benchmark's `core.*` per-layer metrics (`perfbench/`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

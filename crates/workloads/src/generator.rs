@@ -57,8 +57,8 @@ impl Default for GeneratorParams {
 }
 
 impl GeneratorParams {
-    /// A reduced configuration for fast tests and criterion benches:
-    /// two phases, few threads, Small/Medium sizes only.
+    /// A reduced configuration for fast tests and smoke grids: two
+    /// phases, few threads, Small/Medium sizes only.
     pub fn quick() -> GeneratorParams {
         GeneratorParams {
             phases: 2,
