@@ -551,6 +551,42 @@ mod tests {
         }
     }
 
+    fn paper_cohmeleon(seed: u64) -> CohmeleonPolicy {
+        CohmeleonPolicy::new(
+            RewardWeights::paper_default(),
+            LearningSchedule::paper_default(10),
+            seed,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "empty set of available coherence modes")]
+    fn choosing_from_empty_set_panics() {
+        let mut agent = paper_cohmeleon(7);
+        agent.decide(&snapshot(1024), ModeSet::EMPTY, AccelInstanceId(0));
+    }
+
+    #[test]
+    fn begin_iteration_past_schedule_freezes() {
+        let mut agent = paper_cohmeleon(1);
+        agent.begin_iteration(10);
+        assert!(agent.is_frozen());
+        assert_eq!(agent.epsilon(), 0.0);
+        assert_eq!(agent.update_rule().alpha(), 0.0);
+    }
+
+    #[test]
+    fn exploration_visits_multiple_actions() {
+        let mut agent = paper_cohmeleon(7);
+        let mut seen = [false; 4];
+        for _ in 0..200 {
+            let d = agent.decide(&snapshot(1024), ModeSet::all(), AccelInstanceId(0));
+            seen[d.mode.index()] = true;
+        }
+        // ε = 0.5 ⇒ all four actions appear with overwhelming probability.
+        assert!(seen.iter().all(|&s| s), "seen = {seen:?}");
+    }
+
     #[test]
     fn default_label_composes_component_names() {
         let agent = AgentBuilder::paper(4, 0)

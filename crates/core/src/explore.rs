@@ -17,7 +17,7 @@
 //!
 //! Once frozen, every strategy stops exploring: [`Softmax`] and [`Ucb1`]
 //! become pure argmax (lowest-index ties), while [`EpsilonGreedy`] keeps
-//! the original `QLearner`'s *random* tie-breaking among exactly-tied
+//! the original hardwired agent's *random* tie-breaking among exactly-tied
 //! Q-values — that bit-identity with the paper agent is deliberate (an
 //! untrained frozen agent still behaves like the Random policy on
 //! all-zero rows).
@@ -100,7 +100,9 @@ fn greedy(ctx: &SelectCtx<'_>) -> CoherenceMode {
 /// otherwise the highest-Q available mode with *random* tie-breaking, so
 /// an untrained all-zero table behaves exactly like the Random policy (as
 /// the paper states for iteration 0 of Figure 8). The RNG consumption and
-/// float comparisons replicate the original `QLearner` bit for bit.
+/// float comparisons replicate the original hardwired agent bit for bit
+/// (pinned by the `golden_default_agent_matches_pre_redesign_cohmeleon`
+/// engine test).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpsilonGreedy {
     epsilon0: f64,

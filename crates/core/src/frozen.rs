@@ -16,13 +16,13 @@
 //! * Per-table argmax is exactly [`best_entry`] (strict `>`, ties to the
 //!   lowest mode index) — the same function every frozen exploration
 //!   strategy reduces to.
-//! * Key resolution mirrors [`PolicyRouter`](crate::router::PolicyRouter)
-//!   dispatch: global routing uses the global table; per-kind routing maps
-//!   an instance's kind to its table, falling back to the global catch-all
-//!   for unregistered instances; per-instance routing uses the instance's
-//!   table. A key with no table behaves like the fresh zero-table agent the
-//!   live router would create: every mode reads Q = 0, so the argmax is the
-//!   lowest-index available mode.
+//! * Parsing, key resolution and the key → table map are the router's
+//!   own: the artifact goes through the router's tables parser, and a
+//!   decision resolves its key with [`AgentScope::key`] and looks it up in
+//!   the same slot map [`PolicyRouter`](crate::router::PolicyRouter)
+//!   dispatches through. A key with no table behaves like the fresh
+//!   zero-table agent the live router would create: every mode reads
+//!   Q = 0, so the argmax is the lowest-index available mode.
 //!
 //! [`FrozenPolicy`] closes the loop for in-engine use: it is a [`Policy`]
 //! whose decide phase senses exactly like [`LearnedPolicy`](crate::agent::LearnedPolicy)
@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use crate::modes::{CoherenceMode, ModeSet};
 use crate::policy::{Decision, Policy, PolicyComplexity};
-use crate::router::{AgentScope, ScopeKey};
+use crate::router::{parse_tables, AgentScope, ScopeKey, ScopeMap, Tables, Topology};
 use crate::snapshot::SystemSnapshot;
 use crate::space::StateSpace;
 use crate::state::State;
@@ -45,28 +45,6 @@ use crate::{AccelInstanceId, AccelKindId};
 /// Number of availability masks over the four modes (2⁴, including the
 /// unused empty mask so indexing is a plain shift).
 const MASKS: usize = 1 << CoherenceMode::COUNT;
-
-const TABLES_HEADER: &str = "# cohmeleon router tables v1";
-const QTABLE_HEADER: &str = "# cohmeleon q-table v1";
-
-/// Slot sentinel: no table materialised for that key.
-const NO_SLOT: u32 = u32::MAX;
-
-/// The 4-bit availability mask of a mode set (bit *i* set ⇔ mode index
-/// *i* present). The wire form of [`ModeSet`] in the serving protocol.
-pub fn mode_mask(set: ModeSet) -> u8 {
-    set.iter().fold(0u8, |m, mode| m | (1 << mode.index()))
-}
-
-/// The mode set of a 4-bit availability mask (inverse of [`mode_mask`];
-/// bits above the mode count are ignored).
-pub fn mask_modes(mask: u8) -> ModeSet {
-    ModeSet::from_modes(
-        CoherenceMode::ALL
-            .into_iter()
-            .filter(|m| mask & (1 << m.index()) != 0),
-    )
-}
 
 /// One agent's Q-table, collapsed to its argmax: `best[state * 16 + mask]`
 /// holds the winning mode index for every non-empty availability mask.
@@ -83,7 +61,7 @@ impl FrozenTable {
         let mut best = vec![0u8; states * MASKS];
         for state in 0..states {
             for mask in 1..MASKS {
-                let set = mask_modes(mask as u8);
+                let set = ModeSet::from_bits(mask as u8);
                 let mode = best_entry(store, state, set).expect("non-empty mask");
                 best[state * MASKS + mask] = mode.index() as u8;
             }
@@ -108,9 +86,8 @@ impl FrozenTable {
         if available.is_empty() {
             return None;
         }
-        let mask = mode_mask(available) as usize;
         Some(CoherenceMode::from_index(
-            self.best[state * MASKS + mask] as usize,
+            self.best[state * MASKS + available.bits() as usize] as usize,
         ))
     }
 }
@@ -135,8 +112,8 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 /// An immutable, read-optimized decision store: every agent table of one
-/// persisted artifact collapsed to [`FrozenTable`]s plus the dense
-/// key → slot maps that mirror live router dispatch.
+/// persisted artifact collapsed to [`FrozenTable`]s, keyed through the
+/// router's slot map.
 ///
 /// Construction does all the work; after [`parse`](Self::parse) the
 /// structure is never written again, so it is freely shareable across
@@ -145,10 +122,7 @@ fn fnv1a(text: &str) -> u64 {
 pub struct FrozenSnapshot {
     scope: AgentScope,
     states: usize,
-    tables: Vec<(ScopeKey, FrozenTable)>,
-    slot_global: u32,
-    slot_of_kind: Vec<u32>,
-    slot_of_instance: Vec<u32>,
+    tables: ScopeMap<FrozenTable>,
     fingerprint: u64,
 }
 
@@ -173,109 +147,25 @@ impl FrozenSnapshot {
     /// missing header or scope, an unparsable/duplicated/unreachable
     /// section key, a malformed table body, or a state index ≥ `states`.
     pub fn parse(text: &str, states: usize) -> Result<FrozenSnapshot, String> {
-        let fingerprint = fnv1a(text);
-        let mut lines = text.lines();
-        let mut header: Option<&str> = None;
-        for line in lines.by_ref() {
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            if trimmed.starts_with(TABLES_HEADER) || trimmed.starts_with(QTABLE_HEADER) {
-                header = Some(trimmed);
-                break;
-            }
-            if trimmed.starts_with('#') {
-                continue; // provenance comment
-            }
-            return Err(format!("content before the snapshot header: `{line}`"));
-        }
-        let Some(header) = header else {
-            return Err("no q-table or router-tables header found".to_owned());
-        };
-
-        let (scope, sections) = if let Some(rest) = header.strip_prefix(TABLES_HEADER) {
-            let Some(scope) = rest.trim().strip_prefix("scope=") else {
-                return Err(format!("router-tables header without scope: `{header}`"));
-            };
-            let scope: AgentScope = scope.trim().parse().map_err(|e| format!("{e}"))?;
-            let mut current: Option<(ScopeKey, String)> = None;
-            let mut sections: Vec<(ScopeKey, String)> = Vec::new();
-            for line in lines {
-                if let Some(key) = line.strip_prefix("## agent ") {
-                    if let Some(section) = current.take() {
-                        sections.push(section);
-                    }
-                    current = Some((key.trim().parse()?, String::new()));
-                } else if let Some((_, body)) = &mut current {
-                    body.push_str(line);
-                    body.push('\n');
-                } else if !line.trim().is_empty() {
-                    return Err(format!("content before the first agent section: `{line}`"));
-                }
-            }
-            if let Some(section) = current.take() {
-                sections.push(section);
-            }
-            (scope, sections)
-        } else {
+        let (scope, sections) = match parse_tables(text)? {
+            Tables::Routed { scope, sections } => (scope, sections),
             // A bare q-table: one global agent's store.
-            let body: String = lines.map(|l| format!("{l}\n")).collect();
-            (AgentScope::Global, vec![(ScopeKey::Global, body)])
+            Tables::Bare(body) => (AgentScope::Global, vec![(ScopeKey::Global, body)]),
         };
-
-        let mut tables: Vec<(ScopeKey, FrozenTable)> = Vec::with_capacity(sections.len());
-        for (key, body) in sections {
-            if tables.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate section for agent {key}"));
-            }
-            let reachable = match scope {
-                AgentScope::Global => matches!(key, ScopeKey::Global),
-                // Global is PerKind's catch-all for unregistered instances.
-                AgentScope::PerKind => !matches!(key, ScopeKey::Instance(_)),
-                AgentScope::PerInstance => matches!(key, ScopeKey::Instance(_)),
-            };
-            if !reachable {
-                return Err(format!(
-                    "section for agent {key} is unreachable under {scope} routing"
-                ));
-            }
-            let table = QTable::from_tsv_with_states(&body, states)
-                .map_err(|e| format!("agent {key}: {e}"))?;
-            tables.push((key, FrozenTable::from_store(&table)));
-        }
-        tables.sort_by_key(|(key, _)| *key);
-
-        let mut snapshot = FrozenSnapshot {
+        let tables = sections
+            .into_iter()
+            .map(|(key, body)| {
+                let table = QTable::from_tsv_with_states(&body, states)
+                    .map_err(|e| format!("agent {key}: {e}"))?;
+                Ok((key, FrozenTable::from_store(&table)))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        Ok(FrozenSnapshot {
             scope,
             states,
-            tables,
-            slot_global: NO_SLOT,
-            slot_of_kind: Vec::new(),
-            slot_of_instance: Vec::new(),
-            fingerprint,
-        };
-        for (slot, (key, _)) in snapshot.tables.iter().enumerate() {
-            let slot = slot as u32;
-            match *key {
-                ScopeKey::Global => snapshot.slot_global = slot,
-                ScopeKey::Kind(k) => {
-                    let i = k.0 as usize;
-                    if i >= snapshot.slot_of_kind.len() {
-                        snapshot.slot_of_kind.resize(i + 1, NO_SLOT);
-                    }
-                    snapshot.slot_of_kind[i] = slot;
-                }
-                ScopeKey::Instance(a) => {
-                    let i = a.0 as usize;
-                    if i >= snapshot.slot_of_instance.len() {
-                        snapshot.slot_of_instance.resize(i + 1, NO_SLOT);
-                    }
-                    snapshot.slot_of_instance[i] = slot;
-                }
-            }
-        }
-        Ok(snapshot)
+            tables: ScopeMap::new(tables),
+            fingerprint: fnv1a(text),
+        })
     }
 
     /// The routing scope the tables were exported from.
@@ -295,7 +185,7 @@ impl FrozenSnapshot {
 
     /// The materialised table keys, in [`ScopeKey`] order.
     pub fn keys(&self) -> impl Iterator<Item = ScopeKey> + '_ {
-        self.tables.iter().map(|(key, _)| *key)
+        self.tables.keys()
     }
 
     /// FNV-1a fingerprint of the source text (stable version identity for
@@ -333,28 +223,12 @@ impl FrozenSnapshot {
             "state {state} out of range (snapshot covers {})",
             self.states
         );
-        let slot = match self.scope {
-            AgentScope::Global => self.slot_global,
-            AgentScope::PerKind => match kind {
-                Some(k) => self
-                    .slot_of_kind
-                    .get(k.0 as usize)
-                    .copied()
-                    .unwrap_or(NO_SLOT),
-                None => self.slot_global,
-            },
-            AgentScope::PerInstance => self
-                .slot_of_instance
-                .get(instance.0 as usize)
-                .copied()
-                .unwrap_or(NO_SLOT),
-        };
-        if slot == NO_SLOT {
+        match self.tables.get(self.scope.key(instance, kind)) {
+            Some(table) => table.decide(state, available),
             // Zero-table fallback: every Q reads 0.0, argmax is the
             // lowest-index available mode.
-            return available.iter().next();
+            None => available.iter().next(),
         }
-        self.tables[slot as usize].1.decide(state, available)
     }
 }
 
@@ -384,7 +258,7 @@ impl fmt::Debug for FrozenSnapshot {
 pub struct FrozenPolicy {
     snapshot: Arc<FrozenSnapshot>,
     space: Box<dyn StateSpace>,
-    kind_of: Vec<Option<AccelKindId>>,
+    topology: Topology,
 }
 
 impl FrozenPolicy {
@@ -405,7 +279,7 @@ impl FrozenPolicy {
         FrozenPolicy {
             snapshot,
             space: Box::new(space),
-            kind_of: Vec::new(),
+            topology: Topology::default(),
         }
     }
 
@@ -427,7 +301,7 @@ impl FrozenPolicy {
     /// The registered kind of `instance`, if any (from
     /// [`Policy::bind_topology`]).
     pub fn kind_of(&self, instance: AccelInstanceId) -> Option<AccelKindId> {
-        self.kind_of.get(instance.0 as usize).copied().flatten()
+        self.topology.kind_of(instance)
     }
 }
 
@@ -477,13 +351,7 @@ impl Policy for FrozenPolicy {
     }
 
     fn bind_topology(&mut self, topology: &[(AccelInstanceId, AccelKindId)]) {
-        for &(instance, kind) in topology {
-            let i = instance.0 as usize;
-            if i >= self.kind_of.len() {
-                self.kind_of.resize(i + 1, None);
-            }
-            self.kind_of[i] = Some(kind);
-        }
+        self.topology.bind(topology);
     }
 }
 
@@ -529,23 +397,13 @@ mod tests {
     }
 
     #[test]
-    fn mask_round_trips_every_subset() {
-        for mask in 0u8..16 {
-            let set = mask_modes(mask);
-            assert_eq!(mode_mask(set), mask);
-            assert_eq!(set.len(), mask.count_ones() as usize);
-        }
-        assert_eq!(mode_mask(ModeSet::all()), 0b1111);
-    }
-
-    #[test]
     fn frozen_table_matches_best_entry_everywhere() {
         let table = synthetic_table(27, 3);
         let frozen = FrozenTable::from_store(&table);
         assert_eq!(frozen.states(), 27);
         for state in 0..27 {
             for mask in 1u8..16 {
-                let set = mask_modes(mask);
+                let set = ModeSet::from_bits(mask);
                 assert_eq!(
                     frozen.decide(state, set),
                     best_entry(&table, state, set),
@@ -565,7 +423,7 @@ mod tests {
         assert_eq!(snap.num_tables(), 1);
         for state in [0usize, 7, 242] {
             for mask in 1u8..16 {
-                let set = mask_modes(mask);
+                let set = ModeSet::from_bits(mask);
                 assert_eq!(
                     snap.decide(AccelInstanceId(0), None, state, set),
                     best_entry(&table, state, set)
@@ -587,6 +445,18 @@ mod tests {
         assert_ne!(
             snap.fingerprint(),
             FrozenSnapshot::parse(&table.to_tsv(), 243).unwrap().fingerprint()
+        );
+        // The same holds for a router-tables document.
+        let text = format!(
+            "# snapshot v1 grid=scoped scenario=soc1 policy=ql seed=1 hash=abc\n\n\
+             # cohmeleon router tables v1 scope=per-kind\n## agent kind1\n{}",
+            table.to_tsv()
+        );
+        let snap = FrozenSnapshot::parse(&text, 243).unwrap();
+        assert_eq!(snap.scope(), AgentScope::PerKind);
+        assert_eq!(
+            snap.keys().collect::<Vec<_>>(),
+            [ScopeKey::Kind(AccelKindId(1))]
         );
     }
 

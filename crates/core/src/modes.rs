@@ -148,6 +148,21 @@ impl ModeSet {
         modes.into_iter().fold(ModeSet::EMPTY, ModeSet::with)
     }
 
+    /// The 4-bit availability mask (bit *i* set ⇔ the mode with
+    /// [`index`](CoherenceMode::index) *i* is present): the set's wire form
+    /// in the serving protocol and the column of a frozen decision table.
+    #[inline]
+    pub const fn bits(self) -> u8 {
+        self.0
+    }
+
+    /// The set of a 4-bit availability mask (inverse of
+    /// [`bits`](Self::bits)); bits above the fourth are ignored.
+    #[inline]
+    pub const fn from_bits(mask: u8) -> ModeSet {
+        ModeSet(mask & 0b1111)
+    }
+
     /// Returns `self` with `mode` added.
     #[must_use]
     pub fn with(self, mode: CoherenceMode) -> ModeSet {
@@ -343,6 +358,17 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(s.contains(CoherenceMode::NonCohDma));
         assert!(s.contains(CoherenceMode::FullCoh));
+    }
+
+    #[test]
+    fn mask_round_trips_every_subset() {
+        for mask in 0u8..16 {
+            let set = ModeSet::from_bits(mask);
+            assert_eq!(set.bits(), mask);
+            assert_eq!(set.len(), mask.count_ones() as usize);
+        }
+        assert_eq!(ModeSet::all().bits(), 0b1111);
+        assert_eq!(ModeSet::from_bits(0b1111_0101), ModeSet::from_bits(0b0101));
     }
 
     #[test]

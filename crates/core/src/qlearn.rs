@@ -1,9 +1,9 @@
-//! The Q-learning module of Section 4.2.
+//! The Q-learning schedule of Section 4.2.
 //!
 //! A [`QTable`] stores, for each (state, action) pair, the expected reward of
 //! taking that action from that state (243 × 4 = 972 entries, initialised to
-//! zero). The [`QLearner`] selects actions ε-greedily among the *available*
-//! modes and updates the table with
+//! zero). Cohmeleon selects actions ε-greedily among the *available* modes
+//! and updates the table with
 //!
 //! ```text
 //! Q(s,a) ← (1 − α) · Q(s,a) + α · R(s,a)
@@ -14,24 +14,15 @@
 //! training iterations, after which the model is frozen and further updates
 //! are disabled.
 //!
-//! Since the agent redesign, [`QLearner`] is a thin composition of the
-//! pluggable components in [`explore`](crate::explore) /
-//! [`update`](crate::update) / [`value`](crate::value) — the ε-greedy
-//! selection and blend update live there (single source of truth), and
-//! [`QTable`] lives in [`value`](crate::value) and is re-exported here
-//! under its old path. The standalone learner remains the convenient
-//! paper-space API for tests and micro-benchmarks; whole-system policies
-//! go through [`LearnedPolicy`](crate::agent::LearnedPolicy).
+//! This module holds that [`LearningSchedule`]; the learning loop itself is
+//! [`CohmeleonPolicy`](crate::agent::CohmeleonPolicy), composed from the
+//! ε-greedy [`explore`](crate::explore), blend [`update`](crate::update)
+//! and [`value`](crate::value) components. [`QTable`] lives in
+//! [`value`](crate::value) and is re-exported here under its old path.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-use crate::explore::{EpsilonGreedy, ExplorationStrategy, SelectCtx};
-use crate::modes::{CoherenceMode, ModeSet};
-use crate::state::State;
-use crate::update::{BlendUpdate, UpdateRule};
 
 pub use crate::value::QTable;
 
@@ -93,120 +84,11 @@ pub(crate) fn decayed(initial: f64, iteration: usize, total: usize) -> f64 {
     }
 }
 
-/// The reinforcement-learning agent: Q-table + ε-greedy selection + update
-/// rule + decay schedule.
-#[derive(Debug, Clone)]
-pub struct QLearner {
-    table: QTable,
-    schedule: LearningSchedule,
-    explore: EpsilonGreedy,
-    rule: BlendUpdate,
-    frozen: bool,
-    rng: SmallRng,
-}
-
-impl QLearner {
-    /// Creates an untrained learner (all Q-values zero) positioned at
-    /// training iteration 0.
-    pub fn new(schedule: LearningSchedule, seed: u64) -> QLearner {
-        QLearner {
-            table: QTable::new(),
-            schedule,
-            explore: EpsilonGreedy::new(schedule.epsilon0, schedule.train_iterations),
-            rule: BlendUpdate::new(schedule.alpha0, schedule.train_iterations),
-            frozen: false,
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Marks the start of training iteration `i`, updating ε and α per the
-    /// linear decay schedule. Iterations at or past `train_iterations`
-    /// freeze the model.
-    pub fn begin_iteration(&mut self, iteration: usize) {
-        self.explore.begin_iteration(iteration);
-        self.rule.begin_iteration(iteration);
-        if iteration >= self.schedule.train_iterations {
-            self.frozen = true;
-        }
-    }
-
-    /// Permanently disables exploration and updates ("once the learning
-    /// model has converged, we disable further updates").
-    pub fn freeze(&mut self) {
-        self.frozen = true;
-        self.explore.freeze();
-        self.rule.freeze();
-    }
-
-    /// Whether updates are disabled.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
-    /// Current exploration rate.
-    pub fn epsilon(&self) -> f64 {
-        if self.frozen {
-            0.0
-        } else {
-            self.explore.epsilon()
-        }
-    }
-
-    /// Current learning rate.
-    pub fn alpha(&self) -> f64 {
-        if self.frozen {
-            0.0
-        } else {
-            self.rule.alpha()
-        }
-    }
-
-    /// ε-greedy action selection among `available` modes: with probability ε
-    /// a uniformly random available mode (exploration), otherwise the
-    /// highest-Q available mode (exploitation, random tie-breaking).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `available` is empty; callers must offer at least one mode.
-    pub fn choose(&mut self, state: State, available: ModeSet) -> CoherenceMode {
-        assert!(!available.is_empty(), "cannot choose from an empty mode set");
-        let ctx = SelectCtx {
-            store: &self.table,
-            state: state.index(),
-            available,
-            frozen: self.frozen,
-        };
-        self.explore.select(ctx, &mut self.rng)
-    }
-
-    /// Applies the update `Q(s,a) ← (1−α)·Q(s,a) + α·R`. No-op when frozen.
-    pub fn update(&mut self, state: State, action: CoherenceMode, reward: f64) {
-        if self.frozen {
-            return;
-        }
-        self.rule
-            .apply(&mut self.table, state.index(), action.index(), reward);
-    }
-
-    /// Read access to the learned table.
-    pub fn table(&self) -> &QTable {
-        &self.table
-    }
-
-    /// Replaces the table (e.g. to restore a previously trained model).
-    pub fn set_table(&mut self, table: QTable) {
-        self.table = table;
-    }
-
-    /// The learner's schedule.
-    pub fn schedule(&self) -> LearningSchedule {
-        self.schedule
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modes::{CoherenceMode, ModeSet};
+    use crate::state::State;
 
     fn any_state() -> State {
         State::from_index(42)
@@ -289,79 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn update_applies_learning_rate() {
-        let mut l = QLearner::new(LearningSchedule::paper_default(10), 1);
-        l.update(any_state(), CoherenceMode::CohDma, 1.0);
-        // Q = (1 - 0.25)*0 + 0.25*1 = 0.25
-        assert!((l.table().get(any_state(), CoherenceMode::CohDma) - 0.25).abs() < 1e-12);
-        l.update(any_state(), CoherenceMode::CohDma, 1.0);
-        assert!((l.table().get(any_state(), CoherenceMode::CohDma) - 0.4375).abs() < 1e-12);
-    }
-
-    #[test]
-    fn frozen_learner_neither_updates_nor_explores() {
-        let mut l = QLearner::new(LearningSchedule::paper_default(10), 1);
-        l.table.set(any_state(), CoherenceMode::FullCoh, 0.9);
-        l.freeze();
-        l.update(any_state(), CoherenceMode::CohDma, 1.0);
-        assert_eq!(l.table().get(any_state(), CoherenceMode::CohDma), 0.0);
-        // With exploration disabled, choice is always the argmax.
-        for _ in 0..50 {
-            assert_eq!(l.choose(any_state(), ModeSet::all()), CoherenceMode::FullCoh);
-        }
-    }
-
-    #[test]
-    fn begin_iteration_past_schedule_freezes() {
-        let mut l = QLearner::new(LearningSchedule::paper_default(10), 1);
-        l.begin_iteration(10);
-        assert!(l.is_frozen());
-        assert_eq!(l.epsilon(), 0.0);
-        assert_eq!(l.alpha(), 0.0);
-    }
-
-    #[test]
-    fn exploration_visits_multiple_actions() {
-        let mut l = QLearner::new(LearningSchedule::paper_default(10), 7);
-        let mut seen = [false; 4];
-        for _ in 0..200 {
-            let m = l.choose(any_state(), ModeSet::all());
-            seen[m.index()] = true;
-        }
-        // ε = 0.5 ⇒ all four actions appear with overwhelming probability.
-        assert!(seen.iter().all(|&s| s), "seen = {seen:?}");
-    }
-
-    #[test]
-    fn exploration_respects_available_set() {
-        let mut l = QLearner::new(LearningSchedule::paper_default(10), 7);
-        let available = ModeSet::only(CoherenceMode::LlcCohDma).with(CoherenceMode::CohDma);
-        for _ in 0..100 {
-            let m = l.choose(any_state(), available);
-            assert!(available.contains(m));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "empty mode set")]
-    fn choosing_from_empty_set_panics() {
-        let mut l = QLearner::new(LearningSchedule::paper_default(10), 7);
-        l.choose(any_state(), ModeSet::EMPTY);
-    }
-
-    #[test]
-    fn identical_seeds_reproduce_choices() {
-        let mut a = QLearner::new(LearningSchedule::paper_default(10), 99);
-        let mut b = QLearner::new(LearningSchedule::paper_default(10), 99);
-        for _ in 0..100 {
-            assert_eq!(
-                a.choose(any_state(), ModeSet::all()),
-                b.choose(any_state(), ModeSet::all())
-            );
-        }
-    }
-
-    #[test]
     fn tsv_roundtrip_preserves_values() {
         let mut t = QTable::new();
         t.set(State::from_index(0), CoherenceMode::NonCohDma, 0.125);
@@ -390,21 +199,5 @@ mod tests {
         // Comments and blank lines are tolerated.
         let ok = QTable::from_tsv("# comment\n\n0\t0.1\t0.2\t0.3\t0.4\n").unwrap();
         assert_eq!(ok.get(State::from_index(0), CoherenceMode::FullCoh), 0.4);
-    }
-
-    #[test]
-    fn learner_converges_to_best_action_on_stationary_rewards() {
-        // Synthetic bandit: CohDma always pays 1.0, everything else 0.1.
-        let mut l = QLearner::new(LearningSchedule::paper_default(50), 3);
-        for i in 0..50 {
-            l.begin_iteration(i);
-            for _ in 0..20 {
-                let a = l.choose(any_state(), ModeSet::all());
-                let r = if a == CoherenceMode::CohDma { 1.0 } else { 0.1 };
-                l.update(any_state(), a, r);
-            }
-        }
-        l.freeze();
-        assert_eq!(l.choose(any_state(), ModeSet::all()), CoherenceMode::CohDma);
     }
 }

@@ -36,6 +36,14 @@
 //! into one namespaced document ([`PolicyRouter::export_tables`] /
 //! [`PolicyRouter::import_tables`]), one `## agent <key>` section per
 //! learning sub-agent.
+//!
+//! Scope routing exists only here. The instance → kind [`Topology`], the
+//! dispatch rule [`AgentScope::key`] with its reachability rule
+//! [`AgentScope::reaches`], the dense key → slot map and the tables parser
+//! serve the live router and the frozen serving path
+//! ([`FrozenSnapshot`](crate::frozen::FrozenSnapshot),
+//! [`FrozenPolicy`](crate::frozen::FrozenPolicy) and the serve crate's
+//! remote policy) alike.
 
 use std::fmt;
 use std::str::FromStr;
@@ -47,6 +55,7 @@ use crate::modes::ModeSet;
 use crate::policy::{Decision, Policy, PolicyComplexity};
 use crate::reward::InvocationMeasurement;
 use crate::snapshot::SystemSnapshot;
+use crate::value::QTABLE_HEADER;
 use crate::{AccelInstanceId, AccelKindId};
 
 /// How decisions are partitioned across agents.
@@ -74,6 +83,30 @@ impl AgentScope {
             AgentScope::Global => "global",
             AgentScope::PerKind => "per-kind",
             AgentScope::PerInstance => "per-instance",
+        }
+    }
+
+    /// The key owning `instance`'s invocations: the one dispatch rule,
+    /// shared by live routing ([`PolicyRouter`]) and frozen serving
+    /// ([`FrozenSnapshot`](crate::frozen::FrozenSnapshot)). `kind` is the
+    /// instance's registered kind; under `PerKind` an unregistered
+    /// instance (`None`) routes to the [`ScopeKey::Global`] catch-all.
+    #[inline]
+    pub fn key(self, instance: AccelInstanceId, kind: Option<AccelKindId>) -> ScopeKey {
+        match self {
+            AgentScope::Global => ScopeKey::Global,
+            AgentScope::PerKind => kind.map_or(ScopeKey::Global, ScopeKey::Kind),
+            AgentScope::PerInstance => ScopeKey::Instance(instance),
+        }
+    }
+
+    /// Whether [`key`](Self::key) can ever yield `key` under this scope.
+    pub fn reaches(self, key: ScopeKey) -> bool {
+        match self {
+            AgentScope::Global => key == ScopeKey::Global,
+            // Global is PerKind's catch-all for unregistered instances.
+            AgentScope::PerKind => !matches!(key, ScopeKey::Instance(_)),
+            AgentScope::PerInstance => matches!(key, ScopeKey::Instance(_)),
         }
     }
 }
@@ -156,11 +189,239 @@ impl FromStr for ScopeKey {
     }
 }
 
+/// The instance → kind table a policy learns through
+/// [`Policy::bind_topology`]. Instance ids are small per-SoC ordinals, so
+/// the table is dense (index = instance id, `None` = unregistered) and a
+/// lookup is one array load.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Topology {
+    kind_of: Vec<Option<AccelKindId>>,
+}
+
+impl Topology {
+    /// Records that `instance` is of `kind`. Idempotent.
+    pub fn register(&mut self, instance: AccelInstanceId, kind: AccelKindId) {
+        let i = instance.0 as usize;
+        if i >= self.kind_of.len() {
+            self.kind_of.resize(i + 1, None);
+        }
+        self.kind_of[i] = Some(kind);
+    }
+
+    /// Records every pair of a [`Policy::bind_topology`] call.
+    pub fn bind(&mut self, topology: &[(AccelInstanceId, AccelKindId)]) {
+        for &(instance, kind) in topology {
+            self.register(instance, kind);
+        }
+    }
+
+    /// The registered kind of `instance`, `None` if unregistered.
+    #[inline]
+    pub fn kind_of(&self, instance: AccelInstanceId) -> Option<AccelKindId> {
+        self.kind_of.get(instance.0 as usize).copied().flatten()
+    }
+
+    /// The registered pairs, sorted by instance id.
+    pub fn pairs(&self) -> impl Iterator<Item = (AccelInstanceId, AccelKindId)> + '_ {
+        self.kind_of
+            .iter()
+            .enumerate()
+            .filter_map(|(i, kind)| kind.map(|k| (AccelInstanceId(i as u16), k)))
+    }
+}
+
+/// Slot sentinel: no entry for that key.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Entries keyed by [`ScopeKey`], kept in key order, plus the dense
+/// key → slot tables that make a lookup O(1) indexed loads: the one slot
+/// map behind live ([`PolicyRouter`]) and frozen
+/// ([`FrozenSnapshot`](crate::frozen::FrozenSnapshot)) dispatch. The
+/// tables are rebuilt when a new key is inserted (registration and import
+/// time), never on lookup.
+#[derive(Clone)]
+pub(crate) struct ScopeMap<T> {
+    entries: Vec<(ScopeKey, T)>,
+    global: u32,
+    kind: Vec<u32>,
+    instance: Vec<u32>,
+}
+
+impl<T> ScopeMap<T> {
+    /// A map over `entries`, which must have distinct keys.
+    pub(crate) fn new(mut entries: Vec<(ScopeKey, T)>) -> ScopeMap<T> {
+        entries.sort_by_key(|(key, _)| *key);
+        let mut map = ScopeMap {
+            entries,
+            global: NO_SLOT,
+            kind: Vec::new(),
+            instance: Vec::new(),
+        };
+        map.index_slots();
+        map
+    }
+
+    fn index_slots(&mut self) {
+        self.global = NO_SLOT;
+        self.kind.clear();
+        self.instance.clear();
+        for (slot, (key, _)) in self.entries.iter().enumerate() {
+            let (table, i) = match *key {
+                ScopeKey::Global => {
+                    self.global = slot as u32;
+                    continue;
+                }
+                ScopeKey::Kind(k) => (&mut self.kind, k.0 as usize),
+                ScopeKey::Instance(a) => (&mut self.instance, a.0 as usize),
+            };
+            if i >= table.len() {
+                table.resize(i + 1, NO_SLOT);
+            }
+            table[i] = slot as u32;
+        }
+    }
+
+    /// The slot of `key`'s entry, if it has one.
+    #[inline]
+    pub(crate) fn slot(&self, key: ScopeKey) -> Option<usize> {
+        let slot = match key {
+            ScopeKey::Global => self.global,
+            ScopeKey::Kind(k) => self.kind.get(k.0 as usize).copied().unwrap_or(NO_SLOT),
+            ScopeKey::Instance(a) => self.instance.get(a.0 as usize).copied().unwrap_or(NO_SLOT),
+        };
+        (slot != NO_SLOT).then_some(slot as usize)
+    }
+
+    /// `key`'s entry, if it has one.
+    #[inline]
+    pub(crate) fn get(&self, key: ScopeKey) -> Option<&T> {
+        self.slot(key).map(|slot| &self.entries[slot].1)
+    }
+
+    /// The entry at `slot` (from [`slot`](Self::slot) or
+    /// [`insert`](Self::insert)).
+    #[inline]
+    pub(crate) fn at_mut(&mut self, slot: usize) -> &mut T {
+        &mut self.entries[slot].1
+    }
+
+    /// Installs `value` under `key`, replacing any existing entry; returns
+    /// its slot.
+    pub(crate) fn insert(&mut self, key: ScopeKey, value: T) -> usize {
+        match self.entries.binary_search_by_key(&key, |(k, _)| *k) {
+            Ok(slot) => {
+                self.entries[slot].1 = value;
+                slot
+            }
+            Err(slot) => {
+                self.entries.insert(slot, (key, value));
+                self.index_slots();
+                slot
+            }
+        }
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The entries, in [`ScopeKey`] order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ScopeKey, &T)> + '_ {
+        self.entries.iter().map(|(key, value)| (*key, value))
+    }
+
+    /// The keys, in [`ScopeKey`] order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = ScopeKey> + '_ {
+        self.entries.iter().map(|(key, _)| *key)
+    }
+
+    /// Mutable access to every value.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> + '_ {
+        self.entries.iter_mut().map(|(_, value)| value)
+    }
+}
+
+/// The first line of a router-tables document, before ` scope=<scope>`.
+const TABLES_HEADER: &str = "# cohmeleon router tables v1";
+
+/// A persisted decision artifact, as split by [`parse_tables`].
+pub(crate) enum Tables {
+    /// A bare Q-table: one global agent's TSV rows (header excluded).
+    Bare(String),
+    /// A router-tables document: the exporting router's scope and one
+    /// `(key, body)` per `## agent` section, in document order.
+    Routed {
+        scope: AgentScope,
+        sections: Vec<(ScopeKey, String)>,
+    },
+}
+
+/// The one parser for [`PolicyRouter::export_tables`] documents (and the
+/// bare Q-table form a single global agent exports).
+///
+/// Leading blank lines and `#` comments before the header are skipped, so
+/// snapshot files may carry provenance comments. A router-tables header
+/// must name its `scope=`; the section keys must be distinct and
+/// [reachable](AgentScope::reaches) under that scope, and nothing but
+/// blank lines may precede the first section.
+///
+/// # Errors
+///
+/// Returns a message for non-comment content before the header, a missing
+/// header or scope, content before the first section, or an unparsable,
+/// duplicated or unreachable section key. Section bodies are returned
+/// unparsed.
+pub(crate) fn parse_tables(text: &str) -> Result<Tables, String> {
+    let mut lines = text.lines();
+    let header = loop {
+        let Some(line) = lines.next() else {
+            return Err("no q-table or router-tables header found".to_owned());
+        };
+        let trimmed = line.trim();
+        if trimmed.starts_with(TABLES_HEADER) || trimmed.starts_with(QTABLE_HEADER) {
+            break trimmed;
+        }
+        if !trimmed.is_empty() && !trimmed.starts_with('#') {
+            return Err(format!("content before the tables header: `{line}`"));
+        }
+    };
+    let Some(rest) = header.strip_prefix(TABLES_HEADER) else {
+        return Ok(Tables::Bare(lines.map(|l| format!("{l}\n")).collect()));
+    };
+    let Some(scope) = rest.trim().strip_prefix("scope=") else {
+        return Err(format!("router-tables header without scope: `{header}`"));
+    };
+    let scope: AgentScope = scope.trim().parse().map_err(|e| format!("{e}"))?;
+    let mut sections: Vec<(ScopeKey, String)> = Vec::new();
+    for line in lines {
+        if let Some(key) = line.strip_prefix("## agent ") {
+            let key: ScopeKey = key.trim().parse()?;
+            // Sections *replace* agent state: a duplicate would make the
+            // last one silently win, and an unreachable key would install
+            // a "ghost" agent no decision ever consults.
+            if sections.iter().any(|(k, _)| *k == key) {
+                return Err(format!("duplicate section for agent {key}"));
+            }
+            if !scope.reaches(key) {
+                return Err(format!(
+                    "section for agent {key} is unreachable under {scope} routing"
+                ));
+            }
+            sections.push((key, String::new()));
+        } else if let Some((_, body)) = sections.last_mut() {
+            body.push_str(line);
+            body.push('\n');
+        } else if !line.trim().is_empty() {
+            return Err(format!("content before the first agent section: `{line}`"));
+        }
+    }
+    Ok(Tables::Routed { scope, sections })
+}
+
 /// Builds one sub-agent for a [`ScopeKey`] with the given seed. Must be a
 /// pure function of its arguments (see the module docs).
 pub type AgentFactory = Arc<dyn Fn(ScopeKey, u64) -> Box<dyn Policy> + Send + Sync>;
-
-const TABLES_HEADER: &str = "# cohmeleon router tables v1";
 
 /// Routes `decide`/`observe` to one of several sub-agents selected by the
 /// invocation's accelerator instance or kind.
@@ -175,27 +436,14 @@ pub struct PolicyRouter {
     scope: AgentScope,
     seed: u64,
     factory: AgentFactory,
-    /// Dense instance → kind table (index = instance id; `None` =
-    /// unregistered). Instance ids are small per-SoC ordinals, so the
-    /// table stays tiny and dispatch is one array load instead of a hash.
-    kind_of: Vec<Option<AccelKindId>>,
-    /// Sub-agents sorted by [`ScopeKey`] (the iteration order
-    /// `export_tables` serialises in).
-    agents: Vec<(ScopeKey, Box<dyn Policy>)>,
-    /// Slot of the [`ScopeKey::Global`] agent in `agents` (`NO_SLOT` =
-    /// not materialised), and dense per-kind / per-instance slot tables.
-    /// Rebuilt after every (rare) agent insertion so the per-decision
-    /// dispatch is O(1) indexed loads.
-    slot_global: u32,
-    slot_of_kind: Vec<u32>,
-    slot_of_instance: Vec<u32>,
+    topology: Topology,
+    /// Sub-agents in [`ScopeKey`] order (the order `export_tables`
+    /// serialises in).
+    agents: ScopeMap<Box<dyn Policy>>,
     complexity: PolicyComplexity,
     current_iteration: Option<usize>,
     frozen: bool,
 }
-
-/// Slot sentinel: no agent materialised for that key.
-const NO_SLOT: u32 = u32::MAX;
 
 impl PolicyRouter {
     /// Creates a router over `factory`-built agents.
@@ -218,76 +466,17 @@ impl PolicyRouter {
         if scope == AgentScope::Global {
             agents.push((ScopeKey::Global, probe));
         }
-        let mut router = PolicyRouter {
+        PolicyRouter {
             label,
             scope,
             seed,
             factory,
-            kind_of: Vec::new(),
-            agents,
-            slot_global: NO_SLOT,
-            slot_of_kind: Vec::new(),
-            slot_of_instance: Vec::new(),
+            topology: Topology::default(),
+            agents: ScopeMap::new(agents),
             complexity,
             current_iteration: None,
             frozen: false,
-        };
-        router.rebuild_slots();
-        router
-    }
-
-    /// Recomputes the dense key → slot tables from the sorted agent list.
-    /// Called after every insertion (slots shift); insertions happen only
-    /// at registration/import time, never on the per-decision path.
-    fn rebuild_slots(&mut self) {
-        self.slot_global = NO_SLOT;
-        self.slot_of_kind.fill(NO_SLOT);
-        self.slot_of_instance.fill(NO_SLOT);
-        for (slot, (key, _)) in self.agents.iter().enumerate() {
-            let slot = slot as u32;
-            match *key {
-                ScopeKey::Global => self.slot_global = slot,
-                ScopeKey::Kind(k) => {
-                    let i = k.0 as usize;
-                    if i >= self.slot_of_kind.len() {
-                        self.slot_of_kind.resize(i + 1, NO_SLOT);
-                    }
-                    self.slot_of_kind[i] = slot;
-                }
-                ScopeKey::Instance(a) => {
-                    let i = a.0 as usize;
-                    if i >= self.slot_of_instance.len() {
-                        self.slot_of_instance.resize(i + 1, NO_SLOT);
-                    }
-                    self.slot_of_instance[i] = slot;
-                }
-            }
         }
-    }
-
-    /// The slot of the agent owning `instance`'s invocations, if it is
-    /// already materialised — the O(1) steady-state dispatch path.
-    #[inline]
-    fn slot_for(&self, instance: AccelInstanceId) -> Option<usize> {
-        let slot = match self.scope {
-            AgentScope::Global => self.slot_global,
-            AgentScope::PerKind => {
-                match self.kind_of.get(instance.0 as usize).copied().flatten() {
-                    Some(kind) => self
-                        .slot_of_kind
-                        .get(kind.0 as usize)
-                        .copied()
-                        .unwrap_or(NO_SLOT),
-                    None => self.slot_global,
-                }
-            }
-            AgentScope::PerInstance => self
-                .slot_of_instance
-                .get(instance.0 as usize)
-                .copied()
-                .unwrap_or(NO_SLOT),
-        };
-        (slot != NO_SLOT).then_some(slot as usize)
     }
 
     /// Overrides the display label (see the stability contract on
@@ -313,28 +502,15 @@ impl PolicyRouter {
     /// bound router exports a section per agent even before the first
     /// invocation. Idempotent.
     pub fn register(&mut self, instance: AccelInstanceId, kind: AccelKindId) {
-        let i = instance.0 as usize;
-        if i >= self.kind_of.len() {
-            self.kind_of.resize(i + 1, None);
-        }
-        self.kind_of[i] = Some(kind);
-        let key = match self.scope {
-            AgentScope::Global => ScopeKey::Global,
-            AgentScope::PerKind => ScopeKey::Kind(kind),
-            AgentScope::PerInstance => ScopeKey::Instance(instance),
-        };
-        self.ensure_agent(key);
+        self.topology.register(instance, kind);
+        self.ensure_agent(self.scope.key(instance, Some(kind)));
     }
 
     /// The instance → kind pairs registered so far (construction +
     /// every [`bind_topology`](Policy::bind_topology)), sorted by
     /// instance id — everything needed to rebuild an equivalent router.
     pub fn topology(&self) -> Vec<(AccelInstanceId, AccelKindId)> {
-        self.kind_of
-            .iter()
-            .enumerate()
-            .filter_map(|(i, kind)| kind.map(|k| (AccelInstanceId(i as u16), k)))
-            .collect()
+        self.topology.pairs().collect()
     }
 
     /// Number of sub-agents currently materialised.
@@ -344,40 +520,27 @@ impl PolicyRouter {
 
     /// The materialised sub-agent keys, in [`ScopeKey`] order.
     pub fn agent_keys(&self) -> impl Iterator<Item = ScopeKey> + '_ {
-        self.agents.iter().map(|(key, _)| *key)
+        self.agents.keys()
     }
 
     /// Read access to one sub-agent.
     pub fn agent(&self, key: ScopeKey) -> Option<&dyn Policy> {
         self.agents
-            .binary_search_by_key(&key, |(k, _)| *k)
-            .ok()
-            .map(|slot| self.agents[slot].1.as_ref() as &dyn Policy)
+            .get(key)
+            .map(|agent| agent.as_ref() as &dyn Policy)
     }
 
     /// The key owning an instance's invocations under this scope.
     /// An instance with no registered kind routes to [`ScopeKey::Global`]
     /// under `PerKind` (the catch-all agent).
+    #[inline]
     pub fn key_for(&self, instance: AccelInstanceId) -> ScopeKey {
-        match self.scope {
-            AgentScope::Global => ScopeKey::Global,
-            AgentScope::PerKind => self
-                .kind_of
-                .get(instance.0 as usize)
-                .copied()
-                .flatten()
-                .map_or(ScopeKey::Global, ScopeKey::Kind),
-            AgentScope::PerInstance => ScopeKey::Instance(instance),
-        }
+        self.scope.key(instance, self.topology.kind_of(instance))
     }
 
-    /// Creates the agent for `key` if missing, catching it up to the
-    /// broadcast lifecycle state (current iteration, frozen). Keeps the
-    /// agent list sorted and the dense slot tables current.
-    fn ensure_agent(&mut self, key: ScopeKey) {
-        let Err(pos) = self.agents.binary_search_by_key(&key, |(k, _)| *k) else {
-            return;
-        };
+    /// A fresh agent for `key`, caught up to the broadcast lifecycle state
+    /// (current iteration, frozen).
+    fn fresh_agent(&self, key: ScopeKey) -> Box<dyn Policy> {
         let mut agent = (self.factory)(key, self.seed);
         if let Some(iteration) = self.current_iteration {
             agent.begin_iteration(iteration);
@@ -385,8 +548,27 @@ impl PolicyRouter {
         if self.frozen {
             agent.freeze();
         }
-        self.agents.insert(pos, (key, agent));
-        self.rebuild_slots();
+        agent
+    }
+
+    /// The slot of `key`'s agent, creating the agent if it is missing. In
+    /// steady state (every agent exists) this is the O(1) slot lookup.
+    #[inline]
+    fn ensure_agent(&mut self, key: ScopeKey) -> usize {
+        match self.agents.slot(key) {
+            Some(slot) => slot,
+            None => {
+                let agent = self.fresh_agent(key);
+                self.agents.insert(key, agent)
+            }
+        }
+    }
+
+    /// The agent owning `accel`'s invocations, created on first use.
+    #[inline]
+    fn agent_for(&mut self, accel: AccelInstanceId) -> &mut Box<dyn Policy> {
+        let slot = self.ensure_agent(self.key_for(accel));
+        self.agents.at_mut(slot)
     }
 
     /// Serialises every learning sub-agent's value table into one
@@ -407,7 +589,7 @@ impl PolicyRouter {
     /// identical bytes.
     pub fn export_tables(&self) -> String {
         let mut out = format!("{TABLES_HEADER} scope={}\n", self.scope);
-        for (key, agent) in &self.agents {
+        for (key, agent) in self.agents.iter() {
             if let Some(tsv) = agent.export_table() {
                 out.push_str(&format!("## agent {key}\n"));
                 out.push_str(&tsv);
@@ -416,107 +598,44 @@ impl PolicyRouter {
         out
     }
 
-    /// Installs `agent` under `key`, replacing any existing agent for that
-    /// key (import semantics). Keeps the sorted order and slot tables.
-    fn install_agent(&mut self, key: ScopeKey, agent: Box<dyn Policy>) {
-        match self.agents.binary_search_by_key(&key, |(k, _)| *k) {
-            Ok(slot) => self.agents[slot].1 = agent,
-            Err(pos) => {
-                self.agents.insert(pos, (key, agent));
-                self.rebuild_slots();
-            }
-        }
-    }
-
     /// Restores sub-agent tables from [`export_tables`](Self::export_tables)
-    /// text. Each section *replaces* its key's agent (fresh from the
-    /// factory, lifecycle caught up, table restored); agents without a
-    /// section are untouched. The import is atomic: on any error the
-    /// router's state is exactly what it was before the call.
+    /// text, which may be preceded by provenance comments (a `sweep
+    /// freeze` snapshot file imports as is). Each section *replaces* its
+    /// key's agent (fresh from the factory, lifecycle caught up, table
+    /// restored); agents without a section are untouched. The import is
+    /// atomic: on any error the router's state is exactly what it was
+    /// before the call.
     ///
     /// # Errors
     ///
-    /// Returns a message for a missing/mismatched header, a scope
-    /// mismatch, an unparsable or duplicated section key, or a section
+    /// Returns a message for a missing header or scope, a scope mismatch,
+    /// an unparsable, duplicated or unreachable section key, or a section
     /// body the owning agent rejects.
     pub fn import_tables(&mut self, text: &str) -> Result<(), String> {
-        let mut lines = text.lines();
-        let header = lines.next().unwrap_or("");
-        let Some(rest) = header.strip_prefix(TABLES_HEADER) else {
-            return Err(format!("missing router-tables header (got `{header}`)"));
+        let Tables::Routed { scope, sections } = parse_tables(text)? else {
+            return Err("expected a router-tables document, got a bare q-table".to_owned());
         };
-        if let Some(scope) = rest.trim().strip_prefix("scope=") {
-            let scope: AgentScope = scope.parse().map_err(|e| format!("{e}"))?;
-            if scope != self.scope {
-                return Err(format!(
-                    "scope mismatch: tables were exported from a {scope} router, this one is {}",
-                    self.scope
-                ));
-            }
+        if scope != self.scope {
+            return Err(format!(
+                "scope mismatch: tables were exported from a {scope} router, this one is {}",
+                self.scope
+            ));
         }
-        let mut current: Option<(ScopeKey, String)> = None;
-        let mut sections: Vec<(ScopeKey, String)> = Vec::new();
-        for line in lines {
-            if let Some(key) = line.strip_prefix("## agent ") {
-                if let Some(section) = current.take() {
-                    sections.push(section);
-                }
-                current = Some((key.trim().parse()?, String::new()));
-            } else if let Some((_, body)) = &mut current {
-                body.push_str(line);
-                body.push('\n');
-            } else if !line.trim().is_empty() {
-                return Err(format!("content before the first agent section: `{line}`"));
-            }
-        }
-        if let Some(section) = current.take() {
-            sections.push(section);
-        }
-        // Imports *replace* agent state; a duplicated key would make the
-        // last section silently win, so reject it as the corrupt document
-        // it is. Likewise reject keys this scope can never route to —
-        // installing an unreachable "ghost" agent would report success
-        // while every decision still comes from fresh agents.
-        for (i, (key, _)) in sections.iter().enumerate() {
-            if sections[..i].iter().any(|(k, _)| k == key) {
-                return Err(format!("duplicate section for agent {key}"));
-            }
-            let reachable = match self.scope {
-                AgentScope::Global => matches!(key, ScopeKey::Global),
-                // Global is PerKind's catch-all for unregistered instances.
-                AgentScope::PerKind => !matches!(key, ScopeKey::Instance(_)),
-                AgentScope::PerInstance => matches!(key, ScopeKey::Instance(_)),
-            };
-            if !reachable {
-                return Err(format!(
-                    "section for agent {key} is unreachable under {} routing",
-                    self.scope
-                ));
-            }
-        }
-        // Build every replacement agent (fresh from the factory, caught
-        // up to the broadcast lifecycle, table imported) before touching
-        // the live map: an error anywhere leaves the router exactly as it
-        // was, never in a mixed old/new state. A section replaces its
-        // agent wholesale — table restored, transient state (reward
-        // history, RNG position, visit counts) fresh, as after a process
-        // restart; agents without a section are untouched.
+        // Build every replacement agent before touching the live map: an
+        // error anywhere leaves the router exactly as it was, never in a
+        // mixed old/new state. A section replaces its agent wholesale —
+        // table restored, transient state (reward history, RNG position,
+        // visit counts) fresh, as after a process restart.
         let mut replacements: Vec<(ScopeKey, Box<dyn Policy>)> = Vec::new();
         for (key, body) in sections {
-            let mut agent = (self.factory)(key, self.seed);
-            if let Some(iteration) = self.current_iteration {
-                agent.begin_iteration(iteration);
-            }
-            if self.frozen {
-                agent.freeze();
-            }
+            let mut agent = self.fresh_agent(key);
             agent
                 .import_table(&body)
                 .map_err(|e| format!("agent {key}: {e}"))?;
             replacements.push((key, agent));
         }
         for (key, agent) in replacements {
-            self.install_agent(key, agent);
+            self.agents.insert(key, agent);
         }
         Ok(())
     }
@@ -545,17 +664,7 @@ impl Policy for PolicyRouter {
         available: ModeSet,
         accel: AccelInstanceId,
     ) -> Decision {
-        // Fast path first: in steady state (every agent exists) dispatch
-        // is two indexed loads; only a miss pays ensure + re-lookup.
-        let slot = match self.slot_for(accel) {
-            Some(slot) => slot,
-            None => {
-                let key = self.key_for(accel);
-                self.ensure_agent(key);
-                self.slot_for(accel).expect("ensured above")
-            }
-        };
-        self.agents[slot].1.decide(snapshot, available, accel)
+        self.agent_for(accel).decide(snapshot, available, accel)
     }
 
     fn observe(
@@ -564,27 +673,19 @@ impl Policy for PolicyRouter {
         decision: &Decision,
         measurement: &InvocationMeasurement,
     ) {
-        let slot = match self.slot_for(accel) {
-            Some(slot) => slot,
-            None => {
-                let key = self.key_for(accel);
-                self.ensure_agent(key);
-                self.slot_for(accel).expect("ensured above")
-            }
-        };
-        self.agents[slot].1.observe(accel, decision, measurement);
+        self.agent_for(accel).observe(accel, decision, measurement);
     }
 
     fn begin_iteration(&mut self, iteration: usize) {
         self.current_iteration = Some(iteration);
-        for (_, agent) in &mut self.agents {
+        for agent in self.agents.values_mut() {
             agent.begin_iteration(iteration);
         }
     }
 
     fn freeze(&mut self) {
         self.frozen = true;
-        for (_, agent) in &mut self.agents {
+        for agent in self.agents.values_mut() {
             agent.freeze();
         }
     }
@@ -716,5 +817,16 @@ mod tests {
         assert!(router
             .import_tables("# cohmeleon router tables v1 scope=per-kind\n## agent acc3\n")
             .is_err());
+        // A header must name the scope it was exported under.
+        assert!(router
+            .import_tables("# cohmeleon router tables v1\n")
+            .is_err());
+        // Provenance comments before the header (a `sweep freeze` file)
+        // are skipped, not foreign.
+        assert!(router
+            .import_tables(
+                "# snapshot v1 grid=scoped seed=1\n\n# cohmeleon router tables v1 scope=per-kind\n"
+            )
+            .is_ok());
     }
 }

@@ -104,8 +104,11 @@ pub fn best_entry<V: ValueStore + ?Sized>(
     best.map(|(m, _)| m)
 }
 
+/// The first line of every Q-table TSV.
+pub(crate) const QTABLE_HEADER: &str = "# cohmeleon q-table v1";
+
 fn tsv_header() -> String {
-    String::from("# cohmeleon q-table v1\n")
+    format!("{QTABLE_HEADER}\n")
 }
 
 /// Parses Q-table TSV text (the [`ValueStore::to_tsv`] format) into any

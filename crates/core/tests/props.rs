@@ -1,12 +1,20 @@
 //! Property tests for the Cohmeleon core: state encoding, reward bounds,
-//! Q-table dynamics and policy behaviour.
+//! Q-table dynamics, policy behaviour and the tables parser.
 
+use std::sync::OnceLock;
+
+use cohmeleon_core::agent::AgentBuilder;
 use cohmeleon_core::manual::{algorithm1_restricted, ManualThresholds};
 use cohmeleon_core::policy::{CohmeleonPolicy, Policy};
-use cohmeleon_core::qlearn::{LearningSchedule, QLearner};
+use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::{InvocationMeasurement, RewardHistory, RewardWeights};
+use cohmeleon_core::router::AgentScope;
 use cohmeleon_core::snapshot::{ActiveAccel, ArchParams, SystemSnapshot};
-use cohmeleon_core::{AccelInstanceId, CoherenceMode, ModeSet, PartitionId, State};
+use cohmeleon_core::update::{BlendUpdate, UpdateRule};
+use cohmeleon_core::{
+    AccelInstanceId, AccelKindId, CoherenceMode, FrozenSnapshot, ModeSet, PartitionId, QTable,
+    State,
+};
 use proptest::prelude::*;
 
 fn arb_mode() -> impl Strategy<Value = CoherenceMode> {
@@ -46,6 +54,62 @@ fn arb_measurement() -> impl Strategy<Value = InvocationMeasurement> {
     )
 }
 
+/// A trained per-kind router's exported tables (sections `global`,
+/// `kind0`, `kind1`): the valid document the parser properties truncate
+/// and mutate.
+fn per_kind_document() -> &'static str {
+    static DOCUMENT: OnceLock<String> = OnceLock::new();
+    DOCUMENT.get_or_init(|| {
+        let mut router = AgentBuilder::paper(2, 5)
+            .scope(AgentScope::PerKind)
+            .build_routed();
+        router.bind_topology(&[
+            (AccelInstanceId(0), AccelKindId(0)),
+            (AccelInstanceId(1), AccelKindId(1)),
+            (AccelInstanceId(2), AccelKindId(1)),
+        ]);
+        let arch = ArchParams::new(32 * 1024, 256 * 1024, 2);
+        // Instance 3 is unregistered: it trains the global catch-all.
+        for i in 0..32u16 {
+            let accel = AccelInstanceId(i % 4);
+            let footprint = 1024 << (i % 10);
+            let snapshot = SystemSnapshot::new(arch, vec![], footprint, vec![PartitionId(0)]);
+            let d = router.decide(&snapshot, ModeSet::all(), accel);
+            let measurement = InvocationMeasurement {
+                total_cycles: 10_000 + 977 * u64::from(i),
+                accel_active_cycles: 5_000,
+                accel_comm_cycles: 2_500,
+                offchip_accesses: 100.0,
+                footprint_bytes: footprint,
+            };
+            router.observe(accel, &d, &measurement);
+        }
+        router.export_tables()
+    })
+}
+
+/// Feeds `text` to both tables parsers and reports which accepted it.
+/// Either may reject it; neither may panic.
+fn parse_both(text: &str) -> (bool, bool) {
+    let frozen = FrozenSnapshot::parse(text, State::COUNT).is_ok();
+    let mut router = AgentBuilder::paper(2, 5)
+        .scope(AgentScope::PerKind)
+        .build_routed();
+    (frozen, router.import_tables(text).is_ok())
+}
+
+#[test]
+fn tables_parsers_survive_every_truncation() {
+    let document = per_kind_document();
+    assert!(document.contains("## agent global\n"), "{document}");
+    assert!(document.contains("## agent kind1\n"), "{document}");
+    assert_eq!(parse_both(document), (true, true));
+    let bytes = document.as_bytes();
+    for end in 0..bytes.len() {
+        parse_both(&String::from_utf8_lossy(&bytes[..end]));
+    }
+}
+
 proptest! {
     /// Every snapshot discretizes to a valid state, and the state index is
     /// a bijection on its range.
@@ -77,40 +141,44 @@ proptest! {
         }
     }
 
-    /// Q-values remain within the reward bounds under arbitrary updates.
+    /// Q-values remain within the reward bounds under arbitrary blend
+    /// updates.
     #[test]
     fn q_updates_stay_bounded(updates in proptest::collection::vec((0usize..243, 0usize..4, 0.0f64..1.0), 1..300)) {
-        let mut learner = QLearner::new(LearningSchedule::paper_default(10), 3);
+        let mut table = QTable::new();
+        let mut rule = BlendUpdate::paper(10);
         for (s, a, r) in updates {
-            learner.update(State::from_index(s), CoherenceMode::from_index(a), r);
+            rule.apply(&mut table, s, a, r);
         }
-        for (_, _, q) in learner.table().iter() {
+        for (_, _, q) in table.iter() {
             prop_assert!((0.0..=1.0).contains(&q));
         }
     }
 
     /// ε-greedy selection always returns an available mode.
     #[test]
-    fn choices_respect_availability(mask in 1u8..16, picks in 1usize..50, seed in any::<u64>()) {
-        let available = CoherenceMode::ALL
-            .into_iter()
-            .filter(|m| mask & (1 << m.index()) != 0)
-            .fold(ModeSet::EMPTY, ModeSet::with);
+    fn choices_respect_availability(
+        mask in 1u8..16,
+        snapshots in proptest::collection::vec(arb_snapshot(), 1..50),
+        seed in any::<u64>(),
+    ) {
+        let available = ModeSet::from_bits(mask);
         prop_assume!(!available.is_empty());
-        let mut learner = QLearner::new(LearningSchedule::paper_default(10), seed);
-        for i in 0..picks {
-            let m = learner.choose(State::from_index(i % 243), available);
-            prop_assert!(available.contains(m));
+        let mut policy = CohmeleonPolicy::new(
+            RewardWeights::paper_default(),
+            LearningSchedule::paper_default(10),
+            seed,
+        );
+        for snapshot in &snapshots {
+            let d = policy.decide(snapshot, available, AccelInstanceId(0));
+            prop_assert!(available.contains(d.mode));
         }
     }
 
     /// Algorithm 1 always returns an available mode and is deterministic.
     #[test]
     fn manual_is_total_and_deterministic(snapshot in arb_snapshot(), mask in 1u8..16) {
-        let available = CoherenceMode::ALL
-            .into_iter()
-            .filter(|m| mask & (1 << m.index()) != 0)
-            .fold(ModeSet::EMPTY, ModeSet::with);
+        let available = ModeSet::from_bits(mask);
         prop_assume!(!available.is_empty());
         let thresholds = ManualThresholds::for_arch(&snapshot.arch);
         let a = algorithm1_restricted(&snapshot, &thresholds, available);
@@ -139,5 +207,29 @@ proptest! {
         for (_, _, q) in policy.table().iter() {
             prop_assert!((0.0..=1.0).contains(&q));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes, bare or after a valid document's header and first
+    /// section line, never panic either tables parser.
+    #[test]
+    fn tables_parsers_survive_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        let tail = String::from_utf8_lossy(&bytes);
+        parse_both(&tail);
+        let head: String = per_kind_document().lines().take(2).map(|l| format!("{l}\n")).collect();
+        parse_both(&format!("{head}{tail}"));
+    }
+
+    /// Single-byte mutations of a valid document never panic either
+    /// tables parser.
+    #[test]
+    fn tables_parsers_survive_single_byte_mutations(at in any::<u64>(), byte in any::<u8>()) {
+        let mut bytes = per_kind_document().as_bytes().to_vec();
+        let at = (at % bytes.len() as u64) as usize;
+        bytes[at] = byte;
+        parse_both(&String::from_utf8_lossy(&bytes));
     }
 }

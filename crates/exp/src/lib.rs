@@ -16,9 +16,9 @@
 //! * [`ResultSink`] — streaming observation: each [`CellResult`] is
 //!   delivered the moment its cell completes, so progress reporting and
 //!   incremental aggregation need no `Vec` of everything. [`JsonlSink`]
-//!   and [`CsvSink`] stream durable [`CellRecord`]s to disk, so long
-//!   sweeps persist as they run and figures can be regenerated from the
-//!   record ([`read_jsonl`]).
+//!   streams durable [`CellRecord`]s to disk, so long sweeps persist as
+//!   they run and figures can be regenerated from the record
+//!   ([`read_jsonl`]).
 //! * [`LearnerSpec`] — the learning agent as sweep data: one value names
 //!   a state-space × exploration × value-store × update-rule composition
 //!   (`"table3/eps-greedy/dense/blend"` is the paper's), and
@@ -112,5 +112,5 @@ pub use learner::{
     AgentScope, ExplorationKind, LearnerSpec, StateSpaceKind, StoreKind, UpdateKind, WeightPreset,
 };
 pub use policies::{build_policy, policy_suite, PolicyKind};
-pub use sink::{read_jsonl, CellRecord, CollectSink, CsvSink, JsonlSink, ResultSink};
+pub use sink::{read_jsonl, CellRecord, CollectSink, JsonlSink, ResultSink};
 pub use snapshot::{write_snapshot, SnapshotMeta};

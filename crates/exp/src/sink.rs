@@ -1,17 +1,17 @@
 //! Streaming result observers.
 //!
 //! A [`ResultSink`] receives each [`CellResult`] the moment its cell
-//! completes — progress bars, incremental CSV writers and on-line
+//! completes — progress bars, incremental writers and on-line
 //! aggregations never need the whole grid in memory. Sinks run on the
 //! thread that called [`SweepGrid::execute`](crate::SweepGrid::execute),
 //! so they need no synchronisation of their own.
 //!
-//! For grid-level persistence, [`JsonlSink`] and [`CsvSink`] stream a
-//! flat [`CellRecord`] per cell to any `io::Write` — long sweeps leave a
+//! For grid-level persistence, [`JsonlSink`] streams a flat
+//! [`CellRecord`] per cell to any `io::Write` — long sweeps leave a
 //! durable record behind as they run, and figure regeneration can read
-//! results back ([`read_jsonl`]) instead of re-simulating. The JSON and
-//! CSV are hand-rolled: the record is flat, and the workspace's offline
-//! `serde` stand-in is a no-op marker, not a serializer.
+//! results back ([`read_jsonl`]) instead of re-simulating. The JSON is
+//! hand-rolled: the record is flat, and the workspace's offline `serde`
+//! stand-in is a no-op marker, not a serializer.
 //!
 //! The JSONL record stream is also the substrate of resumable and
 //! multi-process sweeps: a record's `(scenario_index, policy_index,
@@ -102,9 +102,9 @@ impl ResultSink for CollectSink {
 /// effective seed, whole-run totals, the structural hash, and the
 /// per-phase `(name, duration, offchip)` rows the figures normalize on.
 ///
-/// This is the schema [`JsonlSink`] and [`CsvSink`] write; it captures
-/// everything the figure harnesses aggregate (per-invocation records stay
-/// in memory only).
+/// This is the schema [`JsonlSink`] writes; it captures everything the
+/// figure harnesses aggregate (per-invocation records stay in memory
+/// only).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellRecord {
     /// Scenario index on the grid's scenario axis.
@@ -235,29 +235,6 @@ impl CellRecord {
             phases,
         })
     }
-
-    /// The CSV header matching [`to_csv_row`](Self::to_csv_row).
-    pub fn csv_header() -> &'static str {
-        "scenario_index,policy_index,seed_index,scenario,policy,seed,\
-         total_cycles,total_offchip,invocations,structural_hash"
-    }
-
-    /// Serialises the flat fields as one CSV row (phases are JSONL-only).
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{}",
-            self.scenario_index,
-            self.policy_index,
-            self.seed_index,
-            csv_field(&self.scenario),
-            csv_field(&self.policy),
-            self.seed,
-            self.total_cycles,
-            self.total_offchip,
-            self.invocations,
-            self.structural_hash
-        )
-    }
 }
 
 /// Escapes a string as a JSON string literal.
@@ -277,15 +254,6 @@ fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Quotes a CSV field if it contains separators or quotes.
-fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_owned()
-    }
 }
 
 /// A minimal cursor over the sinks' own JSON output.
@@ -465,66 +433,6 @@ impl<W: Write> ResultSink for JsonlSink<W> {
     }
 }
 
-/// Streams one CSV row per completed cell (header first) — the flat
-/// fields only; use [`JsonlSink`] when per-phase rows are needed.
-///
-/// Write errors panic, as for [`JsonlSink`].
-#[derive(Debug)]
-pub struct CsvSink<W: Write> {
-    out: W,
-    wrote_header: bool,
-    written: usize,
-}
-
-impl CsvSink<BufWriter<std::fs::File>> {
-    /// Creates (truncates) `path` and streams rows to it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the file cannot be created.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<CsvSink<BufWriter<std::fs::File>>> {
-        Ok(CsvSink::new(BufWriter::new(std::fs::File::create(path)?)))
-    }
-}
-
-impl<W: Write> CsvSink<W> {
-    /// Streams rows to `out`.
-    pub fn new(out: W) -> CsvSink<W> {
-        CsvSink {
-            out,
-            wrote_header: false,
-            written: 0,
-        }
-    }
-
-    /// Number of data rows written so far.
-    pub fn written(&self) -> usize {
-        self.written
-    }
-
-    /// Finishes writing and returns the writer (flushed).
-    pub fn into_inner(mut self) -> W {
-        self.out.flush().expect("flush grid results");
-        self.out
-    }
-}
-
-impl<W: Write> ResultSink for CsvSink<W> {
-    fn on_cell(&mut self, result: CellResult) {
-        if !self.wrote_header {
-            writeln!(self.out, "{}", CellRecord::csv_header()).expect("write grid results");
-            self.wrote_header = true;
-        }
-        let record = CellRecord::from_cell(&result);
-        writeln!(self.out, "{}", record.to_csv_row()).expect("write grid result");
-        self.written += 1;
-    }
-
-    fn on_grid_complete(&mut self, _grid: &SweepGrid) {
-        self.out.flush().expect("flush grid results");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,17 +475,5 @@ mod tests {
         let err = read_jsonl(&text).unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
         assert_eq!(read_jsonl(&good).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn csv_quotes_fields_with_separators() {
-        let mut r = record();
-        r.scenario = "soc,1".into();
-        let row = r.to_csv_row();
-        assert!(row.contains("\"soc,1\""));
-        assert_eq!(
-            CellRecord::csv_header().split(',').count(),
-            row.split(',').count() - 1, // the quoted comma adds one split
-        );
     }
 }

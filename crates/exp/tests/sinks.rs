@@ -2,8 +2,7 @@
 //! round-trip losslessly and agree with the in-memory results.
 
 use cohmeleon_exp::{
-    read_jsonl, CellRecord, CsvSink, Experiment, JsonlSink, LearnerSpec, PolicyKind, Serial,
-    WorkStealing,
+    read_jsonl, CellRecord, Experiment, JsonlSink, LearnerSpec, PolicyKind, Serial, WorkStealing,
 };
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
@@ -60,26 +59,6 @@ fn jsonl_sink_is_executor_independent_up_to_order() {
     let parallel = run(&|sink| quick_grid().execute(&WorkStealing::new(), sink));
     assert_eq!(serial, parallel);
     let _ = grid;
-}
-
-#[test]
-fn csv_sink_writes_header_plus_one_row_per_cell() {
-    let grid = quick_grid();
-    let mut sink = CsvSink::new(Vec::new());
-    grid.execute(&Serial, &mut sink);
-    assert_eq!(sink.written(), grid.num_cells());
-    let text = String::from_utf8(sink.into_inner()).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), grid.num_cells() + 1);
-    assert_eq!(lines[0], CellRecord::csv_header());
-    // Every policy label appears in the rows.
-    for spec in grid.policies() {
-        assert!(
-            text.contains(spec.policy_label()),
-            "missing {}",
-            spec.policy_label()
-        );
-    }
 }
 
 #[test]

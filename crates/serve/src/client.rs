@@ -14,12 +14,12 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use cohmeleon_chaos::{FaultPlan, FaultyTransport, Role};
-use cohmeleon_core::frozen::mode_mask;
 use cohmeleon_core::modes::{CoherenceMode, ModeSet};
 use cohmeleon_core::snapshot::SystemSnapshot;
 use cohmeleon_core::space::StateSpace;
 use cohmeleon_core::state::State;
 use cohmeleon_core::policy::PolicyComplexity;
+use cohmeleon_core::router::Topology;
 use cohmeleon_core::{AccelInstanceId, AccelKindId, AgentScope, Decision, Policy};
 
 use crate::protocol::{sanitize_name, LineReader, Query, ToClient, ToServer};
@@ -330,7 +330,7 @@ fn protocol_error(message: String) -> io::Error {
 pub struct RemotePolicy {
     client: ServeClient,
     space: Box<dyn StateSpace>,
-    kind_of: Vec<Option<AccelKindId>>,
+    topology: Topology,
 }
 
 impl RemotePolicy {
@@ -350,7 +350,7 @@ impl RemotePolicy {
         RemotePolicy {
             client,
             space,
-            kind_of: Vec::new(),
+            topology: Topology::default(),
         }
     }
 
@@ -358,10 +358,6 @@ impl RemotePolicy {
     /// run).
     pub fn into_client(self) -> ServeClient {
         self.client
-    }
-
-    fn kind_of(&self, instance: AccelInstanceId) -> Option<AccelKindId> {
-        self.kind_of.get(instance.0 as usize).copied().flatten()
     }
 }
 
@@ -384,9 +380,9 @@ impl Policy for RemotePolicy {
         let state_index = self.space.encode_sensed(snapshot, &state);
         let query = Query {
             instance: accel.0,
-            kind: self.kind_of(accel).map(|k| k.0),
+            kind: self.topology.kind_of(accel).map(|k| k.0),
             state: state_index as u32,
-            mask: mode_mask(available),
+            mask: available.bits(),
         };
         let (_version, modes) = self
             .client
@@ -406,12 +402,6 @@ impl Policy for RemotePolicy {
     }
 
     fn bind_topology(&mut self, topology: &[(AccelInstanceId, AccelKindId)]) {
-        for &(instance, kind) in topology {
-            let i = instance.0 as usize;
-            if i >= self.kind_of.len() {
-                self.kind_of.resize(i + 1, None);
-            }
-            self.kind_of[i] = Some(kind);
-        }
+        self.topology.bind(topology);
     }
 }

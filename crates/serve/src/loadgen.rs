@@ -15,8 +15,8 @@ use std::io;
 use std::time::{Duration, Instant};
 
 use cohmeleon_chaos::FaultPlan;
-use cohmeleon_core::frozen::{mask_modes, FrozenSnapshot};
-use cohmeleon_core::{AccelInstanceId, AccelKindId, CoherenceMode};
+use cohmeleon_core::frozen::FrozenSnapshot;
+use cohmeleon_core::{AccelInstanceId, AccelKindId, CoherenceMode, ModeSet};
 
 use crate::client::ServeClient;
 use crate::histogram::LogHistogram;
@@ -177,7 +177,7 @@ fn verify_batch(
             AccelInstanceId(q.instance),
             q.kind.map(AccelKindId),
             q.state as usize,
-            mask_modes(q.mask),
+            ModeSet::from_bits(q.mask),
         );
         if expected != Some(got) {
             mismatches += 1;

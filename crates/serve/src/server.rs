@@ -21,8 +21,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use cohmeleon_chaos::{AcceptWaker, FaultPlan, FaultyTransport, Role};
-use cohmeleon_core::frozen::{mask_modes, FrozenSnapshot};
-use cohmeleon_core::{AccelInstanceId, AccelKindId};
+use cohmeleon_core::frozen::FrozenSnapshot;
+use cohmeleon_core::{AccelInstanceId, AccelKindId, ModeSet};
 
 use crate::protocol::{LineReader, Query, ToClient, ToServer};
 use crate::swap::SwapCell;
@@ -322,7 +322,7 @@ fn decide_batch(
                 q.state
             ));
         }
-        let available = mask_modes(q.mask);
+        let available = ModeSet::from_bits(q.mask);
         let mode = snapshot
             .decide(
                 AccelInstanceId(q.instance),

@@ -53,7 +53,7 @@
 //!   global / per-kind / per-instance agents).
 //! * [`exp`] — experiment orchestration: the `Experiment` builder, sweep
 //!   grids, `Serial`/`WorkStealing` executors, streaming result sinks
-//!   (including `JsonlSink`/`CsvSink` persistence), and sweepable
+//!   (including `JsonlSink` persistence), and sweepable
 //!   `LearnerSpec` agent configurations (component, scope and
 //!   reward-weight axes).
 //! * [`fleet`] — the multi-host sweep coordinator: a TCP queen leasing
