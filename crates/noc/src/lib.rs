@@ -7,10 +7,12 @@
 //! Messages are modelled at burst granularity. A transfer of `n` bytes
 //! occupies every link along its route for `ceil(n / flit_bytes) + 1` cycles
 //! (payload flits plus a head flit), pipelined hop by hop in wormhole
-//! fashion. Contention is modelled by per-link [`cohmeleon_sim::Resource`]
-//! reservation, so when several accelerators push DMA bursts toward the same
-//! memory tile the shared ingress links become the bottleneck — the effect
-//! behind the parallel-accelerator slowdowns of Figure 3 of the paper.
+//! fashion. Contention is modelled by reserving each link along the route:
+//! a link remembers only the cycle it next becomes free, and a transfer
+//! starts on it no earlier than that. So when several accelerators push DMA
+//! bursts toward the same memory tile the shared ingress links become the
+//! bottleneck — the effect behind the parallel-accelerator slowdowns of
+//! Figure 3 of the paper.
 //!
 //! # Example
 //!

@@ -135,8 +135,8 @@ impl Mesh {
     }
 
     /// Allocation-free form of [`route`](Self::route): yields the directed
-    /// links of the XY route one at a time. The NoC's transfer hot path
-    /// walks this instead of materialising a `Vec` per transfer.
+    /// links of the XY route one at a time. `Noc::new` walks it once per
+    /// tile pair to build its route table.
     ///
     /// # Panics
     ///

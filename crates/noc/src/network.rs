@@ -1,6 +1,6 @@
 //! The multi-plane NoC with per-link bandwidth reservation.
 
-use cohmeleon_sim::{Cycle, Resource};
+use cohmeleon_sim::Cycle;
 use serde::{Deserialize, Serialize};
 
 use crate::mesh::{Coord, Mesh};
@@ -84,32 +84,55 @@ pub struct PlaneStats {
     pub transfers: u64,
     /// Total flits carried (sum over transfers, not over links).
     pub flits: u64,
-    /// Total queueing cycles across all link acquisitions.
+    /// Total queueing cycles across all link reservations.
     pub queued_cycles: u64,
 }
 
-/// The network-on-chip: a mesh of routers with six planes of directed links,
-/// each link a bandwidth-reserving [`Resource`].
+/// The network-on-chip: a mesh of routers with six planes of directed
+/// links. Each link is a serially shared channel that holds a transfer for
+/// its full flit count; all it remembers is the cycle it next becomes free.
 #[derive(Debug, Clone)]
 pub struct Noc {
     config: NocConfig,
     mesh: Mesh,
-    /// `links[plane][link_index]`.
-    links: Vec<Vec<Resource>>,
+    /// Next-free time of every directed link, at
+    /// `plane.index() * mesh.links() + link_index`.
+    next_free: Vec<Cycle>,
+    /// The XY route of the ordered tile pair `src * tiles + dst` is
+    /// `route_links[route_starts[pair]..route_starts[pair + 1]]`, as link
+    /// indices within a plane.
+    route_starts: Vec<u32>,
+    route_links: Vec<u32>,
     stats: [PlaneStats; 6],
 }
 
 impl Noc {
-    /// Builds an idle NoC.
+    /// Builds an idle NoC, with the XY route of every ordered tile pair
+    /// precomputed as link indices. The table holds one span per pair and
+    /// one entry per hop: 2,000 hops over 625 pairs on a 5×5 mesh.
     pub fn new(config: NocConfig) -> Noc {
         let mesh = Mesh::new(config.width, config.height);
-        let links = (0..Plane::ALL.len())
-            .map(|_| vec![Resource::new("noc-link"); mesh.links()])
+        let tiles: Vec<Coord> = (0..config.height)
+            .flat_map(|y| (0..config.width).map(move |x| Coord::new(x, y)))
             .collect();
+        let mut route_starts = Vec::with_capacity(tiles.len() * tiles.len() + 1);
+        let mut route_links = Vec::new();
+        route_starts.push(0);
+        for &src in &tiles {
+            for &dst in &tiles {
+                route_links.extend(mesh.route_iter(src, dst).map(|link| {
+                    u32::try_from(mesh.link_index(link)).expect("link index fits in u32")
+                }));
+                route_starts
+                    .push(u32::try_from(route_links.len()).expect("route table fits in u32"));
+            }
+        }
         Noc {
             config,
             mesh,
-            links,
+            next_free: vec![Cycle::ZERO; Plane::ALL.len() * mesh.links()],
+            route_starts,
+            route_links,
             stats: [PlaneStats::default(); 6],
         }
     }
@@ -139,46 +162,22 @@ impl Noc {
     /// costs one router traversal.
     pub fn transfer(&mut self, plane: Plane, src: Coord, dst: Coord, bytes: u64, at: Cycle) -> Cycle {
         let flits = self.flits_for(bytes);
-        let service = Cycle(flits);
-        let stats = &mut self.stats[plane.index()];
-        stats.transfers += 1;
-        stats.flits += flits;
-
-        if src == dst {
-            // route_iter would validate these on the multi-hop path; keep
-            // the same containment guarantee for tile-local transfers.
-            assert!(self.mesh.contains(src), "source {src} outside mesh");
-            return at + Cycle(self.config.router_latency) + service;
-        }
-
-        let plane_links = &mut self.links[plane.index()];
-        let mut head = at;
-        for link in self.mesh.route_iter(src, dst) {
-            let idx = self.mesh.link_index(link);
-            let grant = plane_links[idx].acquire(head, service);
-            stats.queued_cycles += grant.queueing_delay(head).raw();
-            // The head flit reaches the next router one router-latency after
-            // the link begins serving it.
-            head = grant.start + Cycle(self.config.router_latency);
-        }
-        // Tail flit trails the head by the serialization length.
-        head + service
+        self.reserve_route(plane, src, dst, Cycle(flits), at)
     }
 
     /// Injects an `beats`-beat burst (one wormhole packet: a head flit
     /// followed by `beats` payload beats of `beat_bytes` each) from `src`
     /// to `dst` on `plane` at time `at`, reserving every link along the XY
-    /// route **in one pass**: each link takes a single
-    /// [`Resource::acquire_series`] covering all beats (head flit with the
-    /// first, payload-only for the rest), so an n-beat recall or writeback
-    /// stream costs O(hops) reservation work instead of O(n × hops).
+    /// route **in one pass**: each link is held once for the whole packet
+    /// (head flit plus every beat), so an n-beat recall or writeback stream
+    /// costs O(hops) reservation work instead of O(n × hops).
     /// Returns the arrival time of the last beat's tail flit at `dst`.
     ///
     /// Equivalences, pinned by the property tests in `tests/props.rs`:
     ///
-    /// * per link, the series reservation is bit-identical to acquiring
-    ///   the `beats` beats one at a time (the [`Resource::acquire_series`]
-    ///   contract), and
+    /// * per link, the one-pass reservation is bit-identical to reserving
+    ///   the `beats` beats one at a time at the burst head's arrival, the
+    ///   head flit riding the first beat, and
     /// * when `beat_bytes` is flit-aligned, the returned arrival time and
     ///   all link reservations are bit-identical to one aggregated
     ///   [`transfer`](Self::transfer) of `beats × beat_bytes` — which is
@@ -199,30 +198,49 @@ impl Noc {
     ) -> Cycle {
         assert!(beats > 0, "a burst needs at least one beat");
         let beat_flits = beat_bytes.div_ceil(self.config.flit_bytes);
-        let total = Cycle(1 + beats * beat_flits);
-        let first = Cycle(1 + beat_flits);
-        let rest = Cycle(beat_flits);
+        self.reserve_route(plane, src, dst, Cycle(1 + beats * beat_flits), at)
+    }
+
+    /// Counts one `flits`-flit packet on `plane` and reserves every link of
+    /// its XY route from `src` to `dst` for `flits` cycles, each hop
+    /// starting when the head flit reaches the link and the link is free.
+    /// Returns the tail flit's arrival at `dst`.
+    fn reserve_route(
+        &mut self,
+        plane: Plane,
+        src: Coord,
+        dst: Coord,
+        flits: Cycle,
+        at: Cycle,
+    ) -> Cycle {
         let stats = &mut self.stats[plane.index()];
         stats.transfers += 1;
-        stats.flits += total.raw();
-
+        stats.flits += flits.raw();
+        let hop = Cycle(self.config.router_latency);
+        assert!(self.mesh.contains(src), "source {src} outside mesh");
         if src == dst {
-            assert!(self.mesh.contains(src), "source {src} outside mesh");
-            return at + Cycle(self.config.router_latency) + total;
+            return at + hop + flits;
         }
-
-        let plane_links = &mut self.links[plane.index()];
+        assert!(self.mesh.contains(dst), "destination {dst} outside mesh");
+        let pair = self.mesh.tile_index(src) * self.mesh.tiles() + self.mesh.tile_index(dst);
+        let route = &self.route_links
+            [self.route_starts[pair] as usize..self.route_starts[pair + 1] as usize];
+        let plane_links = self.mesh.links();
+        let links = &mut self.next_free[plane.index() * plane_links..][..plane_links];
         let mut head = at;
-        for link in self.mesh.route_iter(src, dst) {
-            let idx = self.mesh.link_index(link);
-            let grant = plane_links[idx].acquire_series(head, first, rest, beats);
-            // Plane-level queueing counts the burst head's wait, exactly
-            // like the aggregated-transfer path this replaces; the per-beat
-            // closed form lives in the link's own Resource statistics.
-            stats.queued_cycles += grant.queueing_delay(head).raw();
-            head = grant.start + Cycle(self.config.router_latency);
+        let mut queued = 0;
+        for &link in route {
+            let free = &mut links[link as usize];
+            let start = head.max(*free);
+            *free = start + flits;
+            queued += (start - head).raw();
+            // The head flit reaches the next router one router-latency after
+            // the link begins serving it.
+            head = start + hop;
         }
-        head + total
+        stats.queued_cycles += queued;
+        // Tail flit trails the head by the serialization length.
+        head + flits
     }
 
     /// The minimum (contention-free) latency for `bytes` from `src` to `dst`.
@@ -243,11 +261,7 @@ impl Noc {
 
     /// Clears reservations and statistics (between experiment repetitions).
     pub fn reset(&mut self) {
-        for plane in &mut self.links {
-            for link in plane {
-                link.reset();
-            }
-        }
+        self.next_free.fill(Cycle::ZERO);
         self.stats = [PlaneStats::default(); 6];
     }
 }

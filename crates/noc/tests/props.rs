@@ -1,7 +1,8 @@
 //! Property tests for the mesh and NoC model.
 
+use cohmeleon_noc::network::PlaneStats;
 use cohmeleon_noc::{Coord, Mesh, Noc, NocConfig, Plane};
-use cohmeleon_sim::Cycle;
+use cohmeleon_sim::{Cycle, Grant, Resource};
 use proptest::prelude::*;
 
 fn coords(w: u8, h: u8) -> impl Strategy<Value = (Coord, Coord)> {
@@ -135,8 +136,6 @@ proptest! {
         beats in 1u64..32,
         seed in any::<u64>(),
     ) {
-        use cohmeleon_sim::Resource;
-
         let beat_bytes = beat_flits * 4;
         let at = Cycle(500);
 
@@ -193,6 +192,129 @@ proptest! {
             prop_assert_eq!(arrival, expected);
         } else {
             prop_assert_eq!(arrival, at + Cycle(1) + Cycle(1 + beats * beat_flits));
+        }
+    }
+}
+
+/// The reference the NoC's flat next-free table must match: one
+/// `Resource` per (plane, link), reserved hop by hop along `Mesh::route`
+/// with `acquire` for a transfer and `acquire_series` for a burst.
+struct ReferenceNoc {
+    config: NocConfig,
+    mesh: Mesh,
+    links: Vec<Vec<Resource>>,
+    stats: [PlaneStats; 6],
+}
+
+impl ReferenceNoc {
+    fn new(config: NocConfig) -> ReferenceNoc {
+        let mesh = Mesh::new(config.width, config.height);
+        ReferenceNoc {
+            config,
+            mesh,
+            links: vec![vec![Resource::new("ref-link"); mesh.links()]; 6],
+            stats: [PlaneStats::default(); 6],
+        }
+    }
+
+    fn transfer(&mut self, plane: Plane, src: Coord, dst: Coord, bytes: u64, at: Cycle) -> Cycle {
+        let service = Cycle(1 + bytes.div_ceil(self.config.flit_bytes));
+        self.walk(plane, src, dst, service, at, |link, head| {
+            link.acquire(head, service)
+        })
+    }
+
+    fn transfer_burst(
+        &mut self,
+        plane: Plane,
+        src: Coord,
+        dst: Coord,
+        beat_bytes: u64,
+        beats: u64,
+        at: Cycle,
+    ) -> Cycle {
+        let beat_flits = beat_bytes.div_ceil(self.config.flit_bytes);
+        let total = Cycle(1 + beats * beat_flits);
+        self.walk(plane, src, dst, total, at, |link, head| {
+            link.acquire_series(head, Cycle(1 + beat_flits), Cycle(beat_flits), beats)
+        })
+    }
+
+    fn walk(
+        &mut self,
+        plane: Plane,
+        src: Coord,
+        dst: Coord,
+        flits: Cycle,
+        at: Cycle,
+        mut reserve: impl FnMut(&mut Resource, Cycle) -> Grant,
+    ) -> Cycle {
+        let stats = &mut self.stats[plane.index()];
+        stats.transfers += 1;
+        stats.flits += flits.raw();
+        let hop = Cycle(self.config.router_latency);
+        if src == dst {
+            return at + hop + flits;
+        }
+        let mut head = at;
+        for link in self.mesh.route(src, dst) {
+            let grant = reserve(
+                &mut self.links[plane.index()][self.mesh.link_index(link)],
+                head,
+            );
+            stats.queued_cycles += grant.queueing_delay(head).raw();
+            head = grant.start + hop;
+        }
+        head + flits
+    }
+}
+
+proptest! {
+    /// On random meshes, under random interleavings of transfers and
+    /// bursts on all six planes, the precomputed routes and bare next-free
+    /// times return every arrival and every plane statistic the per-link
+    /// `Resource` reference returns.
+    #[test]
+    fn next_free_table_matches_per_link_resources(
+        (w, h) in (1u8..=8, 1u8..=8),
+        (router_latency, flit_bytes) in (1u64..=3, 1u64..=16),
+        ops in proptest::collection::vec(
+            (any::<bool>(), 0usize..6, any::<u16>(), any::<u16>(), 0u64..2048, 1u64..48, 0u64..4096),
+            1..120,
+        ),
+    ) {
+        let config = NocConfig { router_latency, flit_bytes, ..NocConfig::new(w, h) };
+        let mut noc = Noc::new(config);
+        let mut reference = ReferenceNoc::new(config);
+        let tiles = u16::from(w) * u16::from(h);
+        let tile = |r: u16| {
+            let i = r % tiles;
+            Coord::new((i % u16::from(w)) as u8, (i / u16::from(w)) as u8)
+        };
+        for (step, &(burst, plane, src, dst, bytes, beats, at)) in ops.iter().enumerate() {
+            let (plane, src, dst, at) = (Plane::ALL[plane], tile(src), tile(dst), Cycle(at));
+            let (got, want) = if burst {
+                let beat_bytes = bytes % 128;
+                (
+                    noc.transfer_burst(plane, src, dst, beat_bytes, beats, at),
+                    reference.transfer_burst(plane, src, dst, beat_bytes, beats, at),
+                )
+            } else {
+                (
+                    noc.transfer(plane, src, dst, bytes, at),
+                    reference.transfer(plane, src, dst, bytes, at),
+                )
+            };
+            prop_assert_eq!(got, want, "step {}: arrival {} != reference {}", step, got, want);
+            for p in Plane::ALL {
+                prop_assert_eq!(
+                    noc.plane_stats(p),
+                    reference.stats[p.index()],
+                    "step {}: {:?} stats diverged",
+                    step,
+                    p
+                );
+            }
         }
     }
 }

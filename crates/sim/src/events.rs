@@ -1,14 +1,11 @@
 //! Deterministic discrete-event queue.
 //!
 //! The SoC simulator advances by repeatedly popping the earliest pending
-//! event (an accelerator ready to issue its next DMA burst, a CPU thread
-//! reaching an invocation point, a flush completing, …), processing it, and
-//! scheduling follow-up events. Determinism requires a total order even when
-//! several events share a timestamp, so the queue breaks ties by insertion
-//! order (FIFO).
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! event (a thread ready to issue its next DMA burst or waiting for its DMA
+//! window to drain, a CPU thread reaching an invocation point, a flush
+//! completing, …), processing it, and scheduling follow-up events.
+//! Determinism requires a total order even when several events share a
+//! timestamp, so the queue breaks ties by insertion order (FIFO).
 
 use crate::time::Cycle;
 
@@ -18,6 +15,13 @@ use crate::time::Cycle;
 /// popped in non-decreasing time order. Two events scheduled for the same
 /// cycle are popped in the order they were scheduled, which makes simulation
 /// runs bit-reproducible.
+///
+/// Pending events live in one vector sorted by descending `(time, sequence
+/// number)`, so the next event is the last element and a pop is a
+/// `Vec::pop`. A schedule scans from the back for its slot, which is cheap
+/// while few events are pending: the SoC engine keeps at most one per
+/// simulated thread, and an event earlier than everything pending (a
+/// thread's own short follow-up, most often) is a plain push.
 ///
 /// # Example
 ///
@@ -36,56 +40,35 @@ use crate::time::Cycle;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// `(key(at, seq), event)`, sorted by descending key.
+    pending: Vec<(u128, E)>,
     seq: u64,
     now: Cycle,
 }
 
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    at: Cycle,
-    seq: u64,
-    event: E,
+/// Packs `(at, seq)` into one integer that orders exactly as the pair.
+fn key(at: Cycle, seq: u64) -> u128 {
+    (u128::from(at.raw()) << 64) | u128::from(seq)
 }
 
-// Min-heap ordering on (at, seq): BinaryHeap is a max-heap, so invert.
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+/// The timestamp half of a [`key`].
+fn time_of(key: u128) -> Cycle {
+    Cycle((key >> 64) as u64)
 }
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at time zero.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: Cycle::ZERO,
-        }
+        EventQueue::with_capacity(0)
     }
 
     /// Creates an empty queue with room for `capacity` pending events —
     /// the arena form: a caller that knows its concurrency bound (e.g. one
     /// in-flight event per simulated thread) pre-sizes once and never pays
-    /// a heap growth mid-simulation.
+    /// a buffer growth mid-simulation.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
+            pending: Vec::with_capacity(capacity),
             seq: 0,
             now: Cycle::ZERO,
         }
@@ -95,13 +78,13 @@ impl<E> EventQueue<E> {
     /// the current length. The buffer survives pops, so reserving once per
     /// phase keeps later phases allocation-free.
     pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
+        self.pending.reserve(additional);
     }
 
     /// The number of pending events the queue can hold without
     /// reallocating.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.pending.capacity()
     }
 
     /// The timestamp of the most recently popped event (time zero before the
@@ -123,13 +106,16 @@ impl<E> EventQueue<E> {
             "event scheduled in the past: at={at} < now={}",
             self.now
         );
-        let entry = Entry {
-            at,
-            seq: self.seq,
-            event,
-        };
+        let key = key(at, self.seq);
         self.seq += 1;
-        self.heap.push(entry);
+        // Sequence numbers are unique, so no pending key equals `key`: the
+        // new event goes right after the last one that fires later.
+        let slot = self
+            .pending
+            .iter()
+            .rposition(|&(pending, _)| pending > key)
+            .map_or(0, |later| later + 1);
+        self.pending.insert(slot, (key, event));
     }
 
     /// Schedules `event` to fire `delay` cycles after the current time.
@@ -140,14 +126,14 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing [`now`](Self::now)
     /// to its timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let entry = self.heap.pop()?;
-        self.now = entry.at;
-        Some((entry.at, entry.event))
+        let (key, event) = self.pending.pop()?;
+        self.now = time_of(key);
+        Some((self.now, event))
     }
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.at)
+        self.pending.last().map(|&(key, _)| time_of(key))
     }
 
     /// Removes every event scheduled at the earliest pending timestamp,
@@ -156,33 +142,27 @@ impl<E> EventQueue<E> {
     /// [`now`](Self::now) to that timestamp. Returns the drained timestamp,
     /// or `None` if the queue was empty.
     ///
-    /// One batch costs the same heap pops as the per-pop loop, but lets the
-    /// caller process a whole simulated cycle in a single pass — no
-    /// re-peeking between events and no per-event borrow juggling. `out` is
-    /// not cleared: callers reuse a scratch buffer across batches.
+    /// The batch is the tail of the sorted buffer, popped from the end, and
+    /// lets the caller process a whole simulated cycle without re-peeking
+    /// between events and without per-event borrow juggling. `out` is not
+    /// cleared: callers reuse a scratch buffer across batches.
     pub fn pop_batch_at(&mut self, out: &mut Vec<E>) -> Option<Cycle> {
-        let entry = self.heap.pop()?;
-        let at = entry.at;
-        self.now = at;
-        out.push(entry.event);
-        while let Some(peek) = self.heap.peek() {
-            if peek.at != at {
-                break;
-            }
-            let next = self.heap.pop().expect("peeked entry exists");
-            out.push(next.event);
+        let (at, event) = self.pop()?;
+        out.push(event);
+        while let Some((_, event)) = self.pending.pop_if(|&mut (key, _)| time_of(key) == at) {
+            out.push(event);
         }
         Some(at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.pending.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.pending.is_empty()
     }
 }
 

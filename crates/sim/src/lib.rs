@@ -12,7 +12,7 @@
 //! * [`EventQueue`] — a deterministic time-ordered event queue with FIFO
 //!   tie-breaking for events scheduled at the same cycle.
 //! * [`Resource`] — a bandwidth/occupancy reservation primitive; shared
-//!   hardware (NoC links, LLC ports, DRAM channels) is modelled as resources,
+//!   hardware (LLC ports, DRAM channels, CPUs) is modelled as resources,
 //!   and queueing delay emerges from reservations made in global time order.
 //! * [`SeedStream`] — reproducible per-purpose random-number streams derived
 //!   from a single master seed.

@@ -1,8 +1,7 @@
 //! Contention modelling via resource reservation.
 //!
-//! Shared hardware — a NoC link, an LLC port, a directory pipeline, a DRAM
-//! channel — is modelled as a [`Resource`] that serves one transaction at a
-//! time. A transaction arriving at time `t` begins service at
+//! Shared hardware — an LLC port, a DRAM channel, a CPU — is modelled as a
+//! [`Resource`] that serves one transaction at a time. A transaction arriving at time `t` begins service at
 //! `max(t, next_free)` and occupies the resource for its service time.
 //! Because the SoC simulator processes events in global time order, queueing
 //! delay at hot resources (e.g. an LLC partition hammered by many coherent-DMA

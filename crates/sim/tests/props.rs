@@ -101,3 +101,79 @@ proptest! {
         prop_assert!(g >= min * 0.999_999 && g <= max * 1.000_001);
     }
 }
+
+/// The queue's reference model: pending events in insertion order, the
+/// next one found by a linear scan for the minimum `(at, seq)`.
+#[derive(Default)]
+struct NaiveQueue {
+    pending: Vec<(Cycle, u64, u32)>,
+    seq: u64,
+    now: Cycle,
+}
+
+impl NaiveQueue {
+    fn schedule(&mut self, at: Cycle, event: u32) {
+        self.pending.push((at, self.seq, event));
+        self.seq += 1;
+    }
+
+    fn next(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+    }
+
+    fn peek_time(&self) -> Option<Cycle> {
+        self.next().map(|i| self.pending[i].0)
+    }
+
+    fn pop(&mut self) -> Option<(Cycle, u32)> {
+        let (at, _, event) = self.pending.remove(self.next()?);
+        self.now = at;
+        Some((at, event))
+    }
+}
+
+proptest! {
+    /// Under random interleavings of `schedule`, `pop` and `pop_batch_at`,
+    /// with clustered times so that ties (also at `now()`) are common, the
+    /// queue pops exactly the naive model's `(at, event)` stream and agrees
+    /// on `now()`, `len()` and `peek_time()` after every step.
+    #[test]
+    fn event_queue_matches_naive_model(
+        ops in proptest::collection::vec((0u8..8, 0u64..3, 0u64..1000, 0u8..8), 1..300),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model = NaiveQueue::default();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut batch = Vec::new();
+        let mut next_id = 0u32;
+        for (step, &(op, near, far, spread)) in ops.iter().enumerate() {
+            match op {
+                0..=3 => {
+                    // Mostly within a few cycles of now (a third exactly at
+                    // now), sometimes far ahead.
+                    let at = q.now() + Cycle(if spread == 0 { far } else { near });
+                    q.schedule(at, next_id);
+                    model.schedule(at, next_id);
+                    next_id += 1;
+                }
+                4 | 5 => {
+                    got.extend(q.pop());
+                    want.extend(model.pop());
+                }
+                _ => {
+                    let at = q.pop_batch_at(&mut batch);
+                    got.extend(batch.drain(..).map(|e| (at.expect("batch has a time"), e)));
+                    if let Some(t) = model.peek_time() {
+                        while model.peek_time() == Some(t) {
+                            want.extend(model.pop());
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(&got, &want, "step {}: popped streams diverged", step);
+            prop_assert_eq!(q.now(), model.now, "step {}: now", step);
+            prop_assert_eq!(q.len(), model.pending.len(), "step {}: len", step);
+            prop_assert_eq!(q.peek_time(), model.peek_time(), "step {}: peek_time", step);
+        }
+    }
+}

@@ -226,9 +226,9 @@ pub fn run_app_with_options(
     let mut engine = Engine::new(soc, policy, seed);
     engine.options = options;
     // Event-queue arena: each runnable thread keeps exactly one event in
-    // flight, so the widest phase bounds the heap. Pre-size it once; the
+    // flight, so the widest phase bounds the queue. Pre-size it once; the
     // buffer is reused across phases, so no phase pays a mid-simulation
-    // heap growth.
+    // buffer growth.
     let max_threads = app.phases.iter().map(|p| p.threads.len()).max().unwrap_or(0);
     engine.queue.reserve(max_threads);
     let phases = app
@@ -364,7 +364,7 @@ impl<'a> Engine<'a> {
         self.events = 0;
 
         // Equal-timestamp batch draining: all events of one simulated cycle
-        // come out of the heap in a single pass (FIFO among ties — the
+        // come out of the queue in a single pass (FIFO among ties — the
         // order `pop` would produce, pinned by the queue's property test).
         // Follow-ups a handler schedules at the drained cycle land in the
         // next batch, exactly as they would land after the current pops.
