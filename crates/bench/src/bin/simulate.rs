@@ -23,9 +23,10 @@ use std::process::ExitCode;
 use cohmeleon_bench::policies::{build_policy, PolicyKind};
 use cohmeleon_bench::table;
 use cohmeleon_core::policy::CohmeleonPolicy;
-use cohmeleon_core::Policy as _;
-use cohmeleon_core::qlearn::{LearningSchedule, QTable};
+use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::RewardWeights;
+use cohmeleon_core::value::QTable;
+use cohmeleon_core::Policy as _;
 use cohmeleon_soc::config::{
     motivation_isolation_soc, motivation_parallel_soc, soc0, soc0_irregular, soc0_streaming,
     soc1, soc2, soc3, soc4, soc5, soc6,

@@ -1,19 +1,17 @@
 //! Learner-ablation sweep: the agent design space through the grid.
 //!
 //! The agent redesign decomposed the learning subsystem into pluggable
-//! state spaces, exploration strategies, value stores and update rules;
-//! this harness sweeps the Cartesian product (3 spaces × 3 strategies ×
-//! 2 update rules, over a sparse store so the extended space stays cheap)
-//! as one [`SweepGrid`](cohmeleon_exp::SweepGrid) axis and reports every
-//! cell normalized against
-//! the paper's composition — which ablation choices Cohmeleon's results
-//! actually depend on.
+//! state spaces, exploration strategies and update rules; this harness
+//! sweeps the Cartesian product (3 spaces × 3 strategies × 2 update
+//! rules) as one [`SweepGrid`](cohmeleon_exp::SweepGrid) axis and reports
+//! every cell normalized against the paper's composition — which ablation
+//! choices Cohmeleon's results actually depend on.
 
 use std::collections::HashMap;
 
 use cohmeleon_exp::{
-    CellRecord, Experiment, ExplorationKind, JsonlSink, LearnerSpec, StateSpaceKind, StoreKind,
-    UpdateKind, WorkStealing,
+    CellRecord, Experiment, ExplorationKind, JsonlSink, LearnerSpec, StateSpaceKind, UpdateKind,
+    WorkStealing,
 };
 use cohmeleon_sim::stats::geometric_mean;
 use cohmeleon_soc::config::soc1;
@@ -45,24 +43,15 @@ pub struct Data {
 }
 
 /// The swept axes: every state space, every exploration strategy, both
-/// update rules — 18 compositions over the sparse store, with the paper's
-/// composition re-labelled to the dense paper default so the baseline
-/// cell *is* `cohmeleon`.
+/// update rules — 18 compositions, the paper's (`cohmeleon`) first.
 pub fn specs() -> Vec<LearnerSpec> {
     let mut specs = LearnerSpec::grid(
         &StateSpaceKind::ALL,
         &ExplorationKind::ALL,
         &UpdateKind::ALL,
-        StoreKind::Sparse,
     );
-    // Put the paper composition first (it is the normalization baseline)
-    // and give it the paper's dense store so the baseline cell is exactly
-    // `CohmeleonPolicy`.
-    let paper_sparse = LearnerSpec {
-        store: StoreKind::Sparse,
-        ..LearnerSpec::paper()
-    };
-    specs.retain(|s| *s != paper_sparse);
+    // The paper composition is the normalization baseline: cell 0.
+    specs.retain(|s| *s != LearnerSpec::paper());
     specs.insert(0, LearnerSpec::paper());
     specs
 }
@@ -176,7 +165,15 @@ pub fn print(data: &Data) {
         .collect();
     println!(
         "{}",
-        table::render(&["learner (space/explore/store/update)", "label", "norm-time", "norm-mem"], &rows)
+        table::render(
+            &[
+                "learner (space/explore/update)",
+                "label",
+                "norm-time",
+                "norm-mem"
+            ],
+            &rows
+        )
     );
     println!("(normalized to the paper composition; >1.00 means that composition is worse)");
 }

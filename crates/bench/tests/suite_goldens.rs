@@ -9,9 +9,12 @@
 //! regenerate). These run under the default run-level tag walk;
 //! `tests/walk_modes.rs` replays both suites under `WalkMode::PerLine`
 //! and pins the same hashes, so both walk modes are anchored to the same
-//! recorded machine.
+//! recorded machine. The learner-ablation grid is pinned the same way, so
+//! every non-paper agent composition is anchored end to end too.
 
+use cohmeleon_bench::figures::learner_ablation;
 use cohmeleon_bench::tracked::{soc6_params, suite_grid, SEED, TRAIN_ITERATIONS};
+use cohmeleon_bench::Scale;
 use cohmeleon_core::agent::AgentBuilder;
 use cohmeleon_exp::{CellResult, Experiment, PolicySpec, Serial, SweepGrid};
 use cohmeleon_soc::config::{soc1, soc6};
@@ -81,5 +84,44 @@ fn global_routed_cohmeleon_matches_the_bare_golden() {
         hashes(&grid),
         vec![0x49cb_7da5_f241_9441],
         "Global-routed cohmeleon differs from the bare agent"
+    );
+}
+
+/// The `learners` grid at `COHMELEON_FAST` scale (soc1, 18 compositions of
+/// state space × exploration × update rule, `cohmeleon` first), every cell
+/// in grid order. These hashes were recorded when 17 of the cells still ran
+/// on a sparse map instead of the dense Q-table, which must not matter.
+#[test]
+fn learners_grid_hashes_are_golden() {
+    let grid = learner_ablation::experiment(Scale::Fast)
+        .build()
+        .expect("learners grid is non-empty");
+    let got = hashes(&grid);
+    for h in &got {
+        println!("learners {h:#018x}");
+    }
+    assert_eq!(
+        got,
+        vec![
+            0x24af_2eee_d227_c894, // cohmeleon
+            0x24af_2eee_d227_c894, // coarse/eps-greedy/blend
+            0x24af_2eee_d227_c894, // coarse/eps-greedy/discounted
+            0x29ec_6d45_715a_07f6, // coarse/softmax/blend
+            0x29ec_6d45_715a_07f6, // coarse/softmax/discounted
+            0xb80c_274a_f2cb_db25, // coarse/ucb1/blend
+            0xd15c_2d27_cee3_99af, // coarse/ucb1/discounted
+            0x24af_2eee_d227_c894, // table3/eps-greedy/discounted
+            0x29ec_6d45_715a_07f6, // table3/softmax/blend
+            0x29ec_6d45_715a_07f6, // table3/softmax/discounted
+            0xb80c_274a_f2cb_db25, // table3/ucb1/blend
+            0xd15c_2d27_cee3_99af, // table3/ucb1/discounted
+            0x057b_d047_6e52_27f1, // extended/eps-greedy/blend
+            0x4851_cb21_31ba_9bb0, // extended/eps-greedy/discounted
+            0x0d65_38f1_e673_e927, // extended/softmax/blend
+            0x0d65_38f1_e673_e927, // extended/softmax/discounted
+            0x64ba_1897_3dee_1a2d, // extended/ucb1/blend
+            0x40f0_de77_42c0_ec16, // extended/ucb1/discounted
+        ],
+        "learners grid moved — an agent composition changed behaviour"
     );
 }

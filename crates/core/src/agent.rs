@@ -1,9 +1,9 @@
 //! The composable learning agent: [`LearnedPolicy`] assembles a
-//! [`StateSpace`], an [`ExplorationStrategy`], a [`ValueStore`] and an
-//! [`UpdateRule`] into a [`Policy`].
+//! [`StateSpace`], an [`ExplorationStrategy`] and an [`UpdateRule`] over
+//! one [`QTable`] into a [`Policy`].
 //!
 //! The paper's agent is one point in this space — Table-3 discretization,
-//! ε-greedy selection, a dense table and the `(1−α)Q + αR` blend — and is
+//! ε-greedy selection and the `(1−α)Q + αR` blend — and is
 //! available as the [`CohmeleonPolicy`] type alias, bit-identical to the
 //! pre-redesign hardwired implementation (pinned by the golden
 //! structural-hash and Q-table TSV tests). Every other composition is an
@@ -13,17 +13,15 @@
 //! use cohmeleon_core::agent::AgentBuilder;
 //! use cohmeleon_core::explore::Softmax;
 //! use cohmeleon_core::space::CoarseSpace;
-//! use cohmeleon_core::value::SparseQTable;
 //! use cohmeleon_core::Policy;
 //!
-//! // A coarse-state softmax agent over a sparse store, trained for 10
-//! // iterations with the paper's reward.
+//! // A coarse-state softmax agent, trained for 10 iterations with the
+//! // paper's reward.
 //! let agent = AgentBuilder::paper(10, 7)
 //!     .state_space(CoarseSpace)
 //!     .exploration(Softmax::default_schedule(10))
-//!     .value_store(SparseQTable::with_states(27))
 //!     .build();
-//! assert_eq!(agent.name(), "learned[coarse+softmax+sparse+blend]");
+//! assert_eq!(agent.name(), "learned[coarse+softmax+blend]");
 //! ```
 
 use rand::rngs::SmallRng;
@@ -39,23 +37,23 @@ use crate::snapshot::SystemSnapshot;
 use crate::space::{StateSpace, Table3Space};
 use crate::state::State;
 use crate::update::{BlendUpdate, UpdateRule};
-use crate::value::{AutoStore, QTable, ValueStore};
+use crate::value::QTable;
 use crate::AccelInstanceId;
 
-/// The learning-based coherence policy, generic over its four components.
+/// The learning-based coherence policy, generic over its three components.
 ///
 /// Senses the system, encodes it through the state space, selects a mode
-/// through the exploration strategy, and — once the invocation's
-/// measurement arrives — converts it to the multi-objective reward of
-/// Section 4.2 and feeds it to the update rule. Freezing (the paper's
+/// from the Q-table through the exploration strategy, and — once the
+/// invocation's measurement arrives — converts it to the multi-objective
+/// reward of Section 4.2 and feeds it to the update rule. Freezing (the paper's
 /// "disable further updates and evaluate") stops both exploration and
 /// updates.
 #[derive(Debug, Clone)]
-pub struct LearnedPolicy<S = Table3Space, E = EpsilonGreedy, V = QTable, U = BlendUpdate> {
+pub struct LearnedPolicy<S = Table3Space, E = EpsilonGreedy, U = BlendUpdate> {
     label: String,
     space: S,
     explore: E,
-    store: V,
+    table: QTable,
     update: U,
     weights: RewardWeights,
     history: RewardHistory,
@@ -64,47 +62,39 @@ pub struct LearnedPolicy<S = Table3Space, E = EpsilonGreedy, V = QTable, U = Ble
     rng: SmallRng,
 }
 
-/// The paper's agent: Table-3 states, ε-greedy selection, a dense Q-table
-/// and the `(1−α)Q + αR` update — the default composition of
-/// [`LearnedPolicy`], named for continuity with the paper.
-pub type CohmeleonPolicy = LearnedPolicy<Table3Space, EpsilonGreedy, QTable, BlendUpdate>;
+/// The paper's agent: Table-3 states, ε-greedy selection and the
+/// `(1−α)Q + αR` update — the default composition of [`LearnedPolicy`],
+/// named for continuity with the paper.
+pub type CohmeleonPolicy = LearnedPolicy<Table3Space, EpsilonGreedy, BlendUpdate>;
 
-impl<S, E, V, U> LearnedPolicy<S, E, V, U>
+impl<S, E, U> LearnedPolicy<S, E, U>
 where
     S: StateSpace,
     E: ExplorationStrategy,
-    V: ValueStore,
     U: UpdateRule,
 {
-    /// Assembles an agent from explicit components.
+    /// Assembles an agent from explicit components, over a zero-initialised
+    /// Q-table sized for `space`.
     ///
-    /// `store` must cover at least `space.cardinality()` states. The
-    /// `train_iterations` horizon controls when `Policy::begin_iteration`
-    /// auto-freezes the agent; component decay schedules are the
-    /// components' own business.
-    #[allow(clippy::too_many_arguments)]
+    /// The `train_iterations` horizon controls when
+    /// `Policy::begin_iteration` auto-freezes the agent; component decay
+    /// schedules are the components' own business.
     pub fn with_components(
         label: impl Into<String>,
         space: S,
         mut explore: E,
-        store: V,
         update: U,
         weights: RewardWeights,
         train_iterations: usize,
         seed: u64,
-    ) -> LearnedPolicy<S, E, V, U> {
-        assert!(
-            store.states() >= space.cardinality(),
-            "value store covers {} states but the state space needs {}",
-            store.states(),
-            space.cardinality()
-        );
-        explore.init(space.cardinality());
+    ) -> LearnedPolicy<S, E, U> {
+        let states = space.cardinality();
+        explore.init(states);
         LearnedPolicy {
             label: label.into(),
             space,
             explore,
-            store,
+            table: QTable::with_states(states),
             update,
             weights,
             history: RewardHistory::new(),
@@ -129,25 +119,25 @@ where
         &self.update
     }
 
-    /// Read access to the learned value store.
-    pub fn store(&self) -> &V {
-        &self.store
+    /// Read access to the learned Q-table.
+    pub fn table(&self) -> &QTable {
+        &self.table
     }
 
-    /// Replaces the value store (e.g. to restore a previously trained
-    /// model).
+    /// Restores a previously trained Q-table (e.g. to evaluate a frozen
+    /// model on a different application instance).
     ///
     /// # Panics
     ///
-    /// Panics if the replacement covers fewer states than the state space.
-    pub fn set_store(&mut self, store: V) {
+    /// Panics if the table covers fewer states than the state space.
+    pub fn set_table(&mut self, table: QTable) {
         assert!(
-            store.states() >= self.space.cardinality(),
-            "value store covers {} states but the state space needs {}",
-            store.states(),
+            table.num_states() >= self.space.cardinality(),
+            "Q-table covers {} states but the state space needs {}",
+            table.num_states(),
             self.space.cardinality()
         );
-        self.store = store;
+        self.table = table;
     }
 
     /// The reward weights in use.
@@ -169,23 +159,11 @@ impl CohmeleonPolicy {
             "cohmeleon",
             Table3Space,
             EpsilonGreedy::new(schedule.epsilon0, schedule.train_iterations),
-            QTable::new(),
             BlendUpdate::new(schedule.alpha0, schedule.train_iterations),
             weights,
             schedule.train_iterations,
             seed,
         )
-    }
-
-    /// Read access to the learned Q-table.
-    pub fn table(&self) -> &QTable {
-        &self.store
-    }
-
-    /// Restores a previously trained Q-table (e.g. to evaluate a frozen
-    /// model on a different application instance).
-    pub fn set_table(&mut self, table: QTable) {
-        self.set_store(table);
     }
 
     /// Current exploration rate (for diagnostics).
@@ -198,11 +176,10 @@ impl CohmeleonPolicy {
     }
 }
 
-impl<S, E, V, U> Policy for LearnedPolicy<S, E, V, U>
+impl<S, E, U> Policy for LearnedPolicy<S, E, U>
 where
     S: StateSpace,
     E: ExplorationStrategy,
-    V: ValueStore,
     U: UpdateRule,
 {
     fn name(&self) -> String {
@@ -225,7 +202,7 @@ where
         let state = State::from_snapshot(snapshot);
         let state_index = self.space.encode_sensed(snapshot, &state);
         let ctx = SelectCtx {
-            store: &self.store,
+            store: &self.table,
             state: state_index,
             available,
             frozen: self.frozen,
@@ -249,8 +226,12 @@ where
         if self.frozen {
             return;
         }
-        self.update
-            .apply(&mut self.store, decision.state_index, decision.mode.index(), reward);
+        self.update.apply(
+            &mut self.table,
+            decision.state_index,
+            decision.mode.index(),
+            reward,
+        );
     }
 
     fn begin_iteration(&mut self, iteration: usize) {
@@ -272,18 +253,15 @@ where
     }
 
     fn export_table(&self) -> Option<String> {
-        Some(self.store.to_tsv())
+        Some(self.table.to_tsv())
     }
 
     fn import_table(&mut self, text: &str) -> Result<(), String> {
-        // Validate the full document against this store's cardinality
-        // before touching live state: a malformed line must not leave a
-        // warm agent half-wiped. Only then reset (the TSV carries only
-        // populated rows — import *replaces*, never overlays) and apply.
-        let mut scratch = crate::value::SparseQTable::with_states(self.store.states());
-        crate::value::read_tsv_into(text, &mut scratch)?;
-        self.store.reset();
-        crate::value::read_tsv_into(text, &mut self.store).expect("validated above");
+        // Parse into a fresh table and swap it in only on success: a
+        // malformed line must not leave a warm agent half-wiped, and the
+        // TSV carries only populated rows, so import *replaces*, never
+        // overlays.
+        self.table = QTable::from_tsv_with_states(text, self.table.num_states())?;
         Ok(())
     }
 }
@@ -291,16 +269,13 @@ where
 /// Builder-style construction of a [`LearnedPolicy`].
 ///
 /// Starts from the paper's defaults ([`AgentBuilder::paper`]); each
-/// component setter swaps the corresponding type parameter. The value
-/// store defaults to the right-sized store for the chosen state space
-/// (dense [`QTable`]), so swapping the space never leaves a mis-sized
-/// table behind.
+/// component setter swaps the corresponding type parameter. The Q-table
+/// is sized for the chosen state space when the agent is built.
 #[derive(Debug, Clone)]
-pub struct AgentBuilder<S = Table3Space, E = EpsilonGreedy, V = QTable, U = BlendUpdate> {
+pub struct AgentBuilder<S = Table3Space, E = EpsilonGreedy, U = BlendUpdate> {
     label: Option<String>,
     space: S,
     explore: E,
-    store: Option<V>,
     update: U,
     weights: RewardWeights,
     scope: AgentScope,
@@ -310,14 +285,13 @@ pub struct AgentBuilder<S = Table3Space, E = EpsilonGreedy, V = QTable, U = Blen
 
 impl AgentBuilder {
     /// The paper's composition: Table-3 states, ε-greedy with the paper's
-    /// decay over `train_iterations`, a dense table and the blend update.
+    /// decay over `train_iterations` and the blend update.
     /// Built unchanged, this is exactly [`CohmeleonPolicy`].
     pub fn paper(train_iterations: usize, seed: u64) -> AgentBuilder {
         AgentBuilder {
             label: None,
             space: Table3Space,
             explore: EpsilonGreedy::paper(train_iterations),
-            store: None,
             update: BlendUpdate::paper(train_iterations),
             weights: RewardWeights::paper_default(),
             scope: AgentScope::Global,
@@ -327,9 +301,9 @@ impl AgentBuilder {
     }
 }
 
-impl<S, E, V, U> AgentBuilder<S, E, V, U> {
+impl<S, E, U> AgentBuilder<S, E, U> {
     /// Overrides the display label (defaults to
-    /// `learned[space+explore+store+update]`).
+    /// `learned[space+explore+update]`).
     pub fn label(mut self, label: impl Into<String>) -> Self {
         self.label = Some(label.into());
         self
@@ -356,15 +330,12 @@ impl<S, E, V, U> AgentBuilder<S, E, V, U> {
         self
     }
 
-    /// Replaces the state space. Any explicitly-set value store is
-    /// discarded (it was sized for the previous space); set the store
-    /// *after* the space to override it.
-    pub fn state_space<S2: StateSpace>(self, space: S2) -> AgentBuilder<S2, E, V, U> {
+    /// Replaces the state space.
+    pub fn state_space<S2: StateSpace>(self, space: S2) -> AgentBuilder<S2, E, U> {
         AgentBuilder {
             label: self.label,
             space,
             explore: self.explore,
-            store: None,
             update: self.update,
             weights: self.weights,
             scope: self.scope,
@@ -374,27 +345,11 @@ impl<S, E, V, U> AgentBuilder<S, E, V, U> {
     }
 
     /// Replaces the exploration strategy.
-    pub fn exploration<E2: ExplorationStrategy>(self, explore: E2) -> AgentBuilder<S, E2, V, U> {
+    pub fn exploration<E2: ExplorationStrategy>(self, explore: E2) -> AgentBuilder<S, E2, U> {
         AgentBuilder {
             label: self.label,
             space: self.space,
             explore,
-            store: self.store,
-            update: self.update,
-            weights: self.weights,
-            scope: self.scope,
-            train_iterations: self.train_iterations,
-            seed: self.seed,
-        }
-    }
-
-    /// Replaces the value store.
-    pub fn value_store<V2: ValueStore>(self, store: V2) -> AgentBuilder<S, E, V2, U> {
-        AgentBuilder {
-            label: self.label,
-            space: self.space,
-            explore: self.explore,
-            store: Some(store),
             update: self.update,
             weights: self.weights,
             scope: self.scope,
@@ -404,12 +359,11 @@ impl<S, E, V, U> AgentBuilder<S, E, V, U> {
     }
 
     /// Replaces the update rule.
-    pub fn update_rule<U2: UpdateRule>(self, update: U2) -> AgentBuilder<S, E, V, U2> {
+    pub fn update_rule<U2: UpdateRule>(self, update: U2) -> AgentBuilder<S, E, U2> {
         AgentBuilder {
             label: self.label,
             space: self.space,
             explore: self.explore,
-            store: self.store,
             update,
             weights: self.weights,
             scope: self.scope,
@@ -424,25 +378,18 @@ impl<S, E, V, U> AgentBuilder<S, E, V, U> {
         self
     }
 
-    /// Assembles the agent. A store set via
-    /// [`value_store`](Self::value_store) is used as-is; otherwise one is
-    /// default-constructed for the state space's cardinality.
-    pub fn build(self) -> LearnedPolicy<S, E, V, U>
+    /// Assembles the agent.
+    pub fn build(self) -> LearnedPolicy<S, E, U>
     where
         S: StateSpace,
         E: ExplorationStrategy,
-        V: ValueStore + AutoStore,
         U: UpdateRule,
     {
-        let store = self
-            .store
-            .unwrap_or_else(|| V::for_states(self.space.cardinality()));
         let label = self.label.clone().unwrap_or_else(|| {
             format!(
-                "learned[{}+{}+{}+{}]",
+                "learned[{}+{}+{}]",
                 self.space.label(),
                 self.explore.label(),
-                store.label(),
                 self.update.label()
             )
         });
@@ -450,7 +397,6 @@ impl<S, E, V, U> AgentBuilder<S, E, V, U> {
             label,
             self.space,
             self.explore,
-            store,
             self.update,
             self.weights,
             self.train_iterations,
@@ -473,7 +419,6 @@ impl<S, E, V, U> AgentBuilder<S, E, V, U> {
     where
         S: StateSpace + Clone + Sync + 'static,
         E: ExplorationStrategy + Clone + Sync + 'static,
-        V: ValueStore + AutoStore + Clone + Sync + 'static,
         U: UpdateRule + Clone + Sync + 'static,
     {
         let scope = self.scope;
@@ -498,7 +443,6 @@ mod tests {
     use crate::snapshot::ArchParams;
     use crate::space::{CoarseSpace, ExtendedSpace};
     use crate::update::DiscountedUpdate;
-    use crate::value::SparseQTable;
     use crate::PartitionId;
 
     fn snapshot(footprint: u64) -> SystemSnapshot {
@@ -592,33 +536,24 @@ mod tests {
         let agent = AgentBuilder::paper(4, 0)
             .state_space(ExtendedSpace)
             .exploration(Ucb1::default())
-            .value_store(SparseQTable::with_states(ExtendedSpace.cardinality()))
             .update_rule(DiscountedUpdate::default_schedule(4))
             .build();
-        assert_eq!(agent.name(), "learned[extended+ucb1+sparse+discounted]");
+        assert_eq!(agent.name(), "learned[extended+ucb1+discounted]");
     }
 
     #[test]
     fn builder_resizes_store_for_the_space() {
         let agent = AgentBuilder::paper(4, 0).state_space(CoarseSpace).build();
-        assert_eq!(agent.store().num_states(), 27);
+        assert_eq!(agent.table().num_states(), 27);
         let agent = AgentBuilder::paper(4, 0).state_space(ExtendedSpace).build();
-        assert_eq!(agent.store().num_states(), 2187);
+        assert_eq!(agent.table().num_states(), 2187);
     }
 
     #[test]
-    #[should_panic(expected = "value store covers")]
+    #[should_panic(expected = "Q-table covers")]
     fn mis_sized_store_is_rejected() {
-        let _ = LearnedPolicy::with_components(
-            "bad",
-            ExtendedSpace,
-            EpsilonGreedy::paper(4),
-            QTable::new(), // 243 < 2187
-            BlendUpdate::paper(4),
-            RewardWeights::paper_default(),
-            4,
-            0,
-        );
+        let mut agent = AgentBuilder::paper(4, 0).state_space(ExtendedSpace).build();
+        agent.set_table(QTable::new()); // 243 < 2187
     }
 
     #[test]
@@ -642,13 +577,11 @@ mod tests {
                         0 => Box::new(BlendUpdate::paper(30)),
                         _ => Box::new(DiscountedUpdate::default_schedule(30)),
                     };
-                    let states = space.cardinality();
                     let label = format!("{}+{}+{}", space.label(), explore.label(), rule.label());
                     let mut agent = LearnedPolicy::with_components(
                         label.clone(),
                         space,
                         explore,
-                        Box::new(SparseQTable::with_states(states)) as Box<dyn ValueStore>,
                         rule,
                         RewardWeights::paper_default(),
                         30,
@@ -664,14 +597,11 @@ mod tests {
 
     #[test]
     fn frozen_agent_stops_updating_any_store() {
-        let mut agent = AgentBuilder::paper(4, 2)
-            .state_space(CoarseSpace)
-            .value_store(SparseQTable::with_states(27))
-            .build();
+        let mut agent = AgentBuilder::paper(4, 2).state_space(CoarseSpace).build();
         agent.freeze();
         let d = agent.decide(&snapshot(1024), ModeSet::all(), AccelInstanceId(0));
         agent.observe(AccelInstanceId(0), &d, &measurement(123));
-        assert_eq!(agent.store().populated_entries(), 0);
+        assert_eq!(agent.table().populated_entries(), 0);
     }
 
     #[test]

@@ -27,12 +27,12 @@ use rand::Rng;
 
 use crate::modes::{CoherenceMode, ModeSet};
 use crate::qlearn::decayed;
-use crate::value::{best_entry, ValueStore};
+use crate::value::QTable;
 
 /// Everything a strategy may consult when selecting an action.
 pub struct SelectCtx<'a> {
-    /// The agent's value store.
-    pub store: &'a dyn ValueStore,
+    /// The agent's Q-table.
+    pub store: &'a QTable,
     /// The encoded state the decision is made in.
     pub state: usize,
     /// The modes the target tile supports; never empty.
@@ -91,7 +91,9 @@ impl ExplorationStrategy for Box<dyn ExplorationStrategy> {
 /// Greedy argmax with deterministic lowest-index tie-breaking — the frozen
 /// behaviour shared by every strategy.
 fn greedy(ctx: &SelectCtx<'_>) -> CoherenceMode {
-    best_entry(ctx.store, ctx.state, ctx.available).expect("non-empty set has a best action")
+    ctx.store
+        .best_index(ctx.state, ctx.available)
+        .expect("non-empty set has a best action")
 }
 
 /// The paper's ε-greedy selection with linear ε decay.
@@ -155,12 +157,12 @@ impl ExplorationStrategy for EpsilonGreedy {
         } else {
             // Exploit: argmax with *random* tie-breaking.
             let best = greedy(&ctx);
-            let best_q = ctx.store.get_entry(ctx.state, best.index());
+            let best_q = ctx.store.get_index(ctx.state, best.index());
             let ties: Vec<CoherenceMode> = ctx
                 .available
                 .iter()
                 .filter(|m| {
-                    (ctx.store.get_entry(ctx.state, m.index()) - best_q).abs() < f64::EPSILON
+                    (ctx.store.get_index(ctx.state, m.index()) - best_q).abs() < f64::EPSILON
                 })
                 .collect();
             if ties.len() <= 1 {
@@ -282,13 +284,13 @@ impl ExplorationStrategy for Softmax {
         let max_q = ctx
             .available
             .iter()
-            .map(|m| ctx.store.get_entry(ctx.state, m.index()))
+            .map(|m| ctx.store.get_index(ctx.state, m.index()))
             .fold(f64::MIN, f64::max);
         let weights: Vec<(CoherenceMode, f64)> = ctx
             .available
             .iter()
             .map(|m| {
-                let q = ctx.store.get_entry(ctx.state, m.index());
+                let q = ctx.store.get_index(ctx.state, m.index());
                 (m, ((q - max_q) / self.tau).exp())
             })
             .collect();
@@ -395,7 +397,7 @@ impl ExplorationStrategy for Ucb1 {
         for mode in ctx.available.iter() {
             let n = row[mode.index()] as f64;
             let bound =
-                ctx.store.get_entry(ctx.state, mode.index()) + self.c * (ln_total / n).sqrt();
+                ctx.store.get_index(ctx.state, mode.index()) + self.c * (ln_total / n).sqrt();
             if best.is_none_or(|(_, b)| bound > b) {
                 best = Some((mode, bound));
             }
@@ -409,7 +411,6 @@ impl ExplorationStrategy for Ucb1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::QTable;
     use rand::SeedableRng;
 
     fn ctx<'a>(store: &'a QTable, state: usize, frozen: bool) -> SelectCtx<'a> {
@@ -437,7 +438,7 @@ mod tests {
     #[test]
     fn frozen_strategies_are_greedy_and_deterministic() {
         let mut store = QTable::with_states(4);
-        store.set_entry(1, CoherenceMode::LlcCohDma.index(), 0.9);
+        store.set_index(1, CoherenceMode::LlcCohDma.index(), 0.9);
         let mut strategies: Vec<Box<dyn ExplorationStrategy>> = vec![
             Box::new(EpsilonGreedy::paper(10)),
             Box::new(Softmax::default_schedule(10)),
@@ -461,8 +462,8 @@ mod tests {
     #[test]
     fn strategies_are_deterministic_under_a_fixed_seed() {
         let mut store = QTable::with_states(2);
-        store.set_entry(0, 0, 0.3);
-        store.set_entry(0, 2, 0.6);
+        store.set_index(0, 0, 0.3);
+        store.set_index(0, 2, 0.6);
         for make in [
             || Box::new(EpsilonGreedy::paper(10)) as Box<dyn ExplorationStrategy>,
             || Box::new(Softmax::default_schedule(10)) as Box<dyn ExplorationStrategy>,
@@ -482,7 +483,7 @@ mod tests {
     #[test]
     fn softmax_prefers_higher_q_but_still_explores() {
         let mut store = QTable::with_states(1);
-        store.set_entry(0, CoherenceMode::CohDma.index(), 1.0);
+        store.set_index(0, CoherenceMode::CohDma.index(), 1.0);
         let mut s = Softmax::new(0.2, 10);
         let mut rng = SmallRng::seed_from_u64(5);
         let mut picks = [0usize; 4];
@@ -536,8 +537,8 @@ mod tests {
     #[test]
     fn ucb_favours_underexplored_actions() {
         let mut store = QTable::with_states(1);
-        store.set_entry(0, 0, 0.6);
-        store.set_entry(0, 1, 0.5);
+        store.set_index(0, 0, 0.6);
+        store.set_index(0, 1, 0.5);
         let mut u = Ucb1::default();
         u.init(1);
         let mut rng = SmallRng::seed_from_u64(0);

@@ -3,7 +3,7 @@
 //!
 //! A trained policy's persisted artifact — a Q-table TSV or a namespaced
 //! router-tables document — still carries the full learner shape: per-agent
-//! stores, exploration state, reward history. None of that belongs on a
+//! Q-tables, exploration state, reward history. None of that belongs on a
 //! serving read path. This module collapses the artifact into a
 //! [`FrozenSnapshot`]: for every `(state, availability-mask)` pair the
 //! argmax is **precomputed** into a dense byte table, so a served decision
@@ -13,9 +13,9 @@
 //!
 //! Semantics are pinned to the live stack:
 //!
-//! * Per-table argmax is exactly [`best_entry`] (strict `>`, ties to the
-//!   lowest mode index) — the same function every frozen exploration
-//!   strategy reduces to.
+//! * Per-table argmax is exactly [`QTable::best_index`] (strict `>`, ties
+//!   to the lowest mode index) — the same function every frozen
+//!   exploration strategy reduces to.
 //! * Parsing, key resolution and the key → table map are the router's
 //!   own: the artifact goes through the router's tables parser, and a
 //!   decision resolves its key with [`AgentScope::key`] and looks it up in
@@ -39,7 +39,7 @@ use crate::router::{parse_tables, AgentScope, ScopeKey, ScopeMap, Tables, Topolo
 use crate::snapshot::SystemSnapshot;
 use crate::space::StateSpace;
 use crate::state::State;
-use crate::value::{best_entry, QTable, ValueStore};
+use crate::value::QTable;
 use crate::{AccelInstanceId, AccelKindId};
 
 /// Number of availability masks over the four modes (2⁴, including the
@@ -54,15 +54,15 @@ pub struct FrozenTable {
 }
 
 impl FrozenTable {
-    /// Precomputes the argmax of `store` for every `(state, mask)` pair.
-    /// `store.states()` rows are covered.
-    pub fn from_store<V: ValueStore + ?Sized>(store: &V) -> FrozenTable {
-        let states = store.states();
+    /// Precomputes the argmax of `table` for every `(state, mask)` pair.
+    /// `table.num_states()` rows are covered.
+    pub fn from_table(table: &QTable) -> FrozenTable {
+        let states = table.num_states();
         let mut best = vec![0u8; states * MASKS];
         for state in 0..states {
             for mask in 1..MASKS {
                 let set = ModeSet::from_bits(mask as u8);
-                let mode = best_entry(store, state, set).expect("non-empty mask");
+                let mode = table.best_index(state, set).expect("non-empty mask");
                 best[state * MASKS + mask] = mode.index() as u8;
             }
         }
@@ -149,7 +149,7 @@ impl FrozenSnapshot {
     pub fn parse(text: &str, states: usize) -> Result<FrozenSnapshot, String> {
         let (scope, sections) = match parse_tables(text)? {
             Tables::Routed { scope, sections } => (scope, sections),
-            // A bare q-table: one global agent's store.
+            // A bare q-table: one global agent's table.
             Tables::Bare(body) => (AgentScope::Global, vec![(ScopeKey::Global, body)]),
         };
         let tables = sections
@@ -157,7 +157,7 @@ impl FrozenSnapshot {
             .map(|(key, body)| {
                 let table = QTable::from_tsv_with_states(&body, states)
                     .map_err(|e| format!("agent {key}: {e}"))?;
-                Ok((key, FrozenTable::from_store(&table)))
+                Ok((key, FrozenTable::from_table(&table)))
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(FrozenSnapshot {
@@ -390,23 +390,23 @@ mod tests {
         for s in 0..states {
             for a in 0..CoherenceMode::COUNT {
                 let v = ((s as u64 * 31 + a as u64 * 7 + salt) % 13) as f64 - 6.0;
-                t.set_entry(s, a, v);
+                t.set_index(s, a, v);
             }
         }
         t
     }
 
     #[test]
-    fn frozen_table_matches_best_entry_everywhere() {
+    fn frozen_table_matches_best_index_everywhere() {
         let table = synthetic_table(27, 3);
-        let frozen = FrozenTable::from_store(&table);
+        let frozen = FrozenTable::from_table(&table);
         assert_eq!(frozen.states(), 27);
         for state in 0..27 {
             for mask in 1u8..16 {
                 let set = ModeSet::from_bits(mask);
                 assert_eq!(
                     frozen.decide(state, set),
-                    best_entry(&table, state, set),
+                    table.best_index(state, set),
                     "state {state} mask {mask:#06b}"
                 );
             }
@@ -426,7 +426,7 @@ mod tests {
                 let set = ModeSet::from_bits(mask);
                 assert_eq!(
                     snap.decide(AccelInstanceId(0), None, state, set),
-                    best_entry(&table, state, set)
+                    table.best_index(state, set)
                 );
             }
         }

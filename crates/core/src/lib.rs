@@ -32,14 +32,14 @@
 //!
 //! # The composable agent stack
 //!
-//! The learning subsystem decomposes along four pluggable axes, each a
-//! trait with the paper's choice as the default implementation:
+//! The learning subsystem decomposes along three pluggable axes, each a
+//! trait with the paper's choice as the default implementation, over one
+//! dense [`value::QTable`] sized for the chosen state space:
 //!
 //! | Axis | Trait | Paper default | Alternatives |
 //! |---|---|---|---|
 //! | Discretization | [`space::StateSpace`] | [`space::Table3Space`] (3⁵) | [`space::CoarseSpace`] (3³), [`space::ExtendedSpace`] (3⁷) |
 //! | Exploration | [`explore::ExplorationStrategy`] | [`explore::EpsilonGreedy`] | [`explore::Softmax`], [`explore::Ucb1`] |
-//! | Value storage | [`value::ValueStore`] | [`value::QTable`] (dense) | [`value::SparseQTable`] |
 //! | Update rule | [`update::UpdateRule`] | [`update::BlendUpdate`] | [`update::DiscountedUpdate`] |
 //!
 //! [`agent::LearnedPolicy`] composes one of each into a [`Policy`];
@@ -55,7 +55,7 @@
 //! `decide`/`observe` to the sub-agent owning the invocation. Reward
 //! weights enter the same composition through
 //! [`agent::AgentBuilder::reward_weights`], making "which reward" and
-//! "which scope" sweepable axes alongside the four component choices.
+//! "which scope" sweepable axes alongside the three component choices.
 //!
 //! # Example
 //!
@@ -116,7 +116,7 @@ pub use snapshot::{ActiveAccel, ArchParams, SystemSnapshot};
 pub use space::{CoarseSpace, ExtendedSpace, StateSpace, Table3Space};
 pub use state::State;
 pub use update::{BlendUpdate, DiscountedUpdate, UpdateRule};
-pub use value::{AutoStore, QTable, SparseQTable, ValueStore};
+pub use value::QTable;
 
 /// Identifies a *kind* of accelerator (e.g. "FFT", "GEMM", or a particular
 /// traffic-generator configuration). Used by design-time policies that fix a

@@ -48,7 +48,7 @@ pub struct Decision {
     /// The deciding policy's own state encoding — for a
     /// [`LearnedPolicy`] this is the index its
     /// [`StateSpace`](crate::space::StateSpace) produced, which
-    /// [`Policy::observe`] needs back to credit the right value-store
+    /// [`Policy::observe`] needs back to credit the right Q-table
     /// entry. For everything else it equals `state.index()`.
     pub state_index: usize,
 }
@@ -721,7 +721,7 @@ mod tests {
         let routed = crate::agent::AgentBuilder::paper(10, 0)
             .scope(AgentScope::PerKind)
             .build_routed();
-        assert_eq!(routed.name(), "per-kind(learned[table3+eps-greedy+dense+blend])");
+        assert_eq!(routed.name(), "per-kind(learned[table3+eps-greedy+blend])");
     }
 
     #[test]

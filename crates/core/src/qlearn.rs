@@ -1,9 +1,9 @@
 //! The Q-learning schedule of Section 4.2.
 //!
-//! A [`QTable`] stores, for each (state, action) pair, the expected reward of
-//! taking that action from that state (243 × 4 = 972 entries, initialised to
-//! zero). Cohmeleon selects actions ε-greedily among the *available* modes
-//! and updates the table with
+//! A [`QTable`](crate::value::QTable) stores, for each (state, action)
+//! pair, the expected reward of taking that action from that state
+//! (243 × 4 = 972 entries, initialised to zero). Cohmeleon selects actions
+//! ε-greedily among the *available* modes and updates the table with
 //!
 //! ```text
 //! Q(s,a) ← (1 − α) · Q(s,a) + α · R(s,a)
@@ -16,15 +16,12 @@
 //!
 //! This module holds that [`LearningSchedule`]; the learning loop itself is
 //! [`CohmeleonPolicy`](crate::agent::CohmeleonPolicy), composed from the
-//! ε-greedy [`explore`](crate::explore), blend [`update`](crate::update)
-//! and [`value`](crate::value) components. [`QTable`] lives in
-//! [`value`](crate::value) and is re-exported here under its old path.
+//! ε-greedy [`explore`](crate::explore) and blend [`update`](crate::update)
+//! components over one Q-table.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-
-pub use crate::value::QTable;
 
 /// The training schedule: initial ε and α and the number of evaluation-app
 /// iterations over which both decay linearly to zero.
@@ -89,6 +86,7 @@ mod tests {
     use super::*;
     use crate::modes::{CoherenceMode, ModeSet};
     use crate::state::State;
+    use crate::value::QTable;
 
     fn any_state() -> State {
         State::from_index(42)

@@ -134,8 +134,8 @@ impl StateSpace for CoarseSpace {
 ///
 /// The extra attributes let the agent separate "one noisy neighbour" from
 /// "system saturated" even when the per-needed-partition averages agree.
-/// At this size a dense table is mostly zero; pair it with the sparse
-/// store ([`SparseQTable`](crate::value::SparseQTable)).
+/// Its Q-table holds 2187 × 4 entries (68 KiB), most of them never
+/// visited in training.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExtendedSpace;
 

@@ -16,7 +16,7 @@
 //!   rule.
 
 use crate::qlearn::decayed;
-use crate::value::ValueStore;
+use crate::value::QTable;
 
 /// A Q-value update rule.
 ///
@@ -40,7 +40,7 @@ pub trait UpdateRule: Send {
     fn alpha(&self) -> f64;
 
     /// Applies one update for `(state, action)` with `reward`.
-    fn apply(&mut self, store: &mut dyn ValueStore, state: usize, action: usize, reward: f64);
+    fn apply(&mut self, store: &mut QTable, state: usize, action: usize, reward: f64);
 }
 
 impl UpdateRule for Box<dyn UpdateRule> {
@@ -56,7 +56,7 @@ impl UpdateRule for Box<dyn UpdateRule> {
     fn alpha(&self) -> f64 {
         (**self).alpha()
     }
-    fn apply(&mut self, store: &mut dyn ValueStore, state: usize, action: usize, reward: f64) {
+    fn apply(&mut self, store: &mut QTable, state: usize, action: usize, reward: f64) {
         (**self).apply(store, state, action, reward);
     }
 }
@@ -106,12 +106,16 @@ impl UpdateRule for BlendUpdate {
         self.alpha
     }
 
-    fn apply(&mut self, store: &mut dyn ValueStore, state: usize, action: usize, reward: f64) {
+    fn apply(&mut self, store: &mut QTable, state: usize, action: usize, reward: f64) {
         if self.alpha == 0.0 {
             return;
         }
-        let old = store.get_entry(state, action);
-        store.set_entry(state, action, (1.0 - self.alpha) * old + self.alpha * reward);
+        let old = store.get_index(state, action);
+        store.set_index(
+            state,
+            action,
+            (1.0 - self.alpha) * old + self.alpha * reward,
+        );
     }
 }
 
@@ -169,33 +173,32 @@ impl UpdateRule for DiscountedUpdate {
         self.blend.alpha()
     }
 
-    fn apply(&mut self, store: &mut dyn ValueStore, state: usize, action: usize, reward: f64) {
+    fn apply(&mut self, store: &mut QTable, state: usize, action: usize, reward: f64) {
         let alpha = self.blend.alpha();
         if alpha == 0.0 {
             return;
         }
         let bootstrap = (0..crate::modes::CoherenceMode::COUNT)
-            .map(|a| store.get_entry(state, a))
+            .map(|a| store.get_index(state, a))
             .fold(f64::MIN, f64::max);
         let target = reward + self.gamma * bootstrap;
-        let old = store.get_entry(state, action);
-        store.set_entry(state, action, (1.0 - alpha) * old + alpha * target);
+        let old = store.get_index(state, action);
+        store.set_index(state, action, (1.0 - alpha) * old + alpha * target);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::QTable;
 
     #[test]
     fn blend_matches_paper_formula() {
         let mut store = QTable::with_states(1);
         let mut u = BlendUpdate::paper(10);
         u.apply(&mut store, 0, 1, 1.0);
-        assert!((store.get_entry(0, 1) - 0.25).abs() < 1e-12);
+        assert!((store.get_index(0, 1) - 0.25).abs() < 1e-12);
         u.apply(&mut store, 0, 1, 1.0);
-        assert!((store.get_entry(0, 1) - 0.4375).abs() < 1e-12);
+        assert!((store.get_index(0, 1) - 0.4375).abs() < 1e-12);
     }
 
     #[test]
@@ -208,17 +211,17 @@ mod tests {
         assert_eq!(u.alpha(), 0.0);
         let mut store = QTable::with_states(1);
         u.apply(&mut store, 0, 0, 1.0);
-        assert_eq!(store.get_entry(0, 0), 0.0, "frozen rule must not write");
+        assert_eq!(store.get_index(0, 0), 0.0, "frozen rule must not write");
     }
 
     #[test]
     fn discounted_bootstraps_from_the_best_action() {
         let mut store = QTable::with_states(1);
-        store.set_entry(0, 2, 0.8);
+        store.set_index(0, 2, 0.8);
         let mut u = DiscountedUpdate::new(0.25, 10, 0.5);
         u.apply(&mut store, 0, 0, 1.0);
         // target = 1 + 0.5·0.8 = 1.4; Q = 0.75·0 + 0.25·1.4 = 0.35.
-        assert!((store.get_entry(0, 0) - 0.35).abs() < 1e-12);
+        assert!((store.get_index(0, 0) - 0.35).abs() < 1e-12);
     }
 
     #[test]
@@ -233,7 +236,7 @@ mod tests {
             blend.apply(&mut a, 0, 1, *r);
             disc.apply(&mut b, 0, 1, *r);
         }
-        assert_eq!(a.get_entry(0, 1), b.get_entry(0, 1));
+        assert_eq!(a.get_index(0, 1), b.get_index(0, 1));
     }
 
     #[test]
@@ -243,7 +246,7 @@ mod tests {
         assert_eq!(boxed.alpha(), 0.25);
         let mut store = QTable::with_states(1);
         boxed.apply(&mut store, 0, 0, 1.0);
-        assert!((store.get_entry(0, 0) - 0.25).abs() < 1e-12);
+        assert!((store.get_index(0, 0) - 0.25).abs() < 1e-12);
         boxed.freeze();
         assert_eq!(boxed.alpha(), 0.0);
     }

@@ -1,14 +1,13 @@
-//! Integration tests of the composable agent stack: component swaps that
-//! must not change behaviour (dense vs. sparse stores), and the frozen
-//! contract across every exploration strategy.
+//! Integration tests of the composable agent stack: the frozen contract
+//! across every exploration strategy, and determinism of dyn-composed
+//! agents.
 
 use cohmeleon_core::agent::{AgentBuilder, LearnedPolicy};
 use cohmeleon_core::explore::{EpsilonGreedy, ExplorationStrategy, Softmax, Ucb1};
 use cohmeleon_core::reward::{InvocationMeasurement, RewardWeights};
 use cohmeleon_core::snapshot::{ActiveAccel, ArchParams, SystemSnapshot};
-use cohmeleon_core::space::{ExtendedSpace, StateSpace, Table3Space};
+use cohmeleon_core::space::{ExtendedSpace, StateSpace};
 use cohmeleon_core::update::{BlendUpdate, UpdateRule};
-use cohmeleon_core::value::{QTable, SparseQTable, ValueStore};
 use cohmeleon_core::{AccelInstanceId, CoherenceMode, ModeSet, PartitionId, Policy};
 
 fn snapshot(footprint: u64, active: usize) -> SystemSnapshot {
@@ -57,39 +56,8 @@ fn drive<P: Policy>(policy: &mut P, iterations: usize) -> Vec<CoherenceMode> {
     decisions
 }
 
-/// Swapping the dense store for the sparse one changes *nothing*: same
-/// decisions, same populated entries, byte-identical TSV — on both the
-/// paper space and the extended space where sparsity actually matters.
-#[test]
-fn sparse_and_dense_stores_are_behaviourally_identical() {
-    fn check<SP: StateSpace + Clone + std::fmt::Debug>(space: SP) {
-        let mut dense = AgentBuilder::paper(6, 42)
-            .state_space(space.clone())
-            .value_store(QTable::with_states(space.cardinality()))
-            .build();
-        let mut sparse = AgentBuilder::paper(6, 42)
-            .state_space(space.clone())
-            .value_store(SparseQTable::with_states(space.cardinality()))
-            .build();
-        let a = drive(&mut dense, 6);
-        let b = drive(&mut sparse, 6);
-        assert_eq!(a, b, "{space:?}: decision streams diverged");
-        assert!(
-            dense.store().populated_entries() > 0,
-            "{space:?}: the drive must actually train"
-        );
-        assert_eq!(
-            dense.store().populated_entries(),
-            sparse.store().populated_entries()
-        );
-        assert_eq!(dense.store().to_tsv(), sparse.store().to_tsv());
-    }
-    check(Table3Space);
-    check(ExtendedSpace);
-}
-
 /// Frozen agents are pure-greedy for every exploration strategy: identical
-/// repeated decisions, no store writes, regardless of the strategy's
+/// repeated decisions, no Q-table writes, regardless of the strategy's
 /// training-time behaviour.
 #[test]
 fn frozen_agents_are_greedy_for_every_strategy() {
@@ -97,7 +65,7 @@ fn frozen_agents_are_greedy_for_every_strategy() {
         let label = explore.label();
         let mut agent = AgentBuilder::paper(4, 3).exploration(explore).build();
         drive(&mut agent, 4); // trains, then freezes
-        let tsv_before = agent.store().to_tsv();
+        let tsv_before = agent.table().to_tsv();
         let snap = snapshot(4096, 1);
         let first = agent.decide(&snap, ModeSet::all(), AccelInstanceId(0)).mode;
         for _ in 0..50 {
@@ -106,7 +74,7 @@ fn frozen_agents_are_greedy_for_every_strategy() {
             agent.observe(AccelInstanceId(0), &d, &measurement(5_000, 10.0));
         }
         assert_eq!(
-            agent.store().to_tsv(),
+            agent.table().to_tsv(),
             tsv_before,
             "{label}: frozen agents must not write"
         );
@@ -125,8 +93,6 @@ fn dyn_composed_agents_are_deterministic() {
             "dyn",
             Box::new(ExtendedSpace) as Box<dyn StateSpace>,
             Box::new(Softmax::default_schedule(5)) as Box<dyn ExplorationStrategy>,
-            Box::new(SparseQTable::with_states(ExtendedSpace.cardinality()))
-                as Box<dyn ValueStore>,
             Box::new(BlendUpdate::paper(5)) as Box<dyn UpdateRule>,
             RewardWeights::paper_default(),
             5,
@@ -135,5 +101,5 @@ fn dyn_composed_agents_are_deterministic() {
     };
     let (mut a, mut b) = (make(), make());
     assert_eq!(drive(&mut a, 5), drive(&mut b, 5));
-    assert_eq!(a.store().to_tsv(), b.store().to_tsv());
+    assert_eq!(a.table().to_tsv(), b.table().to_tsv());
 }

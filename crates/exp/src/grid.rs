@@ -117,7 +117,7 @@ impl PolicySpec {
     }
 
     /// A learning agent configured by a [`LearnerSpec`] — one cell of the
-    /// state-space × exploration × store × update design space. The paper
+    /// state-space × exploration × update design space. The paper
     /// composition ([`LearnerSpec::paper`]) is labelled `"cohmeleon"` and
     /// reported as [`PolicyKind::Cohmeleon`]; every other spec gets its
     /// own `ql[...]` label, so whole learner sweeps fit on one policy

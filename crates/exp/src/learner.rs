@@ -1,20 +1,21 @@
 //! Sweepable learner configurations: [`LearnerSpec`] names one cell of the
-//! agent design space (state space × exploration × value store × update
-//! rule) as plain data.
+//! agent design space (state space × exploration × update rule) as plain
+//! data.
 //!
 //! The agent redesign in `cohmeleon-core` made the learning subsystem
 //! composable; this module makes the composition *configurable* — a
-//! `LearnerSpec` is `Copy`, serializable, parses from / prints to a stable
-//! string form (`table3/eps-greedy/dense/blend`), and builds the
-//! corresponding boxed policy for a grid cell. That is what lets a
+//! `LearnerSpec` is `Copy`, serializable, prints a stable string form
+//! (`table3/eps-greedy/blend`), and builds the corresponding boxed policy
+//! for a grid cell. That is what lets a
 //! [`SweepGrid`](crate::SweepGrid) treat "which learner" as one more axis,
 //! exactly like seeds and scenarios (see the `learner_ablation` harness in
 //! `cohmeleon-bench`).
 //!
 //! Two stability notes. The string form doubles as the cell's *policy
 //! label* ([`LearnerSpec::label`]), which persisted records and resumed
-//! sweeps verify against — treat it like the policy names in
-//! `cohmeleon_core::Policy::name`, i.e. never rename a variant's label.
+//! sweeps compare as a string — treat it like the policy names in
+//! `cohmeleon_core::Policy::name`, i.e. never rename a variant's label,
+//! and keep every spec's label distinct.
 //! And the non-default exploration strategies are built with their fixed
 //! documented constants
 //! ([`Softmax::DEFAULT_TAU0`](cohmeleon_core::explore::Softmax::DEFAULT_TAU0),
@@ -24,7 +25,6 @@
 //! the derivation and how to override via `AgentBuilder`).
 
 use std::fmt;
-use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
@@ -34,7 +34,6 @@ use cohmeleon_core::reward::RewardWeights;
 use cohmeleon_core::router::{PolicyRouter, ScopeKey};
 use cohmeleon_core::space::{CoarseSpace, ExtendedSpace, StateSpace, Table3Space};
 use cohmeleon_core::update::{BlendUpdate, DiscountedUpdate, UpdateRule};
-use cohmeleon_core::value::{QTable, SparseQTable, ValueStore};
 use cohmeleon_core::Policy;
 
 pub use cohmeleon_core::router::AgentScope;
@@ -61,16 +60,7 @@ pub enum ExplorationKind {
     Ucb1,
 }
 
-/// Which backing holds the Q-values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum StoreKind {
-    /// Dense table (`QTable`), the paper default.
-    Dense,
-    /// Sparse map (`SparseQTable`) for large state spaces.
-    Sparse,
-}
-
-/// Which update rule folds rewards into the store.
+/// Which update rule folds rewards into the Q-table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum UpdateKind {
     /// The paper's `(1−α)Q + αR` blend.
@@ -127,26 +117,6 @@ impl ExplorationKind {
             ExplorationKind::EpsilonGreedy => Box::new(EpsilonGreedy::paper(train_iterations)),
             ExplorationKind::Softmax => Box::new(Softmax::default_schedule(train_iterations)),
             ExplorationKind::Ucb1 => Box::new(Ucb1::default()),
-        }
-    }
-}
-
-impl StoreKind {
-    /// Both store backings.
-    pub const ALL: [StoreKind; 2] = [StoreKind::Dense, StoreKind::Sparse];
-
-    /// The stable string form.
-    pub fn label(self) -> &'static str {
-        match self {
-            StoreKind::Dense => "dense",
-            StoreKind::Sparse => "sparse",
-        }
-    }
-
-    fn build(self, states: usize) -> Box<dyn ValueStore> {
-        match self {
-            StoreKind::Dense => Box::new(QTable::with_states(states)),
-            StoreKind::Sparse => Box::new(SparseQTable::with_states(states)),
         }
     }
 }
@@ -230,25 +200,20 @@ impl WeightPreset {
 ///
 /// `LearnerSpec::paper()` names the composition the paper evaluates;
 /// [`grid`](Self::grid) enumerates Cartesian sweeps for ablation
-/// harnesses. Beyond the four component axes, a spec carries two
+/// harnesses. Beyond the three component axes, a spec carries two
 /// orchestration axes: the [`AgentScope`] (does one agent drive the whole
 /// SoC, or one per accelerator kind/instance?) and the [`WeightPreset`]
 /// (which reward weighting the agent trains against).
 ///
-/// The string form round-trips through `Display`/`FromStr`. For the
-/// default orchestration (global scope, paper weights) it is the
-/// four-segment form existing checkpoints were written with
-/// (`"extended/ucb1/sparse/discounted"`); non-default scope/weights
-/// append their segments (`"table3/eps-greedy/dense/blend/per-kind/mem"`),
-/// so pre-existing labels stay byte-identical.
+/// `Display` prints the component segments (`"extended/ucb1/discounted"`)
+/// and appends the scope and weights segments only for non-default
+/// orchestration (`"table3/eps-greedy/blend/per-kind/mem"`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LearnerSpec {
     /// The state-space discretizer.
     pub state_space: StateSpaceKind,
     /// The exploration strategy.
     pub exploration: ExplorationKind,
-    /// The value-store backing.
-    pub store: StoreKind,
     /// The update rule.
     pub update: UpdateKind,
     /// How agents are partitioned across accelerators.
@@ -258,13 +223,12 @@ pub struct LearnerSpec {
 }
 
 impl LearnerSpec {
-    /// The paper's composition: Table-3 / ε-greedy / dense / blend, one
-    /// global agent, paper reward weights.
+    /// The paper's composition: Table-3 / ε-greedy / blend, one global
+    /// agent, paper reward weights.
     pub fn paper() -> LearnerSpec {
         LearnerSpec {
             state_space: StateSpaceKind::Table3,
             exploration: ExplorationKind::EpsilonGreedy,
-            store: StoreKind::Dense,
             update: UpdateKind::Blend,
             scope: AgentScope::Global,
             weights: WeightPreset::Paper,
@@ -306,7 +270,6 @@ impl LearnerSpec {
         spaces: &[StateSpaceKind],
         explorations: &[ExplorationKind],
         updates: &[UpdateKind],
-        store: StoreKind,
     ) -> Vec<LearnerSpec> {
         let mut specs = Vec::with_capacity(spaces.len() * explorations.len() * updates.len());
         for &state_space in spaces {
@@ -315,7 +278,6 @@ impl LearnerSpec {
                     specs.push(LearnerSpec {
                         state_space,
                         exploration,
-                        store,
                         update,
                         ..LearnerSpec::paper()
                     });
@@ -353,13 +315,10 @@ impl LearnerSpec {
                 seed,
             ));
         }
-        let space = self.state_space.build();
-        let store = self.store.build(space.cardinality());
         Box::new(LearnedPolicy::with_components(
             self.label(),
-            space,
+            self.state_space.build(),
             self.exploration.build(train_iterations),
-            store,
             self.update.build(train_iterations),
             self.weights.weights(),
             train_iterations,
@@ -397,100 +356,15 @@ impl fmt::Display for LearnerSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}/{}/{}/{}",
+            "{}/{}/{}",
             self.state_space.label(),
             self.exploration.label(),
-            self.store.label(),
             self.update.label()
         )?;
-        // The default orchestration keeps the historical four-segment
-        // form, so labels persisted before the scope/weights axes existed
-        // stay byte-identical (they are checkpoint coordinates).
         if self.scope != AgentScope::Global || self.weights != WeightPreset::Paper {
             write!(f, "/{}/{}", self.scope.label(), self.weights.label())?;
         }
         Ok(())
-    }
-}
-
-/// A [`LearnerSpec`] string failed to parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseLearnerSpecError(String);
-
-impl fmt::Display for ParseLearnerSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid learner spec: {}", self.0)
-    }
-}
-
-impl std::error::Error for ParseLearnerSpecError {}
-
-impl FromStr for LearnerSpec {
-    type Err = ParseLearnerSpecError;
-
-    fn from_str(s: &str) -> Result<LearnerSpec, ParseLearnerSpecError> {
-        let err = || ParseLearnerSpecError(s.to_owned());
-        let mut parts = s.split('/');
-        let mut next = || parts.next().ok_or_else(err);
-        let state_space = match next()? {
-            "coarse" => StateSpaceKind::Coarse,
-            "table3" => StateSpaceKind::Table3,
-            "extended" => StateSpaceKind::Extended,
-            _ => return Err(err()),
-        };
-        let exploration = match next()? {
-            "eps-greedy" => ExplorationKind::EpsilonGreedy,
-            "softmax" => ExplorationKind::Softmax,
-            "ucb1" => ExplorationKind::Ucb1,
-            _ => return Err(err()),
-        };
-        let store = match next()? {
-            "dense" => StoreKind::Dense,
-            "sparse" => StoreKind::Sparse,
-            _ => return Err(err()),
-        };
-        let update = match next()? {
-            "blend" => UpdateKind::Blend,
-            "discounted" => UpdateKind::Discounted,
-            _ => return Err(err()),
-        };
-        // Orchestration segments are optional (the four-segment form is
-        // the pre-scope wire format and stays valid): `/<scope>/<weights>`
-        // in that order, each individually omissible since the token sets
-        // are disjoint.
-        let mut scope = AgentScope::Global;
-        let mut weights = WeightPreset::Paper;
-        let extras: Vec<&str> = parts.collect();
-        if extras.len() > 2 {
-            return Err(err());
-        }
-        let mut seen_scope = false;
-        let mut seen_weights = false;
-        for extra in extras {
-            if let Ok(s) = extra.parse::<AgentScope>() {
-                if seen_scope || seen_weights {
-                    return Err(err());
-                }
-                scope = s;
-                seen_scope = true;
-            } else if let Some(p) = WeightPreset::ALL.iter().find(|p| p.label() == extra) {
-                if seen_weights {
-                    return Err(err());
-                }
-                weights = *p;
-                seen_weights = true;
-            } else {
-                return Err(err());
-            }
-        }
-        Ok(LearnerSpec {
-            state_space,
-            exploration,
-            store,
-            update,
-            scope,
-            weights,
-        })
     }
 }
 
@@ -507,28 +381,11 @@ mod tests {
     }
 
     #[test]
-    fn display_parses_back() {
-        for spec in LearnerSpec::grid(
-            &StateSpaceKind::ALL,
-            &ExplorationKind::ALL,
-            &UpdateKind::ALL,
-            StoreKind::Sparse,
-        ) {
-            let text = spec.to_string();
-            assert_eq!(text.parse::<LearnerSpec>().unwrap(), spec, "{text}");
-        }
-        assert!("table3/nope/dense/blend".parse::<LearnerSpec>().is_err());
-        assert!("table3/eps-greedy/dense".parse::<LearnerSpec>().is_err());
-        assert!("table3/eps-greedy/dense/blend/extra".parse::<LearnerSpec>().is_err());
-    }
-
-    #[test]
     fn grid_enumerates_the_cartesian_product() {
         let specs = LearnerSpec::grid(
             &StateSpaceKind::ALL,
             &ExplorationKind::ALL,
             &UpdateKind::ALL,
-            StoreKind::Dense,
         );
         assert_eq!(specs.len(), 18);
         let labels: std::collections::HashSet<String> =
@@ -538,57 +395,66 @@ mod tests {
     }
 
     #[test]
-    fn non_paper_specs_build_distinctly_named_agents() {
-        let spec: LearnerSpec = "extended/ucb1/sparse/discounted".parse().unwrap();
-        let policy = spec.build(2, 1);
-        assert_eq!(policy.name(), "ql[extended/ucb1/sparse/discounted]");
+    fn every_spec_of_the_full_space_has_a_distinct_label() {
+        // Checkpoints identify a cell's policy by its label string alone,
+        // so no two specs may print alike: 3 spaces × 3 strategies × 2
+        // updates × 3 scopes × 5 weight presets.
+        let mut labels = std::collections::HashSet::new();
+        for spec in LearnerSpec::grid(
+            &StateSpaceKind::ALL,
+            &ExplorationKind::ALL,
+            &UpdateKind::ALL,
+        ) {
+            for scope in AgentScope::ALL {
+                for weights in WeightPreset::ALL {
+                    let spec = spec.with_scope(scope).with_weights(weights);
+                    assert!(
+                        labels.insert(spec.label()),
+                        "duplicate label {}",
+                        spec.label()
+                    );
+                }
+            }
+        }
+        assert_eq!(labels.len(), 270);
     }
 
     #[test]
-    fn orchestration_axes_round_trip() {
-        for spec in LearnerSpec::scope_weight_grid(&AgentScope::ALL, &WeightPreset::ALL) {
-            let text = spec.to_string();
-            assert_eq!(text.parse::<LearnerSpec>().unwrap(), spec, "{text}");
-        }
-        // Partial forms: a lone scope or lone weights segment parses.
-        let s: LearnerSpec = "table3/eps-greedy/dense/blend/per-kind".parse().unwrap();
-        assert_eq!(s, LearnerSpec::paper().with_scope(AgentScope::PerKind));
-        let s: LearnerSpec = "table3/eps-greedy/dense/blend/mem".parse().unwrap();
-        assert_eq!(s, LearnerSpec::paper().with_weights(WeightPreset::Mem));
-        // Wrong order, duplicates and junk are rejected.
-        assert!("table3/eps-greedy/dense/blend/mem/per-kind"
-            .parse::<LearnerSpec>()
-            .is_err());
-        assert!("table3/eps-greedy/dense/blend/per-kind/per-kind"
-            .parse::<LearnerSpec>()
-            .is_err());
-        assert!("table3/eps-greedy/dense/blend/per-core/paper"
-            .parse::<LearnerSpec>()
-            .is_err());
-        assert!("table3/eps-greedy/dense/blend/per-kind/paper/extra"
-            .parse::<LearnerSpec>()
-            .is_err());
+    fn non_paper_specs_build_distinctly_named_agents() {
+        let spec = LearnerSpec {
+            state_space: StateSpaceKind::Extended,
+            exploration: ExplorationKind::Ucb1,
+            update: UpdateKind::Discounted,
+            ..LearnerSpec::paper()
+        };
+        let policy = spec.build(2, 1);
+        assert_eq!(policy.name(), "ql[extended/ucb1/discounted]");
     }
 
     #[test]
     fn default_orchestration_keeps_the_historical_wire_format() {
-        // Labels are checkpoint coordinates: the paper cell and every
-        // pre-existing four-segment label must be byte-identical to what
-        // the pre-scope code produced.
-        assert_eq!(LearnerSpec::paper().to_string(), "table3/eps-greedy/dense/blend");
+        // Labels are checkpoint coordinates. The default orchestration
+        // prints only the component segments; the paper cell is
+        // `cohmeleon`.
+        assert_eq!(LearnerSpec::paper().to_string(), "table3/eps-greedy/blend");
         assert_eq!(LearnerSpec::paper().label(), "cohmeleon");
-        let old: LearnerSpec = "extended/ucb1/sparse/discounted".parse().unwrap();
-        assert_eq!(old.to_string(), "extended/ucb1/sparse/discounted");
-        assert_eq!(old.scope, AgentScope::Global);
-        assert_eq!(old.weights, WeightPreset::Paper);
-        // Scoped/reweighted labels are pinned too (new coordinates).
+        let spec = LearnerSpec {
+            state_space: StateSpaceKind::Extended,
+            exploration: ExplorationKind::Ucb1,
+            update: UpdateKind::Discounted,
+            ..LearnerSpec::paper()
+        };
+        assert_eq!(spec.to_string(), "extended/ucb1/discounted");
+        assert_eq!(spec.scope, AgentScope::Global);
+        assert_eq!(spec.weights, WeightPreset::Paper);
+        // Scoped/reweighted labels append both orchestration segments.
         assert_eq!(
             LearnerSpec::paper().with_scope(AgentScope::PerKind).label(),
-            "ql[table3/eps-greedy/dense/blend/per-kind/paper]"
+            "ql[table3/eps-greedy/blend/per-kind/paper]"
         );
         assert_eq!(
             LearnerSpec::paper().with_weights(WeightPreset::MemHeavy).label(),
-            "ql[table3/eps-greedy/dense/blend/global/mem-heavy]"
+            "ql[table3/eps-greedy/blend/global/mem-heavy]"
         );
     }
 

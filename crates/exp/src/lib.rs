@@ -20,8 +20,8 @@
 //!   they run and figures can be regenerated from the record
 //!   ([`read_jsonl`]).
 //! * [`LearnerSpec`] — the learning agent as sweep data: one value names
-//!   a state-space × exploration × value-store × update-rule composition
-//!   (`"table3/eps-greedy/dense/blend"` is the paper's), and
+//!   a state-space × exploration × update-rule composition
+//!   (`"table3/eps-greedy/blend"` is the paper's), and
 //!   [`Experiment::learners`] puts whole learner sweeps on the policy
 //!   axis. See the `learner_ablation` harness in `cohmeleon-bench`.
 //! * [`checkpoint`] — resumable sweeps: [`Experiment::resume_from`] +
@@ -109,7 +109,7 @@ pub use grid::{
     Scenario, SweepGrid,
 };
 pub use learner::{
-    AgentScope, ExplorationKind, LearnerSpec, StateSpaceKind, StoreKind, UpdateKind, WeightPreset,
+    AgentScope, ExplorationKind, LearnerSpec, StateSpaceKind, UpdateKind, WeightPreset,
 };
 pub use policies::{build_policy, policy_suite, PolicyKind};
 pub use sink::{read_jsonl, CellRecord, CollectSink, JsonlSink, ResultSink};

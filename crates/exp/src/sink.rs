@@ -358,8 +358,11 @@ impl<'a> JsonCursor<'a> {
     }
 }
 
+/// The first 24 characters of `s`, for error messages. Cut on a char
+/// boundary: the input is untrusted bytes (a corrupted checkpoint, a
+/// peer's `RECORD` line) and may put a multi-byte character anywhere.
 fn truncated(s: &str) -> &str {
-    &s[..s.len().min(24)]
+    s.char_indices().nth(24).map_or(s, |(end, _)| &s[..end])
 }
 
 /// Parses every line of a JSONL text written by [`JsonlSink`].
@@ -443,7 +446,7 @@ mod tests {
             policy_index: 2,
             seed_index: 1,
             scenario: "soc1".into(),
-            policy: "ql[coarse/softmax/sparse/blend]".into(),
+            policy: "ql[coarse/softmax/blend]".into(),
             seed: 17,
             total_cycles: 4022452,
             total_offchip: 11099,

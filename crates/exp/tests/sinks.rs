@@ -2,7 +2,8 @@
 //! round-trip losslessly and agree with the in-memory results.
 
 use cohmeleon_exp::{
-    read_jsonl, CellRecord, Experiment, JsonlSink, LearnerSpec, PolicyKind, Serial, WorkStealing,
+    read_jsonl, CellRecord, Experiment, ExplorationKind, JsonlSink, LearnerSpec, PolicyKind,
+    Serial, StateSpaceKind, UpdateKind, WorkStealing,
 };
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
@@ -14,8 +15,17 @@ fn quick_grid() -> cohmeleon_exp::SweepGrid {
     Experiment::train_test(config, train, test)
         .policy_kinds([PolicyKind::FixedNonCoh, PolicyKind::Manual])
         .learners([
-            "coarse/softmax/sparse/blend".parse::<LearnerSpec>().unwrap(),
-            "extended/ucb1/sparse/discounted".parse().unwrap(),
+            LearnerSpec {
+                state_space: StateSpaceKind::Coarse,
+                exploration: ExplorationKind::Softmax,
+                ..LearnerSpec::paper()
+            },
+            LearnerSpec {
+                state_space: StateSpaceKind::Extended,
+                exploration: ExplorationKind::Ucb1,
+                update: UpdateKind::Discounted,
+                ..LearnerSpec::paper()
+            },
         ])
         .seeds([4, 5])
         .train_iterations(1)

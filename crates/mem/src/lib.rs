@@ -200,11 +200,6 @@ impl DramController {
         self.writes.sample()
     }
 
-    /// Total cycles the channel spent busy (utilization diagnostics).
-    pub fn busy_cycles(&self) -> Cycle {
-        self.channel.busy_cycles()
-    }
-
     /// When the channel next becomes free (diagnostics).
     pub fn next_free(&self) -> Cycle {
         self.channel.next_free()
@@ -367,7 +362,7 @@ mod tests {
         d.burst_access(Cycle(0), 0, 16, true);
         d.reset();
         assert_eq!(d.total_accesses(), 0);
-        assert_eq!(d.busy_cycles(), Cycle::ZERO);
+        assert_eq!(d.next_free(), Cycle::ZERO);
         // Row buffer forgotten: first access pays the row miss again.
         let done = d.access(Cycle(0), 0, false);
         assert_eq!(done, Cycle(24 + 16 + 100));

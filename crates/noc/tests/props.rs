@@ -262,7 +262,7 @@ impl ReferenceNoc {
                 &mut self.links[plane.index()][self.mesh.link_index(link)],
                 head,
             );
-            stats.queued_cycles += grant.queueing_delay(head).raw();
+            stats.queued_cycles += grant.start.saturating_sub(head).raw();
             head = grant.start + hop;
         }
         head + flits

@@ -21,18 +21,6 @@ pub struct Grant {
     pub end: Cycle,
 }
 
-impl Grant {
-    /// How long the transaction waited before service began.
-    pub fn queueing_delay(&self, requested_at: Cycle) -> Cycle {
-        self.start.saturating_sub(requested_at)
-    }
-
-    /// Total latency from request to completion.
-    pub fn latency(&self, requested_at: Cycle) -> Cycle {
-        self.end.saturating_sub(requested_at)
-    }
-}
-
 /// A serially-shared hardware resource with full-occupancy reservation.
 ///
 /// # Example
@@ -51,9 +39,6 @@ impl Grant {
 pub struct Resource {
     name: &'static str,
     next_free: Cycle,
-    busy_cycles: Cycle,
-    acquisitions: u64,
-    queued_cycles: Cycle,
 }
 
 impl Resource {
@@ -63,9 +48,6 @@ impl Resource {
         Resource {
             name,
             next_free: Cycle::ZERO,
-            busy_cycles: Cycle::ZERO,
-            acquisitions: 0,
-            queued_cycles: Cycle::ZERO,
         }
     }
 
@@ -83,9 +65,6 @@ impl Resource {
         let start = at.max(self.next_free);
         let end = start + service;
         self.next_free = end;
-        self.busy_cycles += service;
-        self.acquisitions += 1;
-        self.queued_cycles += start.saturating_sub(at);
         Grant { start, end }
     }
 
@@ -94,10 +73,9 @@ impl Resource {
     /// each of the rest takes `rest`. Returns the window from the first
     /// transaction's service start to the last one's completion.
     ///
-    /// Bit-identical (including the busy/queued/acquisition statistics) to
-    /// `n` individual [`acquire`](Self::acquire) calls at the same arrival
-    /// time — the batched form exists so per-line hot loops (DRAM bursts)
-    /// can reserve a whole streak with O(1) work.
+    /// Bit-identical to `n` individual [`acquire`](Self::acquire) calls at
+    /// the same arrival time — the batched form exists so per-line hot
+    /// loops (DRAM bursts) can reserve a whole streak with O(1) work.
     ///
     /// # Panics
     ///
@@ -108,14 +86,6 @@ impl Resource {
         let total = first + Cycle(rest.raw() * (n - 1));
         let end = start + total;
         self.next_free = end;
-        self.busy_cycles += total;
-        self.acquisitions += n;
-        // Transaction k (0-based) starts at `start + first + rest×(k-1)`
-        // (k ≥ 1), so its queueing delay is the common `start - at` plus
-        // the service prefix ahead of it.
-        let base_queue = start.saturating_sub(at).raw();
-        let prefix_sum = (n - 1) * first.raw() + rest.raw() * ((n - 1) * n.saturating_sub(2) / 2);
-        self.queued_cycles += Cycle(n * base_queue + prefix_sum);
         Grant { start, end }
     }
 
@@ -124,54 +94,16 @@ impl Resource {
         self.next_free
     }
 
-    /// Would a transaction arriving at `at` have to queue?
-    pub fn is_busy_at(&self, at: Cycle) -> bool {
-        self.next_free > at
-    }
-
-    /// Total cycles of granted service time.
-    pub fn busy_cycles(&self) -> Cycle {
-        self.busy_cycles
-    }
-
-    /// Total cycles transactions spent queueing before service.
-    pub fn queued_cycles(&self) -> Cycle {
-        self.queued_cycles
-    }
-
-    /// Number of transactions served.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
-    }
-
-    /// Fraction of the window `[0, horizon)` spent busy; a cheap utilization
-    /// estimate for the harness's diagnostics.
-    ///
-    /// Returns 0.0 for a zero-length horizon.
-    pub fn utilization(&self, horizon: Cycle) -> f64 {
-        if horizon == Cycle::ZERO {
-            return 0.0;
-        }
-        (self.busy_cycles.as_f64() / horizon.as_f64()).min(1.0)
-    }
-
-    /// Forgets all statistics and reservations, returning the resource to the
-    /// idle state. Used between experiment repetitions.
+    /// Forgets all reservations, returning the resource to the idle state.
+    /// Used between experiment repetitions.
     pub fn reset(&mut self) {
         self.next_free = Cycle::ZERO;
-        self.busy_cycles = Cycle::ZERO;
-        self.acquisitions = 0;
-        self.queued_cycles = Cycle::ZERO;
     }
 }
 
 impl fmt::Display for Resource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: busy={} queued={} n={}",
-            self.name, self.busy_cycles, self.queued_cycles, self.acquisitions
-        )
+        write!(f, "{}: next_free={}", self.name, self.next_free)
     }
 }
 
@@ -185,7 +117,6 @@ mod tests {
         let g = r.acquire(Cycle(10), Cycle(5));
         assert_eq!(g.start, Cycle(10));
         assert_eq!(g.end, Cycle(15));
-        assert_eq!(g.queueing_delay(Cycle(10)), Cycle::ZERO);
     }
 
     #[test]
@@ -195,8 +126,6 @@ mod tests {
         let g = r.acquire(Cycle(10), Cycle(5));
         assert_eq!(g.start, Cycle(100));
         assert_eq!(g.end, Cycle(105));
-        assert_eq!(g.queueing_delay(Cycle(10)), Cycle(90));
-        assert_eq!(g.latency(Cycle(10)), Cycle(95));
     }
 
     #[test]
@@ -205,7 +134,6 @@ mod tests {
         r.acquire(Cycle(0), Cycle(10));
         let g = r.acquire(Cycle(50), Cycle(10));
         assert_eq!(g.start, Cycle(50));
-        assert_eq!(r.busy_cycles(), Cycle(20));
     }
 
     #[test]
@@ -218,31 +146,11 @@ mod tests {
     }
 
     #[test]
-    fn statistics_accumulate() {
-        let mut r = Resource::new("r");
-        r.acquire(Cycle(0), Cycle(10));
-        r.acquire(Cycle(0), Cycle(10)); // queues 10
-        assert_eq!(r.acquisitions(), 2);
-        assert_eq!(r.busy_cycles(), Cycle(20));
-        assert_eq!(r.queued_cycles(), Cycle(10));
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut r = Resource::new("r");
-        r.acquire(Cycle(0), Cycle(25));
-        assert!((r.utilization(Cycle(100)) - 0.25).abs() < 1e-12);
-        assert_eq!(r.utilization(Cycle::ZERO), 0.0);
-    }
-
-    #[test]
     fn reset_clears_everything() {
         let mut r = Resource::new("r");
         r.acquire(Cycle(0), Cycle(25));
         r.reset();
         assert_eq!(r.next_free(), Cycle::ZERO);
-        assert_eq!(r.busy_cycles(), Cycle::ZERO);
-        assert_eq!(r.acquisitions(), 0);
         let g = r.acquire(Cycle(1), Cycle(1));
         assert_eq!(g.start, Cycle(1));
     }
@@ -265,17 +173,6 @@ mod tests {
             }
             assert_eq!(g.end, last.end, "n={n}");
             assert_eq!(a.next_free(), b.next_free(), "n={n}");
-            assert_eq!(a.busy_cycles(), b.busy_cycles(), "n={n}");
-            assert_eq!(a.queued_cycles(), b.queued_cycles(), "n={n}");
-            assert_eq!(a.acquisitions(), b.acquisitions(), "n={n}");
         }
-    }
-
-    #[test]
-    fn is_busy_at_reflects_reservations() {
-        let mut r = Resource::new("r");
-        r.acquire(Cycle(0), Cycle(10));
-        assert!(r.is_busy_at(Cycle(5)));
-        assert!(!r.is_busy_at(Cycle(10)));
     }
 }

@@ -1,7 +1,7 @@
 //! Sweeping the learner design space as a grid axis.
 //!
 //! The agent redesign made the learning subsystem composable (state space
-//! × exploration × value store × update rule); a `LearnerSpec` names one
+//! × exploration × update rule); a `LearnerSpec` names one
 //! composition as plain data, and `Experiment::learners` puts a whole
 //! sweep of them on the policy axis — here every exploration strategy
 //! over two state spaces, raced on SoC1 and streamed to a JSONL record
@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example learner_sweep`
 
 use cohmeleon_repro::exp::{
-    AgentScope, Experiment, JsonlSink, LearnerSpec, StateSpaceKind, StoreKind, UpdateKind,
+    AgentScope, Experiment, ExplorationKind, JsonlSink, LearnerSpec, StateSpaceKind, UpdateKind,
     WeightPreset, WorkStealing,
 };
 use cohmeleon_repro::soc::config::soc1;
@@ -24,23 +24,12 @@ fn main() {
     let train_app = generate_app(&config, &params, 21);
     let test_app = generate_app(&config, &params, 22);
 
-    // Every exploration strategy × {table3, extended} over a sparse store,
-    // with the paper composition (exactly `CohmeleonPolicy`) as cell 0.
-    let mut specs = vec![LearnerSpec::paper()];
-    specs.extend(
-        LearnerSpec::grid(
-            &[StateSpaceKind::Table3, StateSpaceKind::Extended],
-            &cohmeleon_repro::exp::ExplorationKind::ALL,
-            &[UpdateKind::Blend],
-            StoreKind::Sparse,
-        )
-        .into_iter()
-        .filter(|s| {
-            *s != LearnerSpec {
-                store: StoreKind::Sparse,
-                ..LearnerSpec::paper()
-            }
-        }),
+    // Every exploration strategy × {table3, extended}; the paper
+    // composition (exactly `CohmeleonPolicy`) comes first in the grid.
+    let mut specs = LearnerSpec::grid(
+        &[StateSpaceKind::Table3, StateSpaceKind::Extended],
+        &ExplorationKind::ALL,
+        &[UpdateKind::Blend],
     );
     // The orchestration axes ride the same grid: the paper composition
     // with one agent per accelerator kind, and with a memory-leaning

@@ -46,7 +46,7 @@
 //! * [`core`] — the paper's contribution: coherence modes, the
 //!   sense/decide/actuate/evaluate framework, the baseline policies, and
 //!   the composable learning-agent stack (`StateSpace` ×
-//!   `ExplorationStrategy` × `ValueStore` × `UpdateRule` behind
+//!   `ExplorationStrategy` × `UpdateRule` over one `QTable`, behind
 //!   `LearnedPolicy`/`AgentBuilder`; `CohmeleonPolicy` is the
 //!   bit-identical paper-default composition), plus the agent
 //!   orchestration layer (`PolicyRouter` routing decisions through
