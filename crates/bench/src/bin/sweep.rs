@@ -27,6 +27,9 @@
 //!   stand-in for a kill; CI uses it for the resume smoke), `--fresh`
 //!   deletes the checkpoint first.
 //! * `resume` is `run` spelled for humans reading a script.
+//! * A complete `run`, `resume`, `shard` or `queen` of a grid that is a
+//!   figure (`learners`, `weights`, `paper`) prints that figure, rendered
+//!   from the finished records.
 //! * `shard` is a fleet on this machine: a queen on a loopback port and
 //!   N `worker` processes of this binary. Like `run`, it resumes the
 //!   checkpoint at `--out` and finalises it byte-identical to a serial
@@ -70,7 +73,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
-use cohmeleon_bench::sweeps::{named_experiment, GRID_NAMES};
+use cohmeleon_bench::sweeps::{named_experiment, print_figure, GRID_NAMES};
 use cohmeleon_chaos::FaultPlan;
 use cohmeleon_bench::Scale;
 use cohmeleon_exp::{Checkpoint, ResumeOutcome, Serial, SweepGrid, WorkStealing};
@@ -247,7 +250,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         outcome.ran,
         out.display()
     );
-    if !outcome.complete {
+    if outcome.complete {
+        print_figure(&common.grid, &outcome.records);
+    } else {
         println!(
             "sweep: interrupted at --max-cells {max_cells}; finish with `sweep resume --grid {} --out {}`",
             common.grid,
@@ -302,6 +307,9 @@ fn cmd_shard(args: &[String]) -> Result<(), String> {
         report.ran,
         out.display()
     );
+    if report.complete {
+        print_figure(&common.grid, &report.records);
+    }
     Ok(())
 }
 
@@ -408,7 +416,9 @@ fn cmd_queen(args: &[String]) -> Result<(), String> {
         report.speculative,
         out.display()
     );
-    if !report.complete {
+    if report.complete {
+        print_figure(&common.grid, &report.records);
+    } else {
         println!(
             "sweep: interrupted at --max-cells {max_cells}; finish with `sweep queen --grid {} --listen {} --resume {}` (or `sweep resume`)",
             common.grid,

@@ -1,4 +1,5 @@
-//! Ablation studies of the design choices called out in DESIGN.md:
+//! Ablation studies of three of the paper's design choices (indexed in
+//! the [`figures`](crate::figures) module table):
 //!
 //! 1. **Coherent-DMA support** — the paper extended ESP's protocol with
 //!    coherent DMA ("we extended the protocol to support coherent-DMA by
@@ -14,7 +15,7 @@ use cohmeleon_core::policy::{CohmeleonPolicy, RestrictedPolicy};
 use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::RewardWeights;
 use cohmeleon_core::{CoherenceMode, ModeSet};
-use cohmeleon_exp::{Experiment, PolicySpec, WorkStealing};
+use cohmeleon_exp::{CellRecord, Experiment, PolicySpec};
 use cohmeleon_soc::config::soc0;
 use cohmeleon_soc::{Attribution, EngineOptions};
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
@@ -40,12 +41,11 @@ pub struct Data {
     pub arms: Vec<Arm>,
 }
 
-/// Runs the three ablations on SoC0: one grid of four custom policy arms
-/// (the full system plus three ablated variants), normalized against the
-/// full-system cell. The oracle arm overrides the engine's attribution
-/// mode through its [`PolicySpec`] — every arm otherwise runs the exact
-/// train/test protocol of the grid.
-pub fn run(scale: Scale) -> Data {
+/// The three ablations on SoC0 as one grid of four custom policy arms:
+/// the full system plus three ablated variants. The oracle arm overrides
+/// the engine's attribution mode through its [`PolicySpec`] — every arm
+/// otherwise runs the exact train/test protocol of the grid.
+pub fn experiment(scale: Scale) -> Experiment {
     let config = soc0();
     let iterations = scale.pick(20, 2);
     let gen_params = scale.pick(GeneratorParams::default(), GeneratorParams::quick());
@@ -64,7 +64,7 @@ pub fn run(scale: Scale) -> Data {
             seed,
         ))
     }
-    let grid = Experiment::train_test(config, train_app, test_app)
+    Experiment::train_test(config, train_app, test_app)
         .policy(PolicySpec::custom(
             "full system (4 modes, approx attribution, ε₀=0.5)",
             full_system,
@@ -103,32 +103,26 @@ pub fn run(scale: Scale) -> Data {
         ))
         .seed(7)
         .train_iterations(iterations)
-        .build()
-        .expect("ablation grid is non-empty");
-    let results = grid.collect(&WorkStealing::new());
+}
 
-    let arms = results
-        .into_outcomes_against(0)
-        .into_iter()
-        .map(|(cell, o)| {
-            if cell.policy == 0 {
-                // The full system is the normalization baseline by
-                // definition.
-                Arm {
-                    label: grid.policies()[0].policy_label().to_owned(),
-                    norm_time: 1.0,
-                    norm_mem: 1.0,
-                }
-            } else {
-                Arm {
-                    label: grid.policies()[cell.policy].policy_label().to_owned(),
-                    norm_time: o.geo_time,
-                    norm_mem: o.geo_mem,
-                }
-            }
+/// Renders the table from the grid's records, every arm normalized
+/// against the full-system cell.
+pub fn from_records(records: &[CellRecord]) -> Data {
+    let arms = records
+        .iter()
+        .zip(super::arm_ratios(records))
+        .map(|(r, (norm_time, norm_mem))| Arm {
+            label: r.policy.clone(),
+            norm_time,
+            norm_mem,
         })
         .collect();
     Data { arms }
+}
+
+/// Runs the grid in-process and renders the table.
+pub fn run(scale: Scale) -> Data {
+    super::run_grid(experiment(scale), from_records)
 }
 
 /// Prints the ablation table.

@@ -2,7 +2,7 @@
 //! under all eight coherence policies. Bars are per-phase execution time and
 //! off-chip accesses normalized to the fixed non-coherent-DMA policy.
 
-use cohmeleon_exp::{Experiment, PolicyKind, WorkStealing};
+use cohmeleon_exp::{normalize_records, CellRecord, Experiment, PolicyKind};
 use cohmeleon_soc::config::soc0;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 use cohmeleon_workloads::phases::figure5_app;
@@ -50,42 +50,40 @@ impl Data {
     }
 }
 
-/// Runs the experiment: train Cohmeleon on a random evaluation-app
-/// instance, then test every policy on the Figure 5 application.
-pub fn run(scale: Scale) -> Data {
+/// The grid: train Cohmeleon on a random evaluation-app instance, then
+/// test every policy on the Figure 5 application.
+pub fn experiment(scale: Scale) -> Experiment {
     let config = soc0();
     let train_iterations = scale.pick(20, 2);
     let gen_params = scale.pick(GeneratorParams::default(), GeneratorParams::quick());
     let train_app = generate_app(&config, &gen_params, 1001);
     let test_app = figure5_app(&config, 77);
-
-    let grid = Experiment::train_test(config, train_app, test_app)
+    Experiment::train_test(config, train_app, test_app)
         .policy_kinds(PolicyKind::ALL)
         .seed(7)
         .train_iterations(train_iterations)
-        .build()
-        .expect("fig5 grid is non-empty");
-    let outcomes = grid
-        .collect(&WorkStealing::new())
-        .into_outcomes_against(0);
+}
 
+/// Renders the figure from the grid's records: every phase of every
+/// policy, normalized against fixed non-coherent DMA (policy 0).
+pub fn from_records(records: &[CellRecord]) -> Data {
     let mut entries = Vec::new();
-    for (_, outcome) in &outcomes {
-        for (phase, (t, m)) in outcome
-            .result
-            .phases
-            .iter()
-            .zip(&outcome.normalized_phases)
-        {
+    for (record, outcome) in records.iter().zip(normalize_records(records, 0)) {
+        for ((phase, _, _), &(t, m)) in record.phases.iter().zip(&outcome.normalized_phases) {
             entries.push(Entry {
-                phase: phase.name.clone(),
-                policy: outcome.policy.clone(),
-                norm_time: *t,
-                norm_mem: *m,
+                phase: phase.clone(),
+                policy: record.policy.clone(),
+                norm_time: t,
+                norm_mem: m,
             });
         }
     }
     Data { entries }
+}
+
+/// Runs the grid in-process and renders the figure.
+pub fn run(scale: Scale) -> Data {
+    super::run_grid(experiment(scale), from_records)
 }
 
 /// Prints the figure.

@@ -10,7 +10,7 @@
 use cohmeleon_core::policy::CohmeleonPolicy;
 use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::RewardWeights;
-use cohmeleon_exp::{Experiment, PolicyKind, PolicySpec, WorkStealing};
+use cohmeleon_exp::{normalize_records, CellRecord, Experiment, PolicyKind, PolicySpec};
 use cohmeleon_soc::config::soc0;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 
@@ -75,22 +75,24 @@ impl Data {
     }
 }
 
-/// Runs the DSE as one grid: the seven baseline policies plus up to
-/// fifteen custom reward-weight Cohmeleon variants, all normalized against
-/// the fixed non-coherent-DMA cell (policy 0).
-pub fn run(scale: Scale) -> Data {
+/// The policies that are not Cohmeleon: the seven baselines, which come
+/// first on the grid's policy axis.
+fn baseline_kinds() -> Vec<PolicyKind> {
+    PolicyKind::ALL
+        .into_iter()
+        .filter(|k| *k != PolicyKind::Cohmeleon)
+        .collect()
+}
+
+/// The DSE as one grid: the seven baseline policies plus up to fifteen
+/// custom reward-weight Cohmeleon variants.
+pub fn experiment(scale: Scale) -> Experiment {
     let config = soc0();
     let train_iterations = scale.pick(50, 2);
     let gen_params = scale.pick(GeneratorParams::default(), GeneratorParams::quick());
     let train_app = generate_app(&config, &gen_params, 2001);
     let test_app = generate_app(&config, &gen_params, 2002);
 
-    // Baselines (everything but Cohmeleon), then the reward variants.
-    let baseline_kinds: Vec<PolicyKind> = PolicyKind::ALL
-        .into_iter()
-        .filter(|k| *k != PolicyKind::Cohmeleon)
-        .collect();
-    let n_baselines = baseline_kinds.len();
     let reward_points = scale.pick(REWARD_POINTS.len(), 4);
     let variants = REWARD_POINTS[..reward_points]
         .iter()
@@ -109,31 +111,35 @@ pub fn run(scale: Scale) -> Data {
             })
         });
 
-    let grid = Experiment::train_test(config, train_app, test_app)
-        .policy_kinds(baseline_kinds)
+    Experiment::train_test(config, train_app, test_app)
+        .policy_kinds(baseline_kinds())
         .policies(variants)
         .seed(7)
         .train_iterations(train_iterations)
-        .build()
-        .expect("fig6 grid is non-empty");
-    let results = grid.collect(&WorkStealing::new());
+}
 
-    let points = results
-        .into_outcomes_against(0)
-        .into_iter()
-        .map(|(cell, outcome)| {
-            let is_cohmeleon = cell.policy >= n_baselines;
-            Point {
-                // Baselines report the policy's own name; variants the
-                // reward-weight label of their spec.
-                label: grid.policies()[cell.policy].policy_label().to_owned(),
-                is_cohmeleon,
-                geo_time: outcome.geo_time,
-                geo_mem: outcome.geo_mem,
-            }
+/// Renders the scatter from the grid's records, every point normalized
+/// against the fixed non-coherent-DMA cell (policy 0). Baselines report
+/// the policy's own name; variants the reward-weight label of their
+/// spec.
+pub fn from_records(records: &[CellRecord]) -> Data {
+    let n_baselines = baseline_kinds().len();
+    let points = records
+        .iter()
+        .zip(normalize_records(records, 0))
+        .map(|(record, outcome)| Point {
+            label: record.policy.clone(),
+            is_cohmeleon: record.policy_index >= n_baselines,
+            geo_time: outcome.geo_time,
+            geo_mem: outcome.geo_mem,
         })
         .collect();
     Data { points }
+}
+
+/// Runs the grid in-process and renders the scatter.
+pub fn run(scale: Scale) -> Data {
+    super::run_grid(experiment(scale), from_records)
 }
 
 /// Prints the scatter.

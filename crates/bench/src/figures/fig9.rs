@@ -3,12 +3,13 @@
 //! and the case studies SoC4 (mixed accelerators), SoC5 (autonomous
 //! driving), SoC6 (computer vision). Also computes the paper's headline
 //! numbers: Cohmeleon's average speedup and off-chip-access reduction
-//! against the five fixed policies.
+//! against the five fixed policies, and the same headline for two
+//! per-phase oracles, the ceiling of any policy that holds one mode per
+//! phase.
 
-use cohmeleon_exp::{Experiment, PolicyKind, Scenario, WorkStealing};
+use cohmeleon_exp::{normalize_records, CellRecord, Experiment, PolicyKind, Scenario};
 use cohmeleon_sim::stats::geometric_mean;
 use cohmeleon_soc::config::{soc0_irregular, soc0_streaming, soc1, soc2, soc3, soc4, soc5, soc6};
-use cohmeleon_soc::{AppSpec, SocConfig};
 use cohmeleon_workloads::case_studies::{soc4_app, soc5_app, soc6_app};
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 
@@ -28,6 +29,19 @@ pub struct Point {
     pub norm_mem: f64,
 }
 
+/// A per-phase oracle's points and headline.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ceiling {
+    /// The oracle's label, as in [`ORACLES`].
+    pub oracle: &'static str,
+    /// One point per SoC.
+    pub points: Vec<Point>,
+    /// Mean speedup of the oracle vs. the five fixed policies.
+    pub speedup: f64,
+    /// Mean reduction of off-chip accesses vs. the five fixed policies.
+    pub mem_reduction: f64,
+}
+
 /// The regenerated figure plus headline summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Data {
@@ -39,6 +53,8 @@ pub struct Data {
     /// Mean reduction of off-chip accesses vs. the five fixed policies
     /// (paper: ≈ 66%).
     pub headline_mem_reduction: f64,
+    /// One ceiling per entry of [`ORACLES`].
+    pub ceilings: Vec<Ceiling>,
 }
 
 impl Data {
@@ -49,18 +65,49 @@ impl Data {
 
     /// Distinct SoC names in order.
     pub fn socs(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for p in &self.points {
-            if !out.contains(&p.soc) {
-                out.push(p.soc.clone());
-            }
-        }
-        out
+        socs(&self.points)
     }
 }
 
-/// The eight experiment configurations: `(config, train app, test app)`.
-fn experiments(scale: Scale) -> Vec<(SocConfig, AppSpec, AppSpec)> {
+/// Distinct SoC names of `points`, in order.
+fn socs(points: &[Point]) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for p in points {
+        if !out.contains(&p.soc) {
+            out.push(p.soc.clone());
+        }
+    }
+    out
+}
+
+/// The per-phase oracles: a label, and the policies whose fastest run of
+/// each phase the oracle takes.
+pub const ORACLES: [(&str, &[PolicyKind]); 2] = [
+    (
+        "per-phase oracle over the 4 uniform modes",
+        &[
+            PolicyKind::FixedNonCoh,
+            PolicyKind::FixedLlcCoh,
+            PolicyKind::FixedCohDma,
+            PolicyKind::FixedFullCoh,
+        ],
+    ),
+    (
+        "per-phase oracle over the 5 fixed policies + manual",
+        &[
+            PolicyKind::FixedNonCoh,
+            PolicyKind::FixedLlcCoh,
+            PolicyKind::FixedCohDma,
+            PolicyKind::FixedFullCoh,
+            PolicyKind::FixedHetero,
+            PolicyKind::Manual,
+        ],
+    ),
+];
+
+/// The eight experiment scenarios. Scenario `i` keeps its historical seed
+/// `7 + i` via a per-scenario seed offset.
+fn scenarios(scale: Scale) -> Vec<Scenario> {
     let gen_params = scale.pick(GeneratorParams::default(), GeneratorParams::quick());
     let mut out = Vec::new();
     for (i, config) in [soc0_streaming(), soc0_irregular(), soc1(), soc2(), soc3()]
@@ -69,107 +116,157 @@ fn experiments(scale: Scale) -> Vec<(SocConfig, AppSpec, AppSpec)> {
     {
         let train = generate_app(&config, &gen_params, 5000 + i as u64 * 2);
         let test = generate_app(&config, &gen_params, 5001 + i as u64 * 2);
-        out.push((config, train, test));
+        out.push(Scenario::new(config, train, test));
     }
     // Case-study SoCs: per the paper, training always runs a randomly
     // configured instance of the evaluation application on the target SoC;
     // the domain application is the test workload.
     let c4 = soc4();
-    out.push((
+    out.push(Scenario::new(
         c4.clone(),
         generate_app(&c4, &gen_params, 5100),
         soc4_app(&c4, 2),
     ));
     let c5 = soc5();
-    out.push((
+    out.push(Scenario::new(
         c5.clone(),
         generate_app(&c5, &gen_params, 5101),
         soc5_app(&c5, 2),
     ));
     let c6 = soc6();
-    out.push((
+    out.push(Scenario::new(
         c6.clone(),
         generate_app(&c6, &gen_params, 5102),
         soc6_app(&c6, 2),
     ));
-    out
+    out.into_iter()
+        .enumerate()
+        .map(|(i, scenario)| scenario.seed_offset(i as u64))
+        .collect()
 }
 
-/// Runs the cross-SoC experiment as one 8 × 8 grid: every (SoC, policy)
-/// cell is independent, so the work-stealing executor balances the whole
-/// figure instead of one suite per SoC. Scenario `i` keeps its historical
-/// seed `7 + i` via a per-scenario seed offset.
-pub fn run(scale: Scale) -> Data {
-    let train_iterations = scale.pick(20, 2);
-    let exps = experiments(scale);
-
-    let scenarios = exps
-        .into_iter()
-        .enumerate()
-        .map(|(i, (config, train_app, test_app))| {
-            Scenario::new(config, train_app, test_app).seed_offset(i as u64)
-        });
-    let grid = Experiment::new()
-        .scenarios(scenarios)
+/// The cross-SoC experiment as one 8 × 8 grid, seed 7 — the `paper` grid
+/// of [`sweeps`](crate::sweeps). Every (SoC, policy) cell is
+/// independent, so an executor or a fleet balances the whole figure
+/// instead of one suite per SoC.
+pub fn experiment(scale: Scale) -> Experiment {
+    Experiment::new()
+        .scenarios(scenarios(scale))
         .policy_kinds(PolicyKind::ALL)
         .seed(7)
-        .train_iterations(train_iterations)
-        .build()
-        .expect("fig9 grid is non-empty");
-    let results = grid.collect(&WorkStealing::new());
+        .train_iterations(scale.pick(20, 2))
+}
 
-    let points: Vec<Point> = results
-        .into_outcomes_against(0)
-        .into_iter()
-        .map(|(cell, o)| Point {
-            soc: grid.scenarios()[cell.scenario].label.clone(),
-            policy: o.policy.clone(),
-            norm_time: o.geo_time,
-            norm_mem: o.geo_mem,
+/// Renders the figure from the grid's records: every point normalized
+/// against fixed non-coherent DMA (policy 0), the headline, and the
+/// ceilings of [`ORACLES`].
+pub fn from_records(records: &[CellRecord]) -> Data {
+    let points = scatter(records);
+    let (headline_speedup, headline_mem_reduction) =
+        headline(&points, PolicyKind::Cohmeleon.label());
+    let ceilings = ORACLES
+        .iter()
+        .map(|&(oracle, candidates)| {
+            let mut with_oracle = records.to_vec();
+            with_oracle.extend(oracle_records(records, oracle, candidates));
+            let all = scatter(&with_oracle);
+            let (speedup, mem_reduction) = headline(&all, oracle);
+            Ceiling {
+                oracle,
+                points: all.into_iter().filter(|p| p.policy == oracle).collect(),
+                speedup,
+                mem_reduction,
+            }
         })
         .collect();
-
-    let (headline_speedup, headline_mem_reduction) = headline(&points);
     Data {
         points,
         headline_speedup,
         headline_mem_reduction,
+        ceilings,
     }
 }
 
-/// Computes the headline averages: for every SoC and every fixed policy,
-/// Cohmeleon's speedup (`fixed_time / cohmeleon_time`) and access reduction
-/// (`1 − cohmeleon_mem / fixed_mem`), averaged geometrically (speedup) and
-/// arithmetically (reduction) as ratios-of-means are reported in the paper.
-fn headline(points: &[Point]) -> (f64, f64) {
-    let fixed_names = [
-        "fixed-non-coh-dma",
-        "fixed-llc-coh-dma",
-        "fixed-coh-dma",
-        "fixed-full-coh",
-        "fixed-hetero",
-    ];
+/// Runs the grid in-process and renders the figure.
+pub fn run(scale: Scale) -> Data {
+    super::run_grid(experiment(scale), from_records)
+}
+
+/// One point per record, normalized against policy 0 of its SoC.
+fn scatter(records: &[CellRecord]) -> Vec<Point> {
+    records
+        .iter()
+        .zip(normalize_records(records, 0))
+        .map(|(r, o)| Point {
+            soc: r.scenario.clone(),
+            policy: r.policy.clone(),
+            norm_time: o.geo_time,
+            norm_mem: o.geo_mem,
+        })
+        .collect()
+}
+
+/// One synthetic record labelled `oracle` per scenario and seed: each
+/// phase is the phase (duration and off-chip count) of the fastest of
+/// `candidates`.
+fn oracle_records(
+    records: &[CellRecord],
+    oracle: &str,
+    candidates: &[PolicyKind],
+) -> Vec<CellRecord> {
+    records
+        .iter()
+        .filter(|r| r.policy_index == 0)
+        .map(|base| {
+            let runs: Vec<&CellRecord> = records
+                .iter()
+                .filter(|r| {
+                    r.scenario_index == base.scenario_index
+                        && r.seed_index == base.seed_index
+                        && candidates.iter().any(|k| k.label() == r.policy)
+                })
+                .collect();
+            let phases = (0..base.phases.len())
+                .map(|i| {
+                    runs.iter()
+                        .filter_map(|r| r.phases.get(i))
+                        .min_by_key(|p| p.1)
+                        .expect("every oracle picks from the baseline too")
+                        .clone()
+                })
+                .collect();
+            // Only the phases are scored; the rest stays the baseline's.
+            CellRecord {
+                policy_index: usize::MAX,
+                policy: oracle.to_owned(),
+                phases,
+                ..base.clone()
+            }
+        })
+        .collect()
+}
+
+/// Computes the headline averages for `policy`: for every SoC and every
+/// fixed policy, its speedup (`fixed_time / policy_time`) and access
+/// reduction (`1 − policy_mem / fixed_mem`), averaged geometrically
+/// (speedup) and arithmetically (reduction) as ratios-of-means are
+/// reported in the paper.
+fn headline(points: &[Point], policy: &str) -> (f64, f64) {
     let mut speedups = Vec::new();
     let mut reductions = Vec::new();
-    let socs: Vec<String> = {
-        let mut out = Vec::new();
-        for p in points {
-            if !out.contains(&p.soc) {
-                out.push(p.soc.clone());
-            }
-        }
-        out
-    };
-    for soc in &socs {
-        let coh = points
+    for soc in &socs(points) {
+        let own = points
             .iter()
-            .find(|p| &p.soc == soc && p.policy == "cohmeleon")
-            .expect("cohmeleon point per SoC");
-        for fixed in fixed_names {
-            if let Some(f) = points.iter().find(|p| &p.soc == soc && p.policy == fixed) {
-                speedups.push(f.norm_time / coh.norm_time.max(1e-12));
+            .find(|p| &p.soc == soc && p.policy == policy)
+            .unwrap_or_else(|| panic!("no `{policy}` point for {soc}"));
+        for fixed in PolicyKind::FIXED {
+            if let Some(f) = points
+                .iter()
+                .find(|p| &p.soc == soc && p.policy == fixed.label())
+            {
+                speedups.push(f.norm_time / own.norm_time.max(1e-12));
                 if f.norm_mem > 1e-12 {
-                    reductions.push(1.0 - (coh.norm_mem / f.norm_mem).min(1.0));
+                    reductions.push(1.0 - (own.norm_mem / f.norm_mem).min(1.0));
                 }
             }
         }
@@ -183,7 +280,7 @@ fn headline(points: &[Point]) -> (f64, f64) {
     (speedup, reduction)
 }
 
-/// Prints the scatter and headline.
+/// Prints the scatter, the headline and the ceilings.
 pub fn print(data: &Data) {
     let rows: Vec<Vec<String>> = data
         .points
@@ -224,18 +321,12 @@ pub fn print(data: &Data) {
         data.headline_speedup,
         table::percent(data.headline_mem_reduction)
     );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    #[ignore = "several minutes even at fast scale; run explicitly"]
-    fn fast_run_covers_eight_socs() {
-        let data = run(Scale::Fast);
-        assert_eq!(data.socs().len(), 8);
-        assert_eq!(data.points.len(), 64);
-        assert!(data.headline_speedup > 0.5);
+    for c in &data.ceilings {
+        println!(
+            "CEILING: {} vs fixed policies — speedup {:.3}x, off-chip reduction {}",
+            c.oracle,
+            c.speedup,
+            table::percent(c.mem_reduction)
+        );
     }
 }

@@ -7,13 +7,9 @@
 //! every cell normalized against the paper's composition — which ablation
 //! choices Cohmeleon's results actually depend on.
 
-use std::collections::HashMap;
-
 use cohmeleon_exp::{
-    CellRecord, Experiment, ExplorationKind, JsonlSink, LearnerSpec, StateSpaceKind, UpdateKind,
-    WorkStealing,
+    CellRecord, Experiment, ExplorationKind, LearnerSpec, StateSpaceKind, UpdateKind,
 };
-use cohmeleon_sim::stats::geometric_mean;
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 
@@ -33,13 +29,11 @@ pub struct Arm {
     pub norm_mem: f64,
 }
 
-/// The sweep results plus the per-cell records the JSONL artifact holds.
+/// The sweep results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Data {
     /// One arm per learner spec, in grid order (the paper cell first).
     pub arms: Vec<Arm>,
-    /// The flat per-cell records (what [`write_jsonl`] persists).
-    pub records: Vec<CellRecord>,
 }
 
 /// The swept axes: every state space, every exploration strategy, both
@@ -57,10 +51,9 @@ pub fn specs() -> Vec<LearnerSpec> {
 }
 
 /// The sweep as an [`Experiment`] builder: one scenario (SoC1
-/// train/test), the 18 learner cells of [`specs`], one seed, with the
-/// harness's conventional checkpoint path (`learner_ablation.jsonl`)
-/// pre-set so `--resume` runs pick up where a killed sweep stopped. The
-/// binary may override the path before building.
+/// train/test), the 18 learner cells of [`specs`], one seed. This is the
+/// `learners` grid of [`sweeps`](crate::sweeps), which checkpoints,
+/// resumes and shards it.
 pub fn experiment(scale: Scale) -> Experiment {
     let config = soc1();
     let iterations = scale.pick(10, 2);
@@ -71,82 +64,28 @@ pub fn experiment(scale: Scale) -> Experiment {
         .learners(specs().iter().copied())
         .seed(11)
         .train_iterations(iterations)
-        .resume_from("learner_ablation.jsonl")
 }
 
-/// Runs the sweep in-process and normalizes every cell against the paper
-/// agent (cell 0).
-pub fn run(scale: Scale) -> Data {
-    let grid = experiment(scale)
-        .build()
-        .expect("learner ablation axes are non-empty");
-    let results = grid.collect(&WorkStealing::new());
-    let records: Vec<CellRecord> = results.iter().map(CellRecord::from_cell).collect();
-    data_from_records(records)
-}
-
-/// Rebuilds the ablation table from persisted cell records — what the
-/// `--resume` path (and any post-hoc figure regeneration from a JSONL
-/// artifact, such as a `sweep shard` output) uses instead of
-/// re-simulating. The per-phase
-/// normalization is numerically identical to
-/// [`summarize`](cohmeleon_workloads::runner::summarize) on the live
-/// results: both divide the same integer totals in the same order.
-pub fn data_from_records(records: Vec<CellRecord>) -> Data {
+/// Renders the table from the grid's records, every cell normalized
+/// against the paper cell (policy 0).
+pub fn from_records(records: &[CellRecord]) -> Data {
     let specs = specs();
-    let baselines: HashMap<(usize, usize), &CellRecord> = records
-        .iter()
-        .filter(|r| r.policy_index == 0)
-        .map(|r| ((r.scenario_index, r.seed_index), r))
-        .collect();
     let arms = records
         .iter()
-        .map(|r| {
-            let (norm_time, norm_mem) = if r.policy_index == 0 {
-                (1.0, 1.0)
-            } else {
-                let base = baselines
-                    .get(&(r.scenario_index, r.seed_index))
-                    .expect("baseline (policy 0) record present for every scenario/seed");
-                let ratios: Vec<(f64, f64)> = r
-                    .phases
-                    .iter()
-                    .zip(&base.phases)
-                    .map(|(p, b)| {
-                        (
-                            p.1 as f64 / b.1.max(1) as f64,
-                            p.2 as f64 / b.2.max(1) as f64,
-                        )
-                    })
-                    .collect();
-                (
-                    geometric_mean(ratios.iter().map(|r| r.0)).unwrap_or(1.0),
-                    geometric_mean(ratios.iter().map(|r| r.1)).unwrap_or(1.0),
-                )
-            };
-            Arm {
-                spec: specs[r.policy_index],
-                label: r.policy.clone(),
-                norm_time,
-                norm_mem,
-            }
+        .zip(super::arm_ratios(records))
+        .map(|(r, (norm_time, norm_mem))| Arm {
+            spec: specs[r.policy_index],
+            label: r.policy.clone(),
+            norm_time,
+            norm_mem,
         })
         .collect();
-    Data { arms, records }
+    Data { arms }
 }
 
-/// Writes the per-cell records as JSONL (the CI artifact).
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if the file cannot be written.
-pub fn write_jsonl(data: &Data, path: &str) -> std::io::Result<()> {
-    let mut sink = JsonlSink::create(path)?;
-    for record in &data.records {
-        sink.write_record(record);
-    }
-    sink.into_inner();
-    Ok(())
+/// Runs the grid in-process and renders the table.
+pub fn run(scale: Scale) -> Data {
+    super::run_grid(experiment(scale), from_records)
 }
 
 /// Prints the ablation table, one row per learner composition.
@@ -201,7 +140,6 @@ mod tests {
     fn fast_sweep_runs_all_cells_deterministically() {
         let a = run(Scale::Fast);
         assert_eq!(a.arms.len(), 18);
-        assert_eq!(a.records.len(), 18);
         assert_eq!(a.arms[0].label, "cohmeleon");
         assert_eq!(a.arms[0].norm_time, 1.0);
         for arm in &a.arms {
@@ -212,44 +150,5 @@ mod tests {
         // seeds.
         let b = run(Scale::Fast);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn records_rebuild_exactly_the_live_outcomes() {
-        // The record-based normalization must be bit-identical to the
-        // live `summarize` path, or figures regenerated from a JSONL
-        // artifact would drift from figures computed in-process.
-        let grid = experiment(Scale::Fast).build().unwrap();
-        let results = grid.collect(&cohmeleon_exp::Serial);
-        let records: Vec<CellRecord> = results.iter().map(CellRecord::from_cell).collect();
-        let live: Vec<(f64, f64)> = results
-            .into_outcomes_against(0)
-            .into_iter()
-            .map(|(cell, o)| {
-                if cell.policy == 0 {
-                    (1.0, 1.0)
-                } else {
-                    (o.geo_time, o.geo_mem)
-                }
-            })
-            .collect();
-        let rebuilt = data_from_records(records);
-        assert_eq!(rebuilt.arms.len(), live.len());
-        for (arm, (geo_time, geo_mem)) in rebuilt.arms.iter().zip(&live) {
-            assert_eq!(arm.norm_time, *geo_time, "{}", arm.label);
-            assert_eq!(arm.norm_mem, *geo_mem, "{}", arm.label);
-        }
-    }
-
-    #[test]
-    fn jsonl_records_round_trip() {
-        let data = run(Scale::Fast);
-        let text: String = data
-            .records
-            .iter()
-            .map(|r| format!("{}\n", r.to_json()))
-            .collect();
-        let parsed = cohmeleon_exp::read_jsonl(&text).unwrap();
-        assert_eq!(parsed, data.records);
     }
 }

@@ -13,12 +13,18 @@
 //! | [`fig8`] | Figure 8 — performance over training iterations |
 //! | [`fig9`] | Figure 9 — eight SoC configurations, eight policies |
 //! | [`overhead`] | Section 6 — Cohmeleon's runtime overhead |
+//! | [`ablation`] | Beyond the paper — design-choice ablations |
+//! | [`learner_ablation`] | Beyond the paper — the agent design space (state spaces × exploration strategies × update rules) |
+//! | [`weight_sensitivity`] | Beyond the paper — Figure-6-style reward weights × agent scope |
 //!
-//! Beyond the paper: [`ablation`] (design-choice ablations),
-//! [`learner_ablation`] (the agent design space — state spaces ×
-//! exploration strategies × update rules through the sweep grid) and
-//! [`weight_sensitivity`] (Figure-6-style reward-weight exploration as
-//! learner-grid cells, crossed with the agent scope).
+//! The grid figures ([`fig5`], [`fig6`], [`fig9`], [`ablation`],
+//! [`learner_ablation`], [`weight_sensitivity`]) are pure functions of
+//! their cell records: each exposes `experiment(scale)` (its grid) and
+//! `from_records(&[CellRecord])` (the figure), and `run(scale)` renders
+//! the records of an in-process run. A finished `sweep` checkpoint of
+//! the same grid renders the same figure without re-simulating, which is
+//! how `sweep` prints the `learners`, `weights` and `paper` grids. The
+//! other figures read per-invocation data that a record does not carry.
 
 pub mod ablation;
 pub mod fig2;
@@ -34,3 +40,29 @@ pub mod table1;
 pub mod table2;
 pub mod table4;
 pub mod weight_sensitivity;
+
+use cohmeleon_exp::{normalize_records, CellRecord, Experiment, WorkStealing};
+
+/// Runs a figure's grid on the work-stealing executor and renders the
+/// figure from its records.
+fn run_grid<D>(experiment: Experiment, from_records: fn(&[CellRecord]) -> D) -> D {
+    let grid = experiment.build().expect("figure grids have every axis");
+    from_records(&grid.collect_records(&WorkStealing::new()))
+}
+
+/// Each record's `(norm_time, norm_mem)` against policy 0 of its scenario
+/// and seed, the baseline arm of the arm tables. Policy 0 itself is
+/// `(1.0, 1.0)` by definition.
+fn arm_ratios(records: &[CellRecord]) -> Vec<(f64, f64)> {
+    records
+        .iter()
+        .zip(normalize_records(records, 0))
+        .map(|(r, o)| {
+            if r.policy_index == 0 {
+                (1.0, 1.0)
+            } else {
+                (o.geo_time, o.geo_mem)
+            }
+        })
+        .collect()
+}

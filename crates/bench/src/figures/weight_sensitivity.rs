@@ -10,12 +10,7 @@
 //! `learner_ablation`). Every cell is normalized against the paper cell
 //! (global scope, paper weights — the grid's policy 0).
 
-use std::collections::HashMap;
-
-use cohmeleon_exp::{
-    AgentScope, CellRecord, Experiment, JsonlSink, LearnerSpec, WeightPreset,
-};
-use cohmeleon_sim::stats::geometric_mean;
+use cohmeleon_exp::{AgentScope, CellRecord, Experiment, LearnerSpec, WeightPreset};
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 
@@ -35,13 +30,11 @@ pub struct Arm {
     pub norm_mem: f64,
 }
 
-/// The sweep results plus the per-cell records the JSONL artifact holds.
+/// The sweep results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Data {
     /// One arm per cell, in grid order (the paper cell first).
     pub arms: Vec<Arm>,
-    /// The flat per-cell records (what [`write_jsonl`] persists).
-    pub records: Vec<CellRecord>,
 }
 
 /// The swept scopes: the paper's single global agent, and one agent per
@@ -56,9 +49,9 @@ pub fn specs() -> Vec<LearnerSpec> {
 }
 
 /// The sweep as an [`Experiment`] builder: one scenario (SoC1
-/// train/test), the 10 cells of [`specs`], one seed, with the
-/// conventional checkpoint path (`weight_sensitivity.jsonl`) pre-set so
-/// `--resume` runs pick up where a killed sweep stopped.
+/// train/test), the 10 cells of [`specs`], one seed. This is the
+/// `weights` grid of [`sweeps`](crate::sweeps), which checkpoints,
+/// resumes and shards it.
 pub fn experiment(scale: Scale) -> Experiment {
     let config = soc1();
     let iterations = scale.pick(10, 2);
@@ -69,78 +62,28 @@ pub fn experiment(scale: Scale) -> Experiment {
         .learners(specs().iter().copied())
         .seed(13)
         .train_iterations(iterations)
-        .resume_from("weight_sensitivity.jsonl")
 }
 
-/// Runs the sweep in-process and normalizes every cell against the paper
-/// cell (cell 0).
-pub fn run(scale: Scale) -> Data {
-    let grid = experiment(scale)
-        .build()
-        .expect("weight-sensitivity axes are non-empty");
-    let results = grid.collect(&cohmeleon_exp::WorkStealing::new());
-    let records: Vec<CellRecord> = results.iter().map(CellRecord::from_cell).collect();
-    data_from_records(records)
-}
-
-/// Rebuilds the table from persisted cell records — the `--resume` and
-/// post-hoc regeneration path, numerically identical to the live
-/// normalization (same integer totals divided in the same order).
-pub fn data_from_records(records: Vec<CellRecord>) -> Data {
+/// Renders the table from the grid's records, every cell normalized
+/// against the paper cell (policy 0).
+pub fn from_records(records: &[CellRecord]) -> Data {
     let specs = specs();
-    let baselines: HashMap<(usize, usize), &CellRecord> = records
-        .iter()
-        .filter(|r| r.policy_index == 0)
-        .map(|r| ((r.scenario_index, r.seed_index), r))
-        .collect();
     let arms = records
         .iter()
-        .map(|r| {
-            let (norm_time, norm_mem) = if r.policy_index == 0 {
-                (1.0, 1.0)
-            } else {
-                let base = baselines
-                    .get(&(r.scenario_index, r.seed_index))
-                    .expect("baseline (policy 0) record present for every scenario/seed");
-                let ratios: Vec<(f64, f64)> = r
-                    .phases
-                    .iter()
-                    .zip(&base.phases)
-                    .map(|(p, b)| {
-                        (
-                            p.1 as f64 / b.1.max(1) as f64,
-                            p.2 as f64 / b.2.max(1) as f64,
-                        )
-                    })
-                    .collect();
-                (
-                    geometric_mean(ratios.iter().map(|r| r.0)).unwrap_or(1.0),
-                    geometric_mean(ratios.iter().map(|r| r.1)).unwrap_or(1.0),
-                )
-            };
-            Arm {
-                spec: specs[r.policy_index],
-                label: r.policy.clone(),
-                norm_time,
-                norm_mem,
-            }
+        .zip(super::arm_ratios(records))
+        .map(|(r, (norm_time, norm_mem))| Arm {
+            spec: specs[r.policy_index],
+            label: r.policy.clone(),
+            norm_time,
+            norm_mem,
         })
         .collect();
-    Data { arms, records }
+    Data { arms }
 }
 
-/// Writes the per-cell records as JSONL (the CI artifact).
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if the file cannot be written.
-pub fn write_jsonl(data: &Data, path: &str) -> std::io::Result<()> {
-    let mut sink = JsonlSink::create(path)?;
-    for record in &data.records {
-        sink.write_record(record);
-    }
-    sink.into_inner();
-    Ok(())
+/// Runs the grid in-process and renders the table.
+pub fn run(scale: Scale) -> Data {
+    super::run_grid(experiment(scale), from_records)
 }
 
 /// Prints the weight-sensitivity table, one row per (scope, weights) cell.
@@ -192,17 +135,5 @@ mod tests {
         }
         let b = run(Scale::Fast);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn jsonl_records_round_trip() {
-        let data = run(Scale::Fast);
-        let text: String = data
-            .records
-            .iter()
-            .map(|r| format!("{}\n", r.to_json()))
-            .collect();
-        let parsed = cohmeleon_exp::read_jsonl(&text).unwrap();
-        assert_eq!(parsed, data.records);
     }
 }

@@ -14,14 +14,20 @@
 //! (`<name>.jsonl`) pre-set via
 //! [`Experiment::resume_from`]; the `sweep` binary overrides it when
 //! `--out` is given.
+//!
+//! Three grids are [`figures`](crate::figures): `learners`, `weights`
+//! and `paper` (Figure 9). Once one of their sweeps is complete, `sweep`
+//! renders the figure from the records ([`print_figure`]).
 
 use cohmeleon_core::agent::AgentBuilder;
 use cohmeleon_core::explore::{Softmax, Ucb1};
-use cohmeleon_exp::{AgentScope, Experiment, LearnerSpec, PolicyKind, PolicySpec, WeightPreset};
+use cohmeleon_exp::{
+    AgentScope, CellRecord, Experiment, LearnerSpec, PolicyKind, PolicySpec, WeightPreset,
+};
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 
-use crate::figures::{learner_ablation, weight_sensitivity};
+use crate::figures::{fig9, learner_ablation, weight_sensitivity};
 use crate::Scale;
 
 /// The available grid names with one-line descriptions (for `--help` and
@@ -37,7 +43,7 @@ pub const GRID_NAMES: &[(&str, &str)] = &[
     ),
     (
         "paper",
-        "all eight paper policies on soc1 (train/test, one seed)",
+        "Figure 9: eight SoCs x the eight paper policies (train/test, seed 7)",
     ),
     (
         "scoped",
@@ -64,7 +70,7 @@ pub fn named_experiment(name: &str, scale: Scale) -> Result<Experiment, String> 
     let experiment = match name {
         "suite" => suite(scale),
         "learners" => learner_ablation::experiment(scale),
-        "paper" => paper(scale),
+        "paper" => fig9::experiment(scale),
         "scoped" => scoped(scale),
         "weights" => weight_sensitivity::experiment(scale),
         "calibration" => calibration(scale),
@@ -77,6 +83,19 @@ pub fn named_experiment(name: &str, scale: Scale) -> Result<Experiment, String> 
         }
     };
     Ok(experiment.resume_from(format!("{name}.jsonl")))
+}
+
+/// Prints the figure of the named grid, rendered from its complete
+/// records: the learner-ablation table for `learners`, the
+/// weight-sensitivity table for `weights` and Figure 9 for `paper`. The
+/// other grids have no figure and print nothing.
+pub fn print_figure(name: &str, records: &[CellRecord]) {
+    match name {
+        "learners" => learner_ablation::print(&learner_ablation::from_records(records)),
+        "weights" => weight_sensitivity::print(&weight_sensitivity::from_records(records)),
+        "paper" => fig9::print(&fig9::from_records(records)),
+        _ => {}
+    }
 }
 
 /// The tracked three-policy suite on SoC1 over four seeds: small and fast,
@@ -177,18 +196,6 @@ fn calibration(scale: Scale) -> Experiment {
         .policies(softmax_arms)
         .policies(ucb_arms)
         .seeds([1, 2, 3])
-        .train_iterations(scale.pick(10, 2))
-}
-
-/// The full eight-policy comparison on SoC1.
-fn paper(scale: Scale) -> Experiment {
-    let config = soc1();
-    let params = scale.pick(GeneratorParams::coverage(), GeneratorParams::quick());
-    let train = generate_app(&config, &params, 1);
-    let test = generate_app(&config, &params, 2);
-    Experiment::train_test(config, train, test)
-        .policy_kinds(PolicyKind::ALL)
-        .seed(7)
         .train_iterations(scale.pick(10, 2))
 }
 

@@ -10,15 +10,34 @@
 //! `tests/walk_modes.rs` replays both suites under `WalkMode::PerLine`
 //! and pins the same hashes, so both walk modes are anchored to the same
 //! recorded machine. The learner-ablation grid is pinned the same way, so
-//! every non-paper agent composition is anchored end to end too.
+//! every non-paper agent composition is anchored end to end too, and so
+//! is the `paper` grid, Figure 9.
 
-use cohmeleon_bench::figures::learner_ablation;
+use std::sync::OnceLock;
+
+use cohmeleon_bench::figures::{fig9, learner_ablation};
+use cohmeleon_bench::sweeps::named_experiment;
 use cohmeleon_bench::tracked::{soc6_params, suite_grid, SEED, TRAIN_ITERATIONS};
 use cohmeleon_bench::Scale;
 use cohmeleon_core::agent::AgentBuilder;
-use cohmeleon_exp::{CellResult, Experiment, PolicySpec, Serial, SweepGrid};
+use cohmeleon_exp::{
+    CellRecord, CellResult, Experiment, PolicySpec, Serial, SweepGrid, WorkStealing,
+};
 use cohmeleon_soc::config::{soc1, soc6};
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
+
+/// The records of the fast-scale `paper` grid, run once for every test
+/// that reads them.
+fn paper_records() -> &'static [CellRecord] {
+    static RECORDS: OnceLock<Vec<CellRecord>> = OnceLock::new();
+    RECORDS.get_or_init(|| {
+        named_experiment("paper", Scale::Fast)
+            .expect("paper is a named grid")
+            .build()
+            .expect("paper grid is non-empty")
+            .collect_records(&WorkStealing::new())
+    })
+}
 
 fn hashes(grid: &SweepGrid) -> Vec<u64> {
     let mut out = vec![0u64; grid.num_cells()];
@@ -124,4 +143,130 @@ fn learners_grid_hashes_are_golden() {
         ],
         "learners grid moved — an agent composition changed behaviour"
     );
+}
+
+/// The `paper` grid (Figure 9) at `COHMELEON_FAST` scale: eight SoCs × the
+/// eight policies, every cell in dense order. The hashes were recorded
+/// from `fig9`'s own grid before Figure 9 became the `paper` grid, which
+/// must not matter. They do not depend on the executor
+/// (`crates/exp/tests/grid_determinism.rs` pins that).
+#[test]
+fn paper_grid_hashes_are_golden() {
+    let records = paper_records();
+    let got: Vec<u64> = records.iter().map(|r| r.structural_hash).collect();
+    for h in &got {
+        println!("paper {h:#018x}");
+    }
+    assert_eq!(
+        got,
+        vec![
+            // SoC0-streaming
+            0xf208_6445_ca40_bb4e, // fixed-non-coh-dma
+            0x5fa3_d6bc_5e31_135d, // fixed-llc-coh-dma
+            0x996e_d09b_8f34_9bc8, // fixed-coh-dma
+            0xd345_6fce_638a_e89a, // fixed-full-coh
+            0x51d0_a5ef_28ee_521e, // rand
+            0x996e_d09b_8f34_9bc8, // fixed-hetero
+            0xc26b_3ff0_c1ad_f3ea, // manual
+            0x958b_043d_4fc4_9867, // cohmeleon
+            // SoC0-irregular
+            0x1e79_7e5e_a7d0_b05f, // fixed-non-coh-dma
+            0x2b88_2979_0f43_db51, // fixed-llc-coh-dma
+            0x6df1_b0e2_4185_0cb3, // fixed-coh-dma
+            0xb5bf_2131_77af_c764, // fixed-full-coh
+            0x6bab_559f_fe09_e6d0, // rand
+            0x6df1_b0e2_4185_0cb3, // fixed-hetero
+            0x7f4d_8eed_b407_f1c3, // manual
+            0x4bc3_0c9c_0030_41e1, // cohmeleon
+            // SoC1
+            0x5b78_2030_af5f_e083, // fixed-non-coh-dma
+            0xd0ff_da3b_c221_55bd, // fixed-llc-coh-dma
+            0x1312_ae12_9aff_029f, // fixed-coh-dma
+            0xfc8e_47f4_3690_6a2b, // fixed-full-coh
+            0xac62_4a0a_9a19_d5e5, // rand
+            0xee4b_ba3c_1dbf_da98, // fixed-hetero
+            0x1849_49e4_8fea_7ae3, // manual
+            0xfce2_f910_4bdc_c138, // cohmeleon
+            // SoC2
+            0xbf08_f50d_cbc4_0e9a, // fixed-non-coh-dma
+            0xc20d_691f_54fc_debb, // fixed-llc-coh-dma
+            0x96d9_1c0d_b311_4f6f, // fixed-coh-dma
+            0x70a1_8a83_2196_2356, // fixed-full-coh
+            0x0005_189c_1746_a1b5, // rand
+            0xc5e4_75e7_79c3_99f9, // fixed-hetero
+            0x096d_8a0c_644e_5e50, // manual
+            0x69dc_a705_1c62_7af4, // cohmeleon
+            // SoC3
+            0xcd94_ab3e_e410_4879, // fixed-non-coh-dma
+            0x28bf_3bd8_f182_ab7a, // fixed-llc-coh-dma
+            0x5e96_310d_8a90_32f9, // fixed-coh-dma
+            0x921f_5e77_ed6d_bd67, // fixed-full-coh
+            0xd427_2b33_4666_e062, // rand
+            0x5e96_310d_8a90_32f9, // fixed-hetero
+            0x2cba_0fe6_9d6c_f835, // manual
+            0xb863_3941_f4ee_80d5, // cohmeleon
+            // SoC4
+            0xad7e_971d_8d44_a158, // fixed-non-coh-dma
+            0x46c4_f303_1447_55c5, // fixed-llc-coh-dma
+            0xa085_8d10_1c6e_f574, // fixed-coh-dma
+            0x74a7_7698_0a91_2a70, // fixed-full-coh
+            0xa63c_109d_676a_6647, // rand
+            0xa20b_0f2d_e60f_1555, // fixed-hetero
+            0xe38a_b705_3c26_5e55, // manual
+            0xf67a_0d9b_0c25_9300, // cohmeleon
+            // SoC5
+            0xb997_0485_4352_4c84, // fixed-non-coh-dma
+            0xbceb_d80d_32dc_deb3, // fixed-llc-coh-dma
+            0x1ef5_0f2f_b5db_67e2, // fixed-coh-dma
+            0xcded_eb7d_f4e4_b626, // fixed-full-coh
+            0xb31f_1095_ce3c_1960, // rand
+            0xdaa9_3db8_6d43_e6b0, // fixed-hetero
+            0x650c_d84a_830a_0192, // manual
+            0xd219_ee9f_ad7e_a536, // cohmeleon
+            // SoC6
+            0x86dc_0e99_56e6_4fb6, // fixed-non-coh-dma
+            0x6134_8ed5_fec3_933f, // fixed-llc-coh-dma
+            0x6159_ca3f_2ae0_4024, // fixed-coh-dma
+            0x74d1_ab31_f2a9_fcd5, // fixed-full-coh
+            0xdfe1_90ca_6222_e13b, // rand
+            0x6159_ca3f_2ae0_4024, // fixed-hetero
+            0xd7d3_f84c_d7b2_0ed5, // manual
+            0x461b_5f77_3fd1_a4e6, // cohmeleon
+        ],
+        "paper grid moved — Figure 9's cells changed behaviour"
+    );
+    let data = fig9::from_records(records);
+    assert_eq!(data.socs().len(), 8);
+    assert_eq!(data.points.len(), 64);
+}
+
+/// Each per-phase oracle is at least as fast as every policy it picks
+/// from, on every SoC, and the oracle over more policies has the higher
+/// ceiling.
+#[test]
+fn paper_grid_ceilings_bound_their_candidates() {
+    let data = fig9::from_records(paper_records());
+    assert_eq!(data.ceilings.len(), fig9::ORACLES.len());
+    for (ceiling, (oracle, candidates)) in data.ceilings.iter().zip(fig9::ORACLES) {
+        assert_eq!(ceiling.oracle, oracle);
+        assert_eq!(ceiling.points.len(), 8);
+        for point in &ceiling.points {
+            for kind in candidates {
+                let candidate = data
+                    .soc(&point.soc)
+                    .into_iter()
+                    .find(|p| p.policy == kind.label())
+                    .expect("every candidate has a point");
+                assert!(
+                    point.norm_time <= candidate.norm_time,
+                    "{oracle} on {}: {} > {} of {}",
+                    point.soc,
+                    point.norm_time,
+                    candidate.norm_time,
+                    kind.label()
+                );
+            }
+        }
+    }
+    assert!(data.ceilings[1].speedup >= data.ceilings[0].speedup);
 }

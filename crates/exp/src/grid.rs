@@ -15,9 +15,7 @@ use std::sync::Arc;
 
 use cohmeleon_core::Policy;
 use cohmeleon_soc::{AppSpec, EngineOptions, SocConfig};
-use cohmeleon_workloads::runner::{
-    evaluate_policy_with_options, run_protocol_with_options, summarize, PolicyOutcome,
-};
+use cohmeleon_workloads::runner::{evaluate_policy_with_options, run_protocol_with_options};
 
 use crate::executor::Executor;
 use crate::learner::LearnerSpec;
@@ -146,8 +144,8 @@ impl PolicySpec {
         }
     }
 
-    /// Overrides the grid-level [`EngineOptions`] for this policy's cells
-    /// (e.g. the oracle-attribution ablation arm).
+    /// Runs this policy's cells with `options` instead of the default
+    /// [`EngineOptions`] (e.g. the oracle-attribution ablation arm).
     pub fn with_options(mut self, options: EngineOptions) -> PolicySpec {
         self.options = Some(options);
         self
@@ -239,7 +237,6 @@ pub struct Experiment {
     seeds: Vec<u64>,
     train_iterations: usize,
     protocol: Protocol,
-    options: EngineOptions,
     resume_from: Option<PathBuf>,
 }
 
@@ -323,13 +320,6 @@ impl Experiment {
         self
     }
 
-    /// Sets the grid-level [`EngineOptions`] (default attribution etc.);
-    /// individual [`PolicySpec`]s may override.
-    pub fn engine_options(mut self, options: EngineOptions) -> Experiment {
-        self.options = options;
-        self
-    }
-
     /// Makes the sweep resumable: cells recorded in the JSONL checkpoint
     /// at `path` are skipped and only missing cells run, each appended to
     /// the checkpoint as it completes (see
@@ -394,7 +384,6 @@ impl Experiment {
             seeds: self.seeds,
             train_iterations: self.train_iterations,
             protocol: self.protocol,
-            options: self.options,
             resume_from: self.resume_from,
         })
     }
@@ -445,7 +434,6 @@ pub struct SweepGrid {
     seeds: Vec<u64>,
     train_iterations: usize,
     protocol: Protocol,
-    options: EngineOptions,
     resume_from: Option<PathBuf>,
 }
 
@@ -525,7 +513,7 @@ impl SweepGrid {
         let scenario = &self.scenarios[cell.scenario];
         let spec = &self.policies[cell.policy];
         let seed = self.cell_seed(cell);
-        let options = spec.options.unwrap_or(self.options);
+        let options = spec.options.unwrap_or_default();
         let mut policy = spec.instantiate(&scenario.config, self.train_iterations, seed);
         let result = match self.protocol {
             Protocol::TrainTest => run_protocol_with_options(
@@ -666,50 +654,6 @@ impl GridResults {
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
     }
-
-    /// Normalizes every cell against the cell of policy index
-    /// `baseline_policy` with the same scenario and seed — the paper's
-    /// convention of reporting per-phase ratios against fixed
-    /// non-coherent DMA. Outcomes come back in dense grid order.
-    ///
-    /// Keeps `self` intact (each outcome clones its cell's result); use
-    /// [`into_outcomes_against`](Self::into_outcomes_against) when the
-    /// results are not needed afterwards.
-    pub fn outcomes_against(&self, baseline_policy: usize) -> Vec<(CellId, PolicyOutcome)> {
-        self.cells
-            .iter()
-            .map(|r| {
-                let base = self.cell(r.cell.scenario, baseline_policy, r.cell.seed);
-                (r.cell, summarize(r.result.clone(), &base.result))
-            })
-            .collect()
-    }
-
-    /// Consuming [`outcomes_against`](Self::outcomes_against): moves each
-    /// cell's result into its outcome instead of cloning it — only the
-    /// per-(scenario, seed) baseline results are cloned, so large grids
-    /// pay one clone per normalization group rather than one per cell.
-    pub fn into_outcomes_against(self, baseline_policy: usize) -> Vec<(CellId, PolicyOutcome)> {
-        let seeds = self.seeds;
-        let scenarios = if self.cells.is_empty() {
-            0
-        } else {
-            self.cells.len() / (self.policies * seeds)
-        };
-        let mut baselines = Vec::with_capacity(scenarios * seeds);
-        for scenario in 0..scenarios {
-            for seed in 0..seeds {
-                baselines.push(self.cell(scenario, baseline_policy, seed).result.clone());
-            }
-        }
-        self.cells
-            .into_iter()
-            .map(|r| {
-                let base = &baselines[r.cell.scenario * seeds + r.cell.seed];
-                (r.cell, summarize(r.result, base))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -787,41 +731,6 @@ mod tests {
             .unwrap();
         assert_eq!(grid.cell_seed(CellId { scenario: 0, policy: 0, seed: 0 }), 7);
         assert_eq!(grid.cell_seed(CellId { scenario: 1, policy: 0, seed: 0 }), 17);
-    }
-
-    #[test]
-    fn outcomes_normalize_against_baseline_policy() {
-        let grid = quick_experiment()
-            .policy_kinds([PolicyKind::FixedNonCoh, PolicyKind::FixedCohDma])
-            .seed(4)
-            .train_iterations(1)
-            .build()
-            .unwrap();
-        let results = grid.collect(&Serial);
-        let outcomes = results.outcomes_against(0);
-        assert_eq!(outcomes.len(), 2);
-        // The baseline normalizes to 1 against itself.
-        assert!((outcomes[0].1.geo_time - 1.0).abs() < 1e-9);
-        assert!(outcomes[1].1.geo_time > 0.0);
-    }
-
-    #[test]
-    fn consuming_outcomes_match_borrowing_outcomes() {
-        let grid = quick_experiment()
-            .policy_kinds([PolicyKind::FixedNonCoh, PolicyKind::Manual])
-            .seeds([4, 5])
-            .build()
-            .unwrap();
-        let results = grid.collect(&Serial);
-        let borrowed = results.outcomes_against(0);
-        let consumed = results.into_outcomes_against(0);
-        assert_eq!(borrowed.len(), consumed.len());
-        for ((ca, a), (cb, b)) in borrowed.iter().zip(&consumed) {
-            assert_eq!(ca, cb);
-            assert_eq!(a.geo_time, b.geo_time);
-            assert_eq!(a.geo_mem, b.geo_mem);
-            assert_eq!(a.result, b.result);
-        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! (`table3/eps-greedy/blend`), and builds the corresponding boxed policy
 //! for a grid cell. That is what lets a
 //! [`SweepGrid`](crate::SweepGrid) treat "which learner" as one more axis,
-//! exactly like seeds and scenarios (see the `learner_ablation` harness in
-//! `cohmeleon-bench`).
+//! exactly like seeds and scenarios (see the `learners` grid of
+//! `cohmeleon_bench::sweeps`, rendered by its `learner_ablation` figure).
 //!
 //! Two stability notes. The string form doubles as the cell's *policy
 //! label* ([`LearnerSpec::label`]), which persisted records and resumed
@@ -144,7 +144,8 @@ impl UpdateKind {
 /// Which reward weighting `(x, y, z)` the agent trains against — the
 /// learner axis behind the paper's Figure-6 design-space exploration,
 /// expressed as named presets so weight sweeps are serializable grid
-/// cells (see the `weight_sensitivity` harness in `cohmeleon-bench`).
+/// cells (see the `weights` grid of `cohmeleon_bench::sweeps`, rendered
+/// by its `weight_sensitivity` figure).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum WeightPreset {
     /// The paper's cross-SoC configuration: 67.5% execution time, 7.5%

@@ -17,13 +17,14 @@
 //!   delivered the moment its cell completes, so progress reporting and
 //!   incremental aggregation need no `Vec` of everything. [`JsonlSink`]
 //!   streams durable [`CellRecord`]s to disk, so long sweeps persist as
-//!   they run and figures can be regenerated from the record
-//!   ([`read_jsonl`]).
+//!   they run, and figures render from the records ([`read_jsonl`],
+//!   [`normalize_records`]) whether they were just collected or read
+//!   back from a finished checkpoint.
 //! * [`LearnerSpec`] — the learning agent as sweep data: one value names
 //!   a state-space × exploration × update-rule composition
 //!   (`"table3/eps-greedy/blend"` is the paper's), and
 //!   [`Experiment::learners`] puts whole learner sweeps on the policy
-//!   axis. See the `learner_ablation` harness in `cohmeleon-bench`.
+//!   axis. See the `learners` grid in `cohmeleon_bench::sweeps`.
 //! * [`checkpoint`] — resumable sweeps: [`Experiment::resume_from`] +
 //!   [`SweepGrid::run_resumable`] skip cells already recorded on disk,
 //!   append fresh ones durably (one fsynced JSONL line per cell, with a
@@ -42,7 +43,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use cohmeleon_exp::{Experiment, PolicyKind, WorkStealing};
+//! use cohmeleon_exp::{normalize_records, Experiment, PolicyKind, WorkStealing};
 //! use cohmeleon_soc::config::soc1;
 //! use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 //!
@@ -57,10 +58,10 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! let results = grid.collect(&WorkStealing::new());
+//! let records = grid.collect_records(&WorkStealing::new());
 //! // Normalize every policy against fixed non-coherent DMA (policy 0).
-//! for (cell, outcome) in results.outcomes_against(0) {
-//!     assert!(outcome.geo_time > 0.0, "{cell:?}");
+//! for (record, outcome) in records.iter().zip(normalize_records(&records, 0)) {
+//!     assert!(outcome.geo_time > 0.0, "{}", record.policy);
 //! }
 //! ```
 //!
@@ -71,13 +72,13 @@
 //! direct equivalent is:
 //!
 //! ```text
-//! Experiment::train_test(config, train, test)
+//! let records = Experiment::train_test(config, train, test)
 //!     .policy_kinds(kinds.iter().copied())
 //!     .seed(seed)
 //!     .train_iterations(iters)
 //!     .build()?
-//!     .collect(&WorkStealing::new())
-//!     .outcomes_against(0)   // run_suite normalized against kinds[0]
+//!     .collect_records(&WorkStealing::new());
+//! let outcomes = normalize_records(&records, 0); // run_suite normalized against kinds[0]
 //! ```
 //!
 //! Hand-rolled loops over `run_protocol` (one per figure binary, formerly)
@@ -112,5 +113,5 @@ pub use learner::{
     AgentScope, ExplorationKind, LearnerSpec, StateSpaceKind, UpdateKind, WeightPreset,
 };
 pub use policies::{build_policy, policy_suite, PolicyKind};
-pub use sink::{read_jsonl, CellRecord, CollectSink, JsonlSink, ResultSink};
+pub use sink::{normalize_records, read_jsonl, CellRecord, CollectSink, JsonlSink, ResultSink};
 pub use snapshot::{write_snapshot, SnapshotMeta};

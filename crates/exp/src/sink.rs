@@ -8,10 +8,11 @@
 //!
 //! For grid-level persistence, [`JsonlSink`] streams a flat
 //! [`CellRecord`] per cell to any `io::Write` — long sweeps leave a
-//! durable record behind as they run, and figure regeneration can read
-//! results back ([`read_jsonl`]) instead of re-simulating. The JSON is
-//! hand-rolled: the record is flat, and the workspace's offline `serde`
-//! stand-in is a no-op marker, not a serializer.
+//! durable record behind as they run, and figures render from records
+//! read back ([`read_jsonl`], normalized by [`normalize_records`])
+//! instead of re-simulating. The JSON is hand-rolled: the record is
+//! flat, and the workspace's offline `serde` stand-in is a no-op marker,
+//! not a serializer.
 //!
 //! The JSONL record stream is also the substrate of resumable and
 //! multi-process sweeps: a record's `(scenario_index, policy_index,
@@ -23,8 +24,11 @@
 //! use the tolerant [`scan_jsonl_tail`](crate::scan_jsonl_tail) for
 //! files a crash may have truncated.
 
+use std::collections::HashMap;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+
+use cohmeleon_workloads::runner::PolicyOutcome;
 
 use crate::grid::{CellResult, SweepGrid};
 
@@ -235,6 +239,40 @@ impl CellRecord {
             phases,
         })
     }
+}
+
+/// Normalizes every record against the record of policy index
+/// `baseline_policy` with the same scenario and seed — the paper's
+/// convention of per-phase ratios against fixed non-coherent DMA, and the
+/// one normalization every figure renders from. Outcomes come back in
+/// the order of `records`.
+///
+/// # Panics
+///
+/// Panics if some scenario and seed of `records` has no baseline record.
+pub fn normalize_records(records: &[CellRecord], baseline_policy: usize) -> Vec<PolicyOutcome> {
+    let baselines: HashMap<(usize, usize), &CellRecord> = records
+        .iter()
+        .filter(|r| r.policy_index == baseline_policy)
+        .map(|r| ((r.scenario_index, r.seed_index), r))
+        .collect();
+    records
+        .iter()
+        .map(|r| {
+            let base = baselines
+                .get(&(r.scenario_index, r.seed_index))
+                .unwrap_or_else(|| {
+                    panic!(
+                        "no policy-{baseline_policy} record for `{}`, seed {}",
+                        r.scenario, r.seed
+                    )
+                });
+            PolicyOutcome::from_phases(
+                r.phases.iter().map(|p| (p.1, p.2)),
+                base.phases.iter().map(|p| (p.1, p.2)),
+            )
+        })
+        .collect()
 }
 
 /// Escapes a string as a JSON string literal.

@@ -2,11 +2,12 @@
 //! round-trip losslessly and agree with the in-memory results.
 
 use cohmeleon_exp::{
-    read_jsonl, CellRecord, Experiment, ExplorationKind, JsonlSink, LearnerSpec, PolicyKind,
-    Serial, StateSpaceKind, UpdateKind, WorkStealing,
+    normalize_records, read_jsonl, CellRecord, Experiment, ExplorationKind, JsonlSink, LearnerSpec,
+    PolicyKind, Serial, StateSpaceKind, UpdateKind, WorkStealing,
 };
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
+use cohmeleon_workloads::runner::summarize;
 
 fn quick_grid() -> cohmeleon_exp::SweepGrid {
     let config = soc1();
@@ -85,5 +86,45 @@ fn learner_axis_cells_are_deterministic() {
             "{}",
             a.policy
         );
+    }
+}
+
+#[test]
+fn normalized_records_match_the_live_results_bit_for_bit() {
+    // Figures render from records, whether collected in-process or read
+    // back from a checkpoint, so the record normalization must equal
+    // `summarize` on the live results to the last bit, for any baseline.
+    let grid = quick_grid();
+    let results = grid.collect(&Serial);
+    let records: Vec<CellRecord> = results.iter().map(CellRecord::from_cell).collect();
+    let bits = |pairs: &[(f64, f64)]| -> Vec<(u64, u64)> {
+        pairs
+            .iter()
+            .map(|(t, m)| (t.to_bits(), m.to_bits()))
+            .collect()
+    };
+    for baseline in [0, 1] {
+        let outcomes = normalize_records(&records, baseline);
+        assert_eq!(outcomes.len(), records.len());
+        for (record, got) in records.iter().zip(&outcomes) {
+            let cell = results.cell(
+                record.scenario_index,
+                record.policy_index,
+                record.seed_index,
+            );
+            let base = results.cell(record.scenario_index, baseline, record.seed_index);
+            let want = summarize(cell.result.clone(), &base.result);
+            let at = format!(
+                "{} seed {} vs policy {baseline}",
+                record.policy, record.seed
+            );
+            assert_eq!(
+                bits(&got.normalized_phases),
+                bits(&want.normalized_phases),
+                "{at}"
+            );
+            assert_eq!(got.geo_time.to_bits(), want.geo_time.to_bits(), "{at}");
+            assert_eq!(got.geo_mem.to_bits(), want.geo_mem.to_bits(), "{at}");
+        }
     }
 }

@@ -65,12 +65,6 @@ impl Cycle {
     pub fn checked_add(self, other: Cycle) -> Option<Cycle> {
         self.0.checked_add(other.0).map(Cycle)
     }
-
-    /// Interprets the value as a duration and returns it as `f64` cycles.
-    #[inline]
-    pub fn as_f64(self) -> f64 {
-        self.0 as f64
-    }
 }
 
 impl Add for Cycle {

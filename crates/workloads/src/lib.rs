@@ -26,5 +26,5 @@ pub mod runner;
 pub mod sizes;
 
 pub use generator::{generate_app, GeneratorParams};
-pub use runner::{evaluate_policy, normalized_against, run_protocol, PolicyOutcome};
+pub use runner::{evaluate_policy, run_protocol, PolicyOutcome};
 pub use sizes::SizeClass;

@@ -12,21 +12,45 @@ use cohmeleon_core::Policy;
 use cohmeleon_sim::stats::geometric_mean;
 use cohmeleon_soc::{run_app_with_options, AppResult, AppSpec, EngineOptions, Soc, SocConfig};
 
-/// Per-policy outcome of one experiment: the test-run result plus the
-/// phase-normalized summary against a baseline.
+/// Per-policy outcome of one experiment: every phase normalized against
+/// the baseline's same phase, and their geometric means.
 #[derive(Debug, Clone)]
 pub struct PolicyOutcome {
-    /// Policy display name.
-    pub policy: String,
-    /// The raw test-run result.
-    pub result: AppResult,
     /// Per-phase (execution time, off-chip accesses) normalized to the
     /// baseline's same phase.
     pub normalized_phases: Vec<(f64, f64)>,
-    /// Geometric means of the normalized phases.
+    /// Geometric mean of normalized execution time.
     pub geo_time: f64,
     /// Geometric mean of normalized off-chip accesses.
     pub geo_mem: f64,
+}
+
+impl PolicyOutcome {
+    /// Normalizes a run phase by phase against a baseline run. Each pair
+    /// is one phase's `(duration, offchip)`. A zero baseline count
+    /// normalizes against 1 to stay finite.
+    pub fn from_phases(
+        pairs: impl IntoIterator<Item = (u64, u64)>,
+        baseline_pairs: impl IntoIterator<Item = (u64, u64)>,
+    ) -> PolicyOutcome {
+        let normalized_phases: Vec<(f64, f64)> = pairs
+            .into_iter()
+            .zip(baseline_pairs)
+            .map(|((duration, offchip), (base_duration, base_offchip))| {
+                (
+                    duration as f64 / base_duration.max(1) as f64,
+                    offchip as f64 / base_offchip.max(1) as f64,
+                )
+            })
+            .collect();
+        let geo_time = geometric_mean(normalized_phases.iter().map(|p| p.0)).unwrap_or(1.0);
+        let geo_mem = geometric_mean(normalized_phases.iter().map(|p| p.1)).unwrap_or(1.0);
+        PolicyOutcome {
+            normalized_phases,
+            geo_time,
+            geo_mem,
+        }
+    }
 }
 
 /// Trains `policy` for `train_iterations` iterations of `train_app` (each
@@ -109,34 +133,13 @@ pub fn evaluate_policy_with_options(
     run_app_with_options(&mut soc, app, policy, seed, options)
 }
 
-/// Normalizes `result` phase-by-phase against `baseline`
-/// (`(time_ratio, mem_ratio)` per phase). Phases with a zero baseline
-/// off-chip count normalize memory against 1 access to stay finite.
-pub fn normalized_against(result: &AppResult, baseline: &AppResult) -> Vec<(f64, f64)> {
-    result
-        .phases
-        .iter()
-        .zip(&baseline.phases)
-        .map(|(r, b)| {
-            let time = r.duration as f64 / b.duration.max(1) as f64;
-            let mem = r.offchip as f64 / b.offchip.max(1) as f64;
-            (time, mem)
-        })
-        .collect()
-}
-
-/// Builds a [`PolicyOutcome`] from a test result and the baseline run.
+/// Normalizes a test result against the baseline run
+/// ([`PolicyOutcome::from_phases`] over their phases).
 pub fn summarize(result: AppResult, baseline: &AppResult) -> PolicyOutcome {
-    let normalized_phases = normalized_against(&result, baseline);
-    let geo_time = geometric_mean(normalized_phases.iter().map(|p| p.0)).unwrap_or(1.0);
-    let geo_mem = geometric_mean(normalized_phases.iter().map(|p| p.1)).unwrap_or(1.0);
-    PolicyOutcome {
-        policy: result.policy.clone(),
-        result,
-        normalized_phases,
-        geo_time,
-        geo_mem,
-    }
+    PolicyOutcome::from_phases(
+        result.phases.iter().map(|p| (p.duration, p.offchip)),
+        baseline.phases.iter().map(|p| (p.duration, p.offchip)),
+    )
 }
 
 #[cfg(test)]
@@ -182,12 +185,11 @@ mod tests {
         let app = generate_app(&config, &GeneratorParams::quick(), 3);
         let mut policy = FixedPolicy::new(CoherenceMode::NonCohDma);
         let result = evaluate_policy(&config, &app, &mut policy, 4);
-        let norm = normalized_against(&result, &result);
-        for (t, m) in norm {
+        let outcome = summarize(result.clone(), &result);
+        for &(t, m) in &outcome.normalized_phases {
             assert!((t - 1.0).abs() < 1e-12);
             assert!(m <= 1.0 + 1e-12);
         }
-        let outcome = summarize(result.clone(), &result);
         assert!((outcome.geo_time - 1.0).abs() < 1e-9);
     }
 

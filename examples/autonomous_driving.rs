@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example autonomous_driving`
 
-use cohmeleon_repro::exp::{Experiment, PolicyKind, WorkStealing};
+use cohmeleon_repro::exp::{normalize_records, Experiment, PolicyKind, WorkStealing};
 use cohmeleon_repro::soc::config::soc5;
 use cohmeleon_repro::workloads::case_studies::soc5_app;
 use cohmeleon_repro::workloads::generator::{generate_app, GeneratorParams};
@@ -41,15 +41,13 @@ fn main() {
 
     // All five policies run in parallel on the work-stealing executor;
     // outcomes are normalized against fixed non-coherent DMA (policy 0).
-    let outcomes = grid
-        .collect(&WorkStealing::new())
-        .into_outcomes_against(0);
+    let records = grid.collect_records(&WorkStealing::new());
 
     println!("\n{:<20} {:>10} {:>10}", "policy", "geo-time", "geo-mem");
-    for (_, outcome) in &outcomes {
+    for (record, outcome) in records.iter().zip(normalize_records(&records, 0)) {
         println!(
             "{:<20} {:>10.2} {:>10.2}",
-            outcome.policy, outcome.geo_time, outcome.geo_mem
+            record.policy, outcome.geo_time, outcome.geo_mem
         );
     }
     println!("\n(normalized to fixed non-coherent DMA; lower is better)");

@@ -19,7 +19,7 @@ use cohmeleon_repro::core::space::CoarseSpace;
 use cohmeleon_repro::core::{
     AccelInstanceId, CoherenceMode, ModeSet, State, SystemSnapshot,
 };
-use cohmeleon_repro::exp::{Experiment, PolicyKind, PolicySpec, WorkStealing};
+use cohmeleon_repro::exp::{normalize_records, Experiment, PolicyKind, PolicySpec, WorkStealing};
 use cohmeleon_repro::soc::config::soc2;
 use cohmeleon_repro::workloads::generator::{generate_app, GeneratorParams};
 
@@ -83,24 +83,20 @@ fn main() {
         .train_iterations(10)
         .build()
         .expect("experiment axes are non-empty");
-    let results = grid.collect(&WorkStealing::new());
+    let records = grid.collect_records(&WorkStealing::new());
 
-    for cell in results.iter() {
+    for record in &records {
         println!(
             "{:<16} {:>14} cycles {:>12} off-chip",
-            cell.result.policy,
-            cell.result.total_duration(),
-            cell.result.total_offchip()
+            record.policy, record.total_cycles, record.total_offchip
         );
     }
 
     // Normalize Cohmeleon against the custom baseline (policy 0).
-    let outcomes = results.outcomes_against(0);
-    let (_, cohmeleon) = &outcomes[1];
+    let outcomes = normalize_records(&records, 0);
+    let cohmeleon = &outcomes[1];
     println!(
         "\ncohmeleon vs {}: geo-time {:.2}, geo-mem {:.2} (lower favours cohmeleon)",
-        results.cell(0, 0, 0).result.policy,
-        cohmeleon.geo_time,
-        cohmeleon.geo_mem
+        records[0].policy, cohmeleon.geo_time, cohmeleon.geo_mem
     );
 }

@@ -18,7 +18,7 @@
 //! walks the whole lifecycle.
 //!
 //! ```
-//! use cohmeleon_repro::exp::{Experiment, PolicyKind, WorkStealing};
+//! use cohmeleon_repro::exp::{normalize_records, Experiment, PolicyKind, WorkStealing};
 //! use cohmeleon_repro::soc::config::soc1;
 //! use cohmeleon_repro::workloads::generator::{generate_app, GeneratorParams};
 //!
@@ -33,11 +33,11 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! // Runs both cells in parallel; results are bit-identical to a serial
+//! // Runs both cells in parallel; records are bit-identical to a serial
 //! // run. Outcomes are normalized against policy 0 (the paper's baseline).
-//! let results = grid.collect(&WorkStealing::new());
-//! for (cell, outcome) in results.outcomes_against(0) {
-//!     assert!(outcome.geo_time > 0.0, "{cell:?}");
+//! let records = grid.collect_records(&WorkStealing::new());
+//! for (record, outcome) in records.iter().zip(normalize_records(&records, 0)) {
+//!     assert!(outcome.geo_time > 0.0, "{}", record.policy);
 //! }
 //! ```
 //!
