@@ -12,7 +12,7 @@
 //!   resumed, and driven to completion by chaos-wrapped workers that are
 //!   respawned as injected resets kill them. The finalized checkpoint
 //!   must be **byte-identical** to a clean `Serial` run — which also
-//!   proves the record ledger never double-committed a cell (a double
+//!   proves the queen's checkpoint never double-committed a cell (a double
 //!   commit would be a duplicated line).
 //! * **serve** — a chaos-wrapped server and chaos-wrapped verifying
 //!   load-generator clients, with a snapshot hot-swap mid-run. Every

@@ -2,9 +2,9 @@
 //! tables, from the command line.
 //!
 //! ```text
-//! sweep run    --grid NAME [--out PATH] [--executor serial|work-stealing]
-//!              [--max-cells N] [--fresh] [--reuse OLD.jsonl]
-//! sweep resume --grid NAME [--out PATH] [--executor ...]
+//! sweep run    --grid NAME [--out PATH] [--max-cells N] [--fresh]
+//!              [--reuse OLD.jsonl]
+//! sweep resume --grid NAME [--out PATH]
 //! sweep shard  --grid NAME --shards N [--out PATH]
 //! sweep queen  --grid NAME --listen ADDR [--resume PATH] [--chunk N]
 //!              [--ttl-ms MS] [--max-cells N] [--fresh] [--status-ms MS]
@@ -20,9 +20,10 @@
 //! ```
 //!
 //! * `run` is resumable by default: cells already in the checkpoint at
-//!   `--out` (default `<grid>.jsonl`) are skipped, fresh cells are
-//!   appended with an fsync each, and a completed run finalises the file
-//!   in canonical order — byte-identical to an uninterrupted serial run.
+//!   `--out` (default `<grid>.jsonl`) are skipped, fresh cells run on a
+//!   work-stealing thread pool and are appended with an fsync each, and a
+//!   completed run finalises the file in canonical order — byte-identical
+//!   to an uninterrupted serial run.
 //!   `--max-cells N` stops after N fresh cells (the deterministic
 //!   stand-in for a kill; CI uses it for the resume smoke), `--fresh`
 //!   deletes the checkpoint first.
@@ -70,13 +71,13 @@
 //! queen's scale wins for fleet runs: workers rebuild at whatever scale
 //! the queen's HELLO names, regardless of their own environment.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
 use cohmeleon_bench::sweeps::{named_experiment, print_figure, GRID_NAMES};
 use cohmeleon_chaos::FaultPlan;
 use cohmeleon_bench::Scale;
-use cohmeleon_exp::{Checkpoint, ResumeOutcome, Serial, SweepGrid, WorkStealing};
+use cohmeleon_exp::{Checkpoint, SweepGrid, WorkStealing};
 use cohmeleon_core::FrozenSnapshot;
 use cohmeleon_exp::{write_snapshot, SnapshotMeta};
 use cohmeleon_fleet::{run_local, run_queen, run_worker, QueenOptions, WorkerOptions};
@@ -84,7 +85,7 @@ use cohmeleon_serve::{run_load, run_server, LoadOptions, ServeClient, ServeOptio
 
 fn usage() -> String {
     let mut out = String::from(
-        "usage:\n  sweep run    --grid NAME [--out PATH] [--executor serial|work-stealing]\n               [--max-cells N] [--fresh] [--reuse OLD.jsonl]\n  sweep resume --grid NAME [--out PATH] [--executor ...]\n  sweep shard  --grid NAME --shards N [--out PATH]\n               (a local queen + N worker processes; resumes --out like run)\n  sweep queen  --grid NAME --listen ADDR [--resume PATH] [--chunk N]\n               [--ttl-ms MS] [--max-cells N] [--fresh] [--status-ms MS]\n               [--chaos-seed N]\n  sweep worker --connect ADDR [--name LABEL] [--retry-ms MS] [--chaos-seed N]\n  sweep freeze --grid NAME --out SNAP.tsv\n               [--cell I | --scenario LABEL --policy LABEL --seed N]\n  sweep serve  --table SNAP.tsv --listen ADDR [--states N] [--chaos-seed N]\n  sweep clients --connect ADDR [-n N] [--batches N] [--batch N] [--seed N]\n               [--verify FILE,FILE] [--swap PATH [--swap-after J]]\n               [--hist OUT.jsonl] [--shutdown] [--chaos-seed N]\n\ngrids (COHMELEON_FAST=1 for reduced scale):\n",
+        "usage:\n  sweep run    --grid NAME [--out PATH] [--max-cells N] [--fresh]\n               [--reuse OLD.jsonl]\n  sweep resume --grid NAME [--out PATH]\n  sweep shard  --grid NAME --shards N [--out PATH]\n               (a local queen + N worker processes; resumes --out like run)\n  sweep queen  --grid NAME --listen ADDR [--resume PATH] [--chunk N]\n               [--ttl-ms MS] [--max-cells N] [--fresh] [--status-ms MS]\n               [--chaos-seed N]\n  sweep worker --connect ADDR [--name LABEL] [--retry-ms MS] [--chaos-seed N]\n  sweep freeze --grid NAME --out SNAP.tsv\n               [--cell I | --scenario LABEL --policy LABEL --seed N]\n  sweep serve  --table SNAP.tsv --listen ADDR [--states N] [--chaos-seed N]\n  sweep clients --connect ADDR [-n N] [--batches N] [--batch N] [--seed N]\n               [--verify FILE,FILE] [--swap PATH [--swap-after J]]\n               [--hist OUT.jsonl] [--shutdown] [--chaos-seed N]\n\ngrids (COHMELEON_FAST=1 for reduced scale):\n",
     );
     for (name, what) in GRID_NAMES {
         out.push_str(&format!("  {name:<10} {what}\n"));
@@ -101,38 +102,9 @@ fn parse_chaos_seed(value: Option<&String>) -> Result<FaultPlan, String> {
     Ok(FaultPlan::new(seed))
 }
 
-/// The two in-process executors, chosen by `--executor`.
-enum Exec {
-    Serial,
-    WorkStealing,
-}
-
-impl Exec {
-    fn parse(s: &str) -> Result<Exec, String> {
-        match s {
-            "serial" => Ok(Exec::Serial),
-            "work-stealing" | "worksteal" | "steal" => Ok(Exec::WorkStealing),
-            other => Err(format!("unknown executor `{other}`")),
-        }
-    }
-
-    fn run_resumable(
-        &self,
-        grid: &SweepGrid,
-        path: &Path,
-        max_cells: usize,
-    ) -> std::io::Result<ResumeOutcome> {
-        match self {
-            Exec::Serial => grid.run_resumable_capped(path, &Serial, max_cells),
-            Exec::WorkStealing => grid.run_resumable_capped(path, &WorkStealing::new(), max_cells),
-        }
-    }
-}
-
 struct CommonArgs {
     grid: String,
     out: Option<PathBuf>,
-    executor: Exec,
 }
 
 fn main() -> ExitCode {
@@ -165,18 +137,16 @@ fn main() -> ExitCode {
     }
 }
 
-/// Builds the named grid with the checkpoint path resolved: `--out`
-/// overrides the grid's conventional `<name>.jsonl`.
+/// Builds the named grid and resolves its checkpoint path: `--out`, or
+/// the conventional `<name>.jsonl`.
 fn build_grid(common: &CommonArgs) -> Result<(SweepGrid, PathBuf), String> {
-    let mut experiment = named_experiment(&common.grid, Scale::from_env())?;
-    if let Some(out) = &common.out {
-        experiment = experiment.resume_from(out);
-    }
-    let grid = experiment.build().map_err(|e| e.to_string())?;
-    let out = grid
-        .resume_path()
-        .expect("named experiments always carry a checkpoint path")
-        .to_owned();
+    let grid = named_experiment(&common.grid, Scale::from_env())?
+        .build()
+        .map_err(|e| e.to_string())?;
+    let out = common
+        .out
+        .clone()
+        .unwrap_or_else(|| PathBuf::from(format!("{}.jsonl", common.grid)));
     Ok((grid, out))
 }
 
@@ -184,7 +154,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut common = CommonArgs {
         grid: String::new(),
         out: None,
-        executor: Exec::WorkStealing,
     };
     let mut max_cells = usize::MAX;
     let mut fresh = false;
@@ -194,9 +163,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--grid" => common.grid = it.next().ok_or("--grid needs a name")?.clone(),
             "--out" => common.out = Some(PathBuf::from(it.next().ok_or("--out needs a path")?)),
-            "--executor" => {
-                common.executor = Exec::parse(it.next().ok_or("--executor needs a name")?)?;
-            }
             "--max-cells" => {
                 max_cells = it
                     .next()
@@ -236,9 +202,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         );
     }
 
-    let outcome = common
-        .executor
-        .run_resumable(&grid, &out, max_cells)
+    let outcome = grid
+        .run_resumable_capped(&out, &WorkStealing::new(), max_cells)
         .map_err(|e| format!("{}: {e}", out.display()))?;
     if outcome.dropped_tail {
         println!("sweep: dropped a torn tail line (cell re-run)");
@@ -266,7 +231,6 @@ fn cmd_shard(args: &[String]) -> Result<(), String> {
     let mut common = CommonArgs {
         grid: String::new(),
         out: None,
-        executor: Exec::Serial, // unused: workers execute the cells
     };
     let mut shards = 0usize;
     let mut it = args.iter();
@@ -317,7 +281,6 @@ fn cmd_queen(args: &[String]) -> Result<(), String> {
     let mut common = CommonArgs {
         grid: String::new(),
         out: None,
-        executor: Exec::Serial, // unused: workers execute the cells
     };
     let mut listen = String::new();
     let mut chunk: Option<usize> = None;

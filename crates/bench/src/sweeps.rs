@@ -10,11 +10,6 @@
 //! disk belongs to the grid being resumed (the checkpoint layer verifies
 //! labels and seeds against the rebuilt grid).
 //!
-//! Each experiment comes with its conventional checkpoint path
-//! (`<name>.jsonl`) pre-set via
-//! [`Experiment::resume_from`]; the `sweep` binary overrides it when
-//! `--out` is given.
-//!
 //! Three grids are [`figures`](crate::figures): `learners`, `weights`
 //! and `paper` (Figure 9). Once one of their sweeps is complete, `sweep`
 //! renders the figure from the records ([`print_figure`]).
@@ -59,15 +54,13 @@ pub const GRID_NAMES: &[(&str, &str)] = &[
     ),
 ];
 
-/// Builds the named experiment at `scale`. The returned builder still
-/// accepts an [`Experiment::resume_from`] override before
-/// [`Experiment::build`].
+/// Builds the named experiment at `scale`.
 ///
 /// # Errors
 ///
 /// Returns a message listing the known names for an unknown `name`.
 pub fn named_experiment(name: &str, scale: Scale) -> Result<Experiment, String> {
-    let experiment = match name {
+    Ok(match name {
         "suite" => suite(scale),
         "learners" => learner_ablation::experiment(scale),
         "paper" => fig9::experiment(scale),
@@ -81,8 +74,7 @@ pub fn named_experiment(name: &str, scale: Scale) -> Result<Experiment, String> 
                 known.join(", ")
             ));
         }
-    };
-    Ok(experiment.resume_from(format!("{name}.jsonl")))
+    })
 }
 
 /// Prints the figure of the named grid, rendered from its complete
@@ -211,11 +203,6 @@ mod tests {
                 .build()
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(grid.num_cells() > 0, "{name}");
-            assert_eq!(
-                grid.resume_path().unwrap().to_str().unwrap(),
-                format!("{name}.jsonl"),
-                "{name} carries its conventional checkpoint path"
-            );
         }
     }
 

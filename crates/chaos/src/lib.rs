@@ -4,7 +4,7 @@
 //! The fleet queen/worker pair and the serve server/client pair both
 //! speak newline-delimited text over `std::net::TcpStream` and both
 //! claim strong invariants under network misbehavior: the fleet's
-//! exactly-once ledger keeps finalized checkpoints byte-identical to a
+//! exactly-once checkpoint keeps finalized checkpoints byte-identical to a
 //! clean serial run through worker kills and stalls, and serve's atomic
 //! hot swap never lets a client observe a torn table. This crate turns
 //! those claims into something a soak harness can pound on: a seeded
@@ -23,7 +23,7 @@
 //!
 //! What gets injected is role-aware (see [`Role`]): only lines the
 //! protocols declare duplicate/reorder-safe are ever duplicated or
-//! reordered (the fleet ledger dedups `RECORD`s, lease release and
+//! reordered (the fleet checkpoint dedups `RECORD`s, lease release and
 //! heartbeat are idempotent; a duplicated serve `DECIDE` earns a second
 //! reply the client must drain and may verify), and stalls surface as
 //! synthetic [`WouldBlock`](std::io::ErrorKind::WouldBlock) on the

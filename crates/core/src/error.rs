@@ -6,37 +6,21 @@ use std::fmt;
 /// Errors raised while configuring the Cohmeleon framework.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoreError {
-    /// A policy was given an empty set of available coherence modes.
-    EmptyModeSet,
     /// Reward weights were all zero or non-finite.
     InvalidRewardWeights {
         /// The offending `(x, y, z)` triple.
         weights: (f64, f64, f64),
-    },
-    /// A learning schedule requested zero training iterations.
-    ZeroTrainingIterations,
-    /// An architecture parameter was zero or inconsistent.
-    InvalidArchParams {
-        /// Human-readable description of the inconsistency.
-        reason: String,
     },
 }
 
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CoreError::EmptyModeSet => write!(f, "no coherence modes available for selection"),
             CoreError::InvalidRewardWeights { weights } => write!(
                 f,
                 "reward weights ({}, {}, {}) must be finite, non-negative and not all zero",
                 weights.0, weights.1, weights.2
             ),
-            CoreError::ZeroTrainingIterations => {
-                write!(f, "learning schedule must have at least one training iteration")
-            }
-            CoreError::InvalidArchParams { reason } => {
-                write!(f, "invalid architecture parameters: {reason}")
-            }
         }
     }
 }
@@ -49,18 +33,19 @@ mod tests {
 
     #[test]
     fn display_messages_are_lowercase_and_informative() {
-        let e = CoreError::EmptyModeSet;
-        let msg = e.to_string();
-        assert!(msg.starts_with("no coherence"));
         let e = CoreError::InvalidRewardWeights {
             weights: (0.0, 0.0, 0.0),
         };
-        assert!(e.to_string().contains("(0, 0, 0)"));
+        let msg = e.to_string();
+        assert!(msg.starts_with("reward weights"));
+        assert!(msg.contains("(0, 0, 0)"));
     }
 
     #[test]
     fn error_trait_is_implemented() {
         fn takes_error<E: Error>(_: E) {}
-        takes_error(CoreError::ZeroTrainingIterations);
+        takes_error(CoreError::InvalidRewardWeights {
+            weights: (1.0, f64::NAN, 0.0),
+        });
     }
 }

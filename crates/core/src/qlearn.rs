@@ -21,8 +21,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::CoreError;
-
 /// The training schedule: initial ε and α and the number of evaluation-app
 /// iterations over which both decay linearly to zero.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -44,19 +42,6 @@ impl LearningSchedule {
             alpha0: 0.25,
             train_iterations: train_iterations.max(1),
         }
-    }
-
-    /// Validates the schedule.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ZeroTrainingIterations`] when no training
-    /// iterations are configured.
-    pub fn validate(&self) -> Result<(), CoreError> {
-        if self.train_iterations == 0 {
-            return Err(CoreError::ZeroTrainingIterations);
-        }
-        Ok(())
     }
 
     /// ε at the start of training iteration `i` (0-based): linear decay
@@ -155,17 +140,6 @@ mod tests {
         assert_eq!(s.alpha_at(0), 0.25);
         assert!((s.alpha_at(5) - 0.125).abs() < 1e-12);
         assert_eq!(s.alpha_at(10), 0.0);
-    }
-
-    #[test]
-    fn schedule_validation() {
-        assert!(LearningSchedule::paper_default(10).validate().is_ok());
-        let bad = LearningSchedule {
-            epsilon0: 0.5,
-            alpha0: 0.25,
-            train_iterations: 0,
-        };
-        assert_eq!(bad.validate(), Err(CoreError::ZeroTrainingIterations));
     }
 
     #[test]

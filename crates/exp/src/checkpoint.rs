@@ -1,10 +1,10 @@
 //! Checkpointed, resumable sweep runs.
 //!
 //! A long grid sweep should survive being killed: every completed cell is
-//! already on disk as one [`CellRecord`] JSONL line (see
-//! [`JsonlSink`](crate::JsonlSink)), so restarting only needs to *skip*
-//! the cells whose coordinates are present and run the rest. This module
-//! is that layer:
+//! already on disk as one [`CellRecord`] JSONL line, so restarting only
+//! needs to *skip* the cells whose coordinates are present and run the
+//! rest. This module is that layer, and the one path by which any cell,
+//! run in-process or on a fleet worker, reaches disk:
 //!
 //! * [`scan_jsonl_tail`] — a corruption-tolerant loader: a partial run's
 //!   file may end in a torn line (the process died mid-write); the scan
@@ -14,7 +14,9 @@
 //! * [`Checkpoint`] — the loaded state of a partial run, validated against
 //!   the grid it resumes (coordinates in range, labels and seeds
 //!   matching), deduplicated by cell coordinate (identical duplicates
-//!   collapse; conflicting ones are an error).
+//!   collapse; conflicting ones are an error). [`Checkpoint::ingest`] is
+//!   that exactly-once rule, applied to every line [`Checkpoint::load`]
+//!   reads and to every `RECORD` the fleet queen receives.
 //! * [`SweepGrid::run_resumable`] — the one-call driver: load the
 //!   checkpoint, run only the missing cells, append each fresh record
 //!   with an fsync (one durable line per completed cell), and — once the
@@ -22,10 +24,11 @@
 //!   order, so the final artifact is **bit-identical** to an
 //!   uninterrupted [`Serial`](crate::Serial) run no matter how many times
 //!   the sweep was interrupted or which executor ran it.
-//! * [`CheckpointWriter`] and [`finalize_canonical`] — the write half,
-//!   public so other drivers (the fleet queen in `cohmeleon-fleet`
-//!   streams records in over TCP) can speak the identical on-disk
-//!   discipline and land on the identical canonical bytes.
+//! * [`CheckpointWriter`] and [`finalize_canonical`] — the write half and
+//!   the only JSONL writers, public so the fleet queen in
+//!   `cohmeleon-fleet` (which receives records over TCP) speaks the
+//!   identical on-disk discipline and lands on the identical canonical
+//!   bytes.
 //! * [`Checkpoint::reuse_from`] — grown-grid reuse: seed a new grid's
 //!   checkpoint from an *old* grid's file by [`ContentKey`] (labels +
 //!   effective seed, which survive index shifts), so adding a seed or a
@@ -43,6 +46,7 @@
 //! the one writer its workers report to, is — but they degrade to
 //! duplicates, not corruption.)
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -50,12 +54,12 @@ use std::path::Path;
 
 use crate::executor::Executor;
 use crate::grid::{CellId, SweepGrid};
-use crate::sink::{CellRecord, ResultSink};
+use crate::sink::CellRecord;
 
 /// A cell's stable coordinate on its grid:
 /// `(scenario_index, policy_index, seed_index)`.
 ///
-/// Checkpoint and fleet-ledger dedup key on this triple; lexicographic
+/// [`Checkpoint::ingest`] keys on this triple; lexicographic
 /// order over it equals the grid's dense
 /// [`cell_index`](SweepGrid::cell_index) order, which is what makes the
 /// canonical record stream well-defined without the grid in hand.
@@ -163,9 +167,8 @@ pub fn scan_jsonl_tail(text: &str) -> Result<ScannedRun, String> {
 
 /// Serialises records as the canonical JSONL stream: one
 /// [`CellRecord::to_json`] line per record, sorted by [`CellCoord`] —
-/// byte-identical to what a clean [`Serial`](crate::Serial) run streams
-/// through a [`JsonlSink`](crate::JsonlSink), whatever order the records
-/// were produced in.
+/// byte-identical to the finished checkpoint of the records' grid,
+/// whatever order the records were produced in.
 pub fn canonical_jsonl(records: &[CellRecord]) -> String {
     let mut sorted: Vec<&CellRecord> = records.iter().collect();
     sorted.sort_by_key(|r| r.coord());
@@ -199,14 +202,9 @@ fn invalid_data(message: String) -> io::Error {
 /// Checks that `record` could have been produced by a cell of `grid`:
 /// coordinates in range, scenario/policy labels matching the grid's axes,
 /// and the effective seed matching [`SweepGrid::cell_seed`]. This is what
-/// stops a checkpoint from silently resuming *someone else's* sweep — and
-/// what a fleet queen runs on every `RECORD` a worker streams back before
-/// the line is persisted.
-///
-/// # Errors
-///
-/// A message naming the first mismatching coordinate, label or seed.
-pub fn validate_record(record: &CellRecord, grid: &SweepGrid) -> Result<(), String> {
+/// stops a checkpoint from silently resuming *someone else's* sweep, or a
+/// fleet queen from persisting a worker's record of another grid.
+fn validate_record(record: &CellRecord, grid: &SweepGrid) -> Result<(), String> {
     let (s, p, k) = record.coord();
     if s >= grid.scenarios().len() || p >= grid.policies().len() || k >= grid.seeds().len() {
         return Err(format!(
@@ -248,8 +246,8 @@ pub fn validate_record(record: &CellRecord, grid: &SweepGrid) -> Result<(), Stri
 impl Checkpoint {
     /// Loads the partial run at `path` and validates it against `grid`.
     ///
-    /// A missing file is an empty checkpoint (a fresh run). Records are
-    /// deduplicated by [`CellCoord`]: byte-identical duplicates collapse
+    /// A missing file is an empty checkpoint (a fresh run). Every record
+    /// passes [`ingest`](Self::ingest): identical duplicates collapse
     /// (overlapping resumed runs produce them legitimately); duplicates
     /// that *disagree* are an error, as is any record that does not match
     /// the grid (see the module docs).
@@ -265,40 +263,61 @@ impl Checkpoint {
             Err(e) => return Err(e),
         };
         let scanned = scan_jsonl_tail(&text).map_err(invalid_data)?;
-        let mut records: Vec<CellRecord> = Vec::with_capacity(scanned.records.len());
-        let mut by_coord = HashMap::with_capacity(scanned.records.len());
-        let mut duplicates = 0usize;
-        for record in scanned.records {
-            validate_record(&record, grid).map_err(invalid_data)?;
-            match by_coord.entry(record.coord()) {
-                std::collections::hash_map::Entry::Occupied(existing) => {
-                    let prior: &CellRecord = &records[*existing.get()];
-                    if *prior != record {
-                        return Err(invalid_data(format!(
-                            "cell {:?} appears twice with different results",
-                            record.coord()
-                        )));
-                    }
-                    duplicates += 1;
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(records.len());
-                    records.push(record);
-                }
-            }
-        }
-        Ok(Checkpoint {
-            records,
-            by_coord,
+        let mut checkpoint = Checkpoint {
+            records: Vec::with_capacity(scanned.records.len()),
+            by_coord: HashMap::with_capacity(scanned.records.len()),
             valid_len: scanned.valid_len,
             dropped_tail: scanned.dropped_tail,
-            duplicates,
-        })
+            duplicates: 0,
+        };
+        for record in scanned.records {
+            checkpoint.ingest(record, grid).map_err(invalid_data)?;
+        }
+        Ok(checkpoint)
     }
 
-    /// The deduplicated records, in file order.
+    /// Keeps one record per [`CellCoord`] — the exactly-once rule for
+    /// every record read from disk and every record a fleet worker
+    /// streams back. The record is first validated against `grid`. A
+    /// fresh cell is kept and returns `Ok(true)`; an identical duplicate
+    /// is counted in [`duplicates`](Self::duplicates) and returns
+    /// `Ok(false)`.
+    ///
+    /// # Errors
+    ///
+    /// A record whose coordinates, labels or seed do not match `grid`, or
+    /// one that disagrees with the record already kept for its cell —
+    /// cells are pure functions of their coordinates, so disagreement
+    /// means another grid's results or a broken determinism invariant.
+    pub fn ingest(&mut self, record: CellRecord, grid: &SweepGrid) -> Result<bool, String> {
+        validate_record(&record, grid)?;
+        match self.by_coord.entry(record.coord()) {
+            Entry::Occupied(existing) => {
+                if self.records[*existing.get()] != record {
+                    return Err(format!(
+                        "cell {:?} appears twice with different results",
+                        record.coord()
+                    ));
+                }
+                self.duplicates += 1;
+                Ok(false)
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(self.records.len());
+                self.records.push(record);
+                Ok(true)
+            }
+        }
+    }
+
+    /// The deduplicated records, in ingest order.
     pub fn records(&self) -> &[CellRecord] {
         &self.records
+    }
+
+    /// The deduplicated records, in ingest order, without a copy.
+    pub fn into_records(self) -> Vec<CellRecord> {
+        self.records
     }
 
     /// Number of distinct cells already on disk.
@@ -323,7 +342,7 @@ impl Checkpoint {
         self.valid_len
     }
 
-    /// How many byte-identical duplicate lines were collapsed.
+    /// How many identical duplicate records were collapsed.
     pub fn duplicates(&self) -> usize {
         self.duplicates
     }
@@ -384,7 +403,7 @@ impl Checkpoint {
         let mut by_key: HashMap<ContentKey, CellRecord> = HashMap::new();
         for record in scanned.records {
             match by_key.entry(record.content_key()) {
-                std::collections::hash_map::Entry::Occupied(existing) => {
+                Entry::Occupied(existing) => {
                     // Identity excludes the index fields, which racing
                     // attempts could not have disagreed on anyway — but
                     // compare the full record so silent payload
@@ -396,7 +415,7 @@ impl Checkpoint {
                         )));
                     }
                 }
-                std::collections::hash_map::Entry::Vacant(slot) => {
+                Entry::Vacant(slot) => {
                     slot.insert(record);
                 }
             }
@@ -513,27 +532,6 @@ impl CheckpointWriter {
     }
 }
 
-/// A [`ResultSink`] that appends one durable JSONL line per cell through
-/// a [`CheckpointWriter`].
-struct AppendSink<'a> {
-    writer: &'a mut CheckpointWriter,
-    records: &'a mut Vec<CellRecord>,
-    ran: &'a mut usize,
-}
-
-impl ResultSink for AppendSink<'_> {
-    fn on_cell(&mut self, result: crate::grid::CellResult) {
-        let record = CellRecord::from_cell(&result);
-        // Write errors panic, as for JsonlSink: a sweep that silently
-        // loses results is worse than one that stops.
-        self.writer
-            .append(&record)
-            .expect("append checkpoint record");
-        self.records.push(record);
-        *self.ran += 1;
-    }
-}
-
 /// Atomically replaces `path` with the canonical serialisation of
 /// `records`: write a sibling `<path>.tmp`, fsync it, then rename over
 /// `path` — a kill during finalisation leaves either the old
@@ -566,10 +564,36 @@ impl SweepGrid {
     /// [`Serial`](crate::Serial) run regardless of interruptions,
     /// executor, or how the work was split across resumes.
     ///
-    /// [`Experiment::resume_from`](crate::Experiment::resume_from)
-    /// records the intended path on the grid
-    /// ([`resume_path`](Self::resume_path)); harnesses conventionally
-    /// pass that.
+    /// ```
+    /// use cohmeleon_exp::{Experiment, PolicyKind, Serial};
+    /// use cohmeleon_soc::config::soc1;
+    /// use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
+    ///
+    /// let dir = std::env::temp_dir()
+    ///     .join(format!("cohmeleon-resume-doctest-{}", std::process::id()));
+    /// std::fs::create_dir_all(&dir).unwrap();
+    /// let path = dir.join("run.jsonl");
+    /// let _ = std::fs::remove_file(&path);
+    ///
+    /// let config = soc1();
+    /// let params = GeneratorParams { phases: 1, ..GeneratorParams::quick() };
+    /// let app = generate_app(&config, &params, 1);
+    /// let grid = Experiment::evaluate(config, app)
+    ///     .policy_kinds([PolicyKind::FixedNonCoh, PolicyKind::Manual])
+    ///     .seed(7)
+    ///     .build()
+    ///     .unwrap();
+    ///
+    /// // The first run simulates both cells and checkpoints them.
+    /// let first = grid.run_resumable(&path, &Serial).unwrap();
+    /// assert_eq!((first.reused, first.ran), (0, 2));
+    ///
+    /// // A re-run finds every cell on disk and simulates nothing.
+    /// let again = grid.run_resumable(&path, &Serial).unwrap();
+    /// assert_eq!((again.reused, again.ran), (2, 0));
+    /// assert_eq!(again.records, first.records);
+    /// # std::fs::remove_file(&path).unwrap();
+    /// ```
     ///
     /// # Errors
     ///
@@ -604,24 +628,26 @@ impl SweepGrid {
         let complete = todo.len() == pending.len();
         let reused = checkpoint.len();
         let dropped_tail = checkpoint.dropped_tail();
-        let valid_len = checkpoint.valid_len;
-        let mut records = checkpoint.records;
 
         // Append mode: every record line lands atomically at EOF, so even
         // two processes resuming the same checkpoint interleave whole
         // lines, never bytes — their duplicated cells then collapse on
         // the next load instead of corrupting the file.
-        let mut writer = CheckpointWriter::open(path, valid_len)?;
-        let mut ran = 0usize;
-        {
-            let mut sink = AppendSink {
-                writer: &mut writer,
-                records: &mut records,
-                ran: &mut ran,
-            };
-            self.execute_subset(todo, executor, &mut sink);
-        }
+        let mut writer = CheckpointWriter::open(path, checkpoint.valid_len())?;
+        let mut records = checkpoint.into_records();
+        executor.run(
+            todo.len(),
+            &|i| self.run_cell(self.cell_at(todo[i])),
+            &mut |_, result| {
+                let record = CellRecord::from_cell(&result);
+                // Write errors panic: a sweep that silently loses results
+                // is worse than one that stops.
+                writer.append(&record).expect("append checkpoint record");
+                records.push(record);
+            },
+        );
         drop(writer);
+        let ran = records.len() - reused;
 
         sort_canonical(&mut records);
         if complete {

@@ -10,7 +10,6 @@
 //! order — including in parallel — without changing any result bit.
 
 use std::fmt;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cohmeleon_core::Policy;
@@ -20,7 +19,7 @@ use cohmeleon_workloads::runner::{evaluate_policy_with_options, run_protocol_wit
 use crate::executor::Executor;
 use crate::learner::LearnerSpec;
 use crate::policies::{build_policy, PolicyKind};
-use crate::sink::{CollectSink, ResultSink};
+use crate::sink::CellRecord;
 
 /// How each grid cell turns a scenario + policy + seed into an
 /// [`AppResult`](cohmeleon_soc::AppResult).
@@ -237,7 +236,6 @@ pub struct Experiment {
     seeds: Vec<u64>,
     train_iterations: usize,
     protocol: Protocol,
-    resume_from: Option<PathBuf>,
 }
 
 impl Experiment {
@@ -320,48 +318,6 @@ impl Experiment {
         self
     }
 
-    /// Makes the sweep resumable: cells recorded in the JSONL checkpoint
-    /// at `path` are skipped and only missing cells run, each appended to
-    /// the checkpoint as it completes (see
-    /// [`SweepGrid::run_resumable`](crate::SweepGrid::run_resumable) for
-    /// the durability and bit-identity guarantees).
-    ///
-    /// ```
-    /// use cohmeleon_exp::{Experiment, PolicyKind, Serial};
-    /// use cohmeleon_soc::config::soc1;
-    /// use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
-    ///
-    /// let dir = std::env::temp_dir()
-    ///     .join(format!("cohmeleon-resume-doctest-{}", std::process::id()));
-    /// std::fs::create_dir_all(&dir).unwrap();
-    /// let path = dir.join("run.jsonl");
-    /// let _ = std::fs::remove_file(&path);
-    ///
-    /// let config = soc1();
-    /// let params = GeneratorParams { phases: 1, ..GeneratorParams::quick() };
-    /// let app = generate_app(&config, &params, 1);
-    /// let grid = Experiment::evaluate(config, app)
-    ///     .policy_kinds([PolicyKind::FixedNonCoh, PolicyKind::Manual])
-    ///     .seed(7)
-    ///     .resume_from(&path)
-    ///     .build()
-    ///     .unwrap();
-    ///
-    /// // The first run simulates both cells and checkpoints them.
-    /// let first = grid.run_resumable(grid.resume_path().unwrap(), &Serial).unwrap();
-    /// assert_eq!((first.reused, first.ran), (0, 2));
-    ///
-    /// // A re-run finds every cell on disk and simulates nothing.
-    /// let again = grid.run_resumable(grid.resume_path().unwrap(), &Serial).unwrap();
-    /// assert_eq!((again.reused, again.ran), (2, 0));
-    /// assert_eq!(again.records, first.records);
-    /// # std::fs::remove_file(&path).unwrap();
-    /// ```
-    pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Experiment {
-        self.resume_from = Some(path.into());
-        self
-    }
-
     /// Validates the axes and produces the grid.
     pub fn build(self) -> Result<SweepGrid, ExperimentError> {
         if self.scenarios.is_empty() {
@@ -384,7 +340,6 @@ impl Experiment {
             seeds: self.seeds,
             train_iterations: self.train_iterations,
             protocol: self.protocol,
-            resume_from: self.resume_from,
         })
     }
 }
@@ -401,8 +356,8 @@ pub struct CellId {
     pub seed: usize,
 }
 
-/// The completed outcome of one grid cell, streamed to the
-/// [`ResultSink`] as soon as the cell finishes.
+/// The completed outcome of one grid cell, handed to the
+/// [`execute`](SweepGrid::execute) callback as soon as the cell finishes.
 #[derive(Debug, Clone)]
 pub struct CellResult {
     /// Which cell this is.
@@ -434,7 +389,6 @@ pub struct SweepGrid {
     seeds: Vec<u64>,
     train_iterations: usize,
     protocol: Protocol,
-    resume_from: Option<PathBuf>,
 }
 
 impl SweepGrid {
@@ -461,12 +415,6 @@ impl SweepGrid {
     /// The cell protocol.
     pub fn protocol(&self) -> Protocol {
         self.protocol
-    }
-
-    /// The checkpoint path set by
-    /// [`Experiment::resume_from`], if any.
-    pub fn resume_path(&self) -> Option<&Path> {
-        self.resume_from.as_deref()
     }
 
     /// Total number of cells (scenarios × policies × seeds).
@@ -554,49 +502,29 @@ impl SweepGrid {
         (result, tables)
     }
 
-    /// Executes every cell under `executor`, streaming each [`CellResult`]
-    /// to `sink` exactly once, in completion order, on the calling thread.
-    pub fn execute<E: Executor + ?Sized>(&self, executor: &E, sink: &mut dyn ResultSink) {
+    /// Executes every cell under `executor`, handing each [`CellResult`]
+    /// to `on_cell` exactly once, in completion order, on the calling
+    /// thread.
+    pub fn execute<E: Executor + ?Sized>(&self, executor: &E, on_cell: &mut dyn FnMut(CellResult)) {
         executor.run(
             self.num_cells(),
             &|i| self.run_cell(self.cell_at(i)),
-            &mut |_, result| sink.on_cell(result),
+            &mut |_, result| on_cell(result),
         );
-        sink.on_grid_complete(self);
     }
 
     /// Runs every cell under `executor` and collects one persistable
-    /// [`CellRecord`](crate::CellRecord) per cell, in canonical dense
-    /// order regardless of the executor's completion order — the
-    /// in-memory equivalent of streaming through a
-    /// [`JsonlSink`](crate::JsonlSink) and reading the file back.
-    pub fn collect_records<E: Executor + ?Sized>(
-        &self,
-        executor: &E,
-    ) -> Vec<crate::sink::CellRecord> {
+    /// [`CellRecord`] per cell, in canonical dense order regardless of the
+    /// executor's completion order — the records a finished checkpoint of
+    /// this grid holds, and [`canonical_jsonl`](crate::canonical_jsonl)
+    /// of them is its bytes.
+    pub fn collect_records<E: Executor + ?Sized>(&self, executor: &E) -> Vec<CellRecord> {
         let mut records = Vec::with_capacity(self.num_cells());
-        self.execute(executor, &mut |result: CellResult| {
-            records.push(crate::sink::CellRecord::from_cell(&result));
+        self.execute(executor, &mut |result| {
+            records.push(CellRecord::from_cell(&result));
         });
         crate::checkpoint::sort_canonical(&mut records);
         records
-    }
-
-    /// Executes only the cells at the given dense `indices` (each exactly
-    /// once), streaming each result to `sink` — the primitive behind
-    /// resumed runs, which skip what a checkpoint holds.
-    pub fn execute_subset<E: Executor + ?Sized>(
-        &self,
-        indices: &[usize],
-        executor: &E,
-        sink: &mut dyn ResultSink,
-    ) {
-        executor.run(
-            indices.len(),
-            &|i| self.run_cell(self.cell_at(indices[i])),
-            &mut |_, result| sink.on_cell(result),
-        );
-        sink.on_grid_complete(self);
     }
 
     /// Executes every cell and collects the results in dense grid order.
@@ -608,20 +536,23 @@ impl SweepGrid {
     /// built-in executors never do, but the trait is an extension seam.
     pub fn collect<E: Executor + ?Sized>(&self, executor: &E) -> GridResults {
         let expected = self.num_cells();
-        let mut sink = CollectSink::with_capacity(expected);
-        self.execute(executor, &mut sink);
+        let mut cells = Vec::with_capacity(expected);
+        self.execute(executor, &mut |result| cells.push(result));
         assert_eq!(
-            sink.cells().len(),
+            cells.len(),
             expected,
             "executor delivered {} of {expected} cells",
-            sink.cells().len()
+            cells.len()
         );
+        // `CellId` orders lexicographically, which is dense order.
+        cells.sort_by_key(|r| r.cell);
+        if let Some(pair) = cells.windows(2).find(|w| w[0].cell == w[1].cell) {
+            panic!("executor delivered cell {:?} twice", pair[0].cell);
+        }
         GridResults {
             policies: self.policies.len(),
             seeds: self.seeds.len(),
-            cells: sink
-                .into_cells(|r| self.cell_index(r.cell))
-                .expect("executor delivered every cell exactly once"),
+            cells,
         }
     }
 }
@@ -756,6 +687,33 @@ mod tests {
             .build()
             .unwrap();
         grid.collect(&Truncating);
+    }
+
+    #[test]
+    #[should_panic(expected = "twice")]
+    fn collect_rejects_executors_that_deliver_a_cell_twice() {
+        /// A broken executor that runs the first task again in place of
+        /// the last.
+        struct Repeating;
+        impl crate::Executor for Repeating {
+            fn run<T: Send>(
+                &self,
+                tasks: usize,
+                task: &(dyn Fn(usize) -> T + Sync),
+                deliver: &mut dyn FnMut(usize, T),
+            ) {
+                for i in 0..tasks {
+                    let run = if i + 1 == tasks { 0 } else { i };
+                    deliver(i, task(run));
+                }
+            }
+        }
+        let grid = quick_experiment()
+            .policy_kinds([PolicyKind::FixedNonCoh, PolicyKind::FixedCohDma])
+            .seed(4)
+            .build()
+            .unwrap();
+        grid.collect(&Repeating);
     }
 
     #[test]

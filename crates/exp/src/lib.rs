@@ -13,11 +13,11 @@
 //!   [`WorkStealing`] (a hand-rolled shared-queue pool; no external
 //!   dependencies). Cells are pure functions of their coordinates, so
 //!   executors can only change wall time, never results.
-//! * [`ResultSink`] — streaming observation: each [`CellResult`] is
-//!   delivered the moment its cell completes, so progress reporting and
-//!   incremental aggregation need no `Vec` of everything. [`JsonlSink`]
-//!   streams durable [`CellRecord`]s to disk, so long sweeps persist as
-//!   they run, and figures render from the records ([`read_jsonl`],
+//! * [`SweepGrid::execute`] — streaming observation: a closure receives
+//!   each [`CellResult`] the moment its cell completes, so progress
+//!   reporting and incremental aggregation need no `Vec` of everything.
+//!   [`SweepGrid::collect_records`] keeps one flat [`CellRecord`] per
+//!   cell, and figures render from the records ([`read_jsonl`],
 //!   [`normalize_records`]) whether they were just collected or read
 //!   back from a finished checkpoint.
 //! * [`LearnerSpec`] — the learning agent as sweep data: one value names
@@ -25,15 +25,15 @@
 //!   (`"table3/eps-greedy/blend"` is the paper's), and
 //!   [`Experiment::learners`] puts whole learner sweeps on the policy
 //!   axis. See the `learners` grid in `cohmeleon_bench::sweeps`.
-//! * [`checkpoint`] — resumable sweeps: [`Experiment::resume_from`] +
-//!   [`SweepGrid::run_resumable`] skip cells already recorded on disk,
-//!   append fresh ones durably (one fsynced JSONL line per cell, with a
-//!   corruption-tolerant tail scan on load), and finalise the file in
-//!   canonical order, byte-identical to an uninterrupted [`Serial`] run.
-//!   Multi-process sweeps, on one machine or many, are the
-//!   `cohmeleon-fleet` queen's: it validates worker records against the
-//!   grid, keeps each cell exactly once and finalises the same
-//!   checkpoint file.
+//! * [`checkpoint`] — resumable sweeps and the one path from a cell to
+//!   disk: [`SweepGrid::run_resumable`] skips cells already recorded at
+//!   a path, appends fresh ones durably through [`CheckpointWriter`]
+//!   (one fsynced JSONL line per cell, with a corruption-tolerant tail
+//!   scan on load), and finalises the file in canonical order,
+//!   byte-identical to an uninterrupted [`Serial`] run. Multi-process
+//!   sweeps, on one machine or many, are the `cohmeleon-fleet` queen's:
+//!   it passes every worker record through the same
+//!   [`Checkpoint::ingest`] and finalises the same checkpoint file.
 //! * [`snapshot`] — serving provenance: [`SnapshotMeta`] stamps a frozen
 //!   table export with the grid name, cell coordinates and structural
 //!   hash of the run that produced it, as a comment line the frozen
@@ -101,8 +101,8 @@ pub mod sink;
 pub mod snapshot;
 
 pub use checkpoint::{
-    canonical_jsonl, finalize_canonical, scan_jsonl_tail, validate_record, CellCoord, Checkpoint,
-    CheckpointWriter, ContentKey, ResumeOutcome, ReuseReport, ScannedRun,
+    canonical_jsonl, finalize_canonical, scan_jsonl_tail, CellCoord, Checkpoint, CheckpointWriter,
+    ContentKey, ResumeOutcome, ReuseReport, ScannedRun,
 };
 pub use executor::{Executor, Serial, WorkStealing};
 pub use grid::{
@@ -113,5 +113,5 @@ pub use learner::{
     AgentScope, ExplorationKind, LearnerSpec, StateSpaceKind, UpdateKind, WeightPreset,
 };
 pub use policies::{build_policy, policy_suite, PolicyKind};
-pub use sink::{normalize_records, read_jsonl, CellRecord, CollectSink, JsonlSink, ResultSink};
+pub use sink::{normalize_records, read_jsonl, CellRecord};
 pub use snapshot::{write_snapshot, SnapshotMeta};

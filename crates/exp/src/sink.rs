@@ -1,23 +1,17 @@
-//! Streaming result observers.
+//! The persistable cell record and its JSONL form.
 //!
-//! A [`ResultSink`] receives each [`CellResult`] the moment its cell
-//! completes — progress bars, incremental writers and on-line
-//! aggregations never need the whole grid in memory. Sinks run on the
-//! thread that called [`SweepGrid::execute`](crate::SweepGrid::execute),
-//! so they need no synchronisation of their own.
+//! A [`CellRecord`] is the flat summary of one completed cell, and one
+//! JSON line per record is the durable form of a grid run: the
+//! [`CheckpointWriter`](crate::CheckpointWriter) appends it to disk as
+//! each cell completes, a fleet worker streams it to its queen, and
+//! figures render from records ([`read_jsonl`], normalized by
+//! [`normalize_records`]) instead of re-simulating. The JSON is
+//! hand-rolled: the record is flat, and the workspace's offline `serde`
+//! stand-in is a no-op marker, not a serializer.
 //!
-//! For grid-level persistence, [`JsonlSink`] streams a flat
-//! [`CellRecord`] per cell to any `io::Write` — long sweeps leave a
-//! durable record behind as they run, and figures render from records
-//! read back ([`read_jsonl`], normalized by [`normalize_records`])
-//! instead of re-simulating. The JSON is hand-rolled: the record is
-//! flat, and the workspace's offline `serde` stand-in is a no-op marker,
-//! not a serializer.
-//!
-//! The JSONL record stream is also the substrate of resumable and
-//! multi-process sweeps: a record's `(scenario_index, policy_index,
-//! seed_index)` triple ([`CellRecord::coord`]) is its durable identity,
-//! and [`Checkpoint`](crate::Checkpoint) loads partial streams back
+//! A record's `(scenario_index, policy_index, seed_index)` triple
+//! ([`CellRecord::coord`]) is its durable identity, and
+//! [`Checkpoint`](crate::Checkpoint) loads partial streams back
 //! (tolerating a kill-torn final line) — see the
 //! [`checkpoint`](crate::checkpoint) module. `read_jsonl` here stays
 //! strict (any malformed line is an error): use it for complete files;
@@ -25,89 +19,17 @@
 //! files a crash may have truncated.
 
 use std::collections::HashMap;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 
 use cohmeleon_workloads::runner::PolicyOutcome;
 
-use crate::grid::{CellResult, SweepGrid};
-
-/// Observes a grid run: one callback per completed cell, plus a completion
-/// hook.
-pub trait ResultSink {
-    /// Called exactly once per cell, in completion order, on the thread
-    /// driving the executor.
-    fn on_cell(&mut self, result: CellResult);
-
-    /// Called once after every cell has been delivered.
-    fn on_grid_complete(&mut self, grid: &SweepGrid) {
-        let _ = grid;
-    }
-}
-
-/// Any `FnMut(CellResult)` closure is a sink.
-impl<F: FnMut(CellResult)> ResultSink for F {
-    fn on_cell(&mut self, result: CellResult) {
-        self(result);
-    }
-}
-
-/// Collects cells for later dense indexing (used by
-/// [`SweepGrid::collect`](crate::SweepGrid::collect)).
-#[derive(Debug, Default)]
-pub struct CollectSink {
-    cells: Vec<CellResult>,
-}
-
-impl CollectSink {
-    /// An empty sink expecting `capacity` cells.
-    pub fn with_capacity(capacity: usize) -> CollectSink {
-        CollectSink {
-            cells: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// The collected cells, in completion order.
-    pub fn cells(&self) -> &[CellResult] {
-        &self.cells
-    }
-
-    /// Sorts the collected cells into dense grid order using `index`.
-    /// Returns `None` if any index is out of range or delivered twice
-    /// (an executor contract violation).
-    pub fn into_cells(
-        self,
-        index: impl Fn(&CellResult) -> usize,
-    ) -> Option<Vec<CellResult>> {
-        let n = self.cells.len();
-        let mut slots: Vec<Option<CellResult>> = (0..n).map(|_| None).collect();
-        for cell in self.cells {
-            let i = index(&cell);
-            if i >= n || slots[i].is_some() {
-                return None;
-            }
-            slots[i] = Some(cell);
-        }
-        slots.into_iter().collect()
-    }
-}
-
-impl ResultSink for CollectSink {
-    fn on_cell(&mut self, result: CellResult) {
-        self.cells.push(result);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Grid-level result persistence
-// ---------------------------------------------------------------------
+use crate::grid::CellResult;
 
 /// A flat, persistable summary of one grid cell: coordinates, labels, the
 /// effective seed, whole-run totals, the structural hash, and the
 /// per-phase `(name, duration, offchip)` rows the figures normalize on.
 ///
-/// This is the schema [`JsonlSink`] writes; it captures everything the
-/// figure harnesses aggregate (per-invocation records stay in memory
+/// This is the schema of every checkpoint line; it captures everything
+/// the figure harnesses aggregate (per-invocation records stay in memory
 /// only).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellRecord {
@@ -189,8 +111,8 @@ impl CellRecord {
     /// Parses a record previously produced by [`to_json`](Self::to_json).
     ///
     /// This is a schema-specific reader (exact field order, flat layout),
-    /// not a general JSON parser — enough for round-tripping the sinks'
-    /// own output.
+    /// not a general JSON parser — enough for round-tripping
+    /// [`to_json`](Self::to_json)'s own output.
     ///
     /// # Errors
     ///
@@ -294,7 +216,7 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// A minimal cursor over the sinks' own JSON output.
+/// A minimal cursor over [`CellRecord::to_json`] output.
 struct JsonCursor<'a> {
     rest: &'a str,
 }
@@ -403,7 +325,8 @@ fn truncated(s: &str) -> &str {
     s.char_indices().nth(24).map_or(s, |(end, _)| &s[..end])
 }
 
-/// Parses every line of a JSONL text written by [`JsonlSink`].
+/// Parses every line of a JSONL text of [`CellRecord::to_json`] lines,
+/// such as a finished checkpoint or [`canonical_jsonl`](crate::canonical_jsonl) output.
 ///
 /// # Errors
 ///
@@ -414,64 +337,6 @@ pub fn read_jsonl(text: &str) -> Result<Vec<CellRecord>, String> {
         .filter(|(_, l)| !l.trim().is_empty())
         .map(|(i, line)| CellRecord::from_json(line).map_err(|e| format!("line {}: {e}", i + 1)))
         .collect()
-}
-
-/// Streams one JSON object per completed cell to a writer — the durable
-/// record of a grid run (resume long sweeps, regenerate figures without
-/// re-simulating, archive in CI).
-///
-/// Write errors panic: a sweep that silently loses its results is worse
-/// than one that stops.
-#[derive(Debug)]
-pub struct JsonlSink<W: Write> {
-    out: W,
-    written: usize,
-}
-
-impl JsonlSink<BufWriter<std::fs::File>> {
-    /// Creates (truncates) `path` and streams records to it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the file cannot be created.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<JsonlSink<BufWriter<std::fs::File>>> {
-        Ok(JsonlSink::new(BufWriter::new(std::fs::File::create(path)?)))
-    }
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Streams records to `out`.
-    pub fn new(out: W) -> JsonlSink<W> {
-        JsonlSink { out, written: 0 }
-    }
-
-    /// Number of records written so far.
-    pub fn written(&self) -> usize {
-        self.written
-    }
-
-    /// Writes one already-summarised record (the same line
-    /// [`on_cell`](ResultSink::on_cell) would produce for its cell).
-    pub fn write_record(&mut self, record: &CellRecord) {
-        writeln!(self.out, "{}", record.to_json()).expect("write grid result");
-        self.written += 1;
-    }
-
-    /// Finishes writing and returns the writer (flushed).
-    pub fn into_inner(mut self) -> W {
-        self.out.flush().expect("flush grid results");
-        self.out
-    }
-}
-
-impl<W: Write> ResultSink for JsonlSink<W> {
-    fn on_cell(&mut self, result: CellResult) {
-        self.write_record(&CellRecord::from_cell(&result));
-    }
-
-    fn on_grid_complete(&mut self, _grid: &SweepGrid) {
-        self.out.flush().expect("flush grid results");
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 use std::path::PathBuf;
 
 use cohmeleon_exp::{
-    canonical_jsonl, CellRecord, Experiment, PolicyKind, Serial, SweepGrid, WorkStealing,
+    canonical_jsonl, CellRecord, Checkpoint, Experiment, PolicyKind, Serial, SweepGrid,
+    WorkStealing,
 };
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
@@ -154,5 +155,39 @@ fn conflicting_duplicate_records_are_rejected() {
     let outcome = grid.run_resumable(&path, &Serial).unwrap();
     assert_eq!(outcome.reused, 1);
     assert_eq!(outcome.records, clean);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn ingest_keeps_one_record_per_cell_and_rejects_conflicts() {
+    // The exactly-once rule of both a resume and the fleet queen: seeded
+    // from the file on disk, then fed records as a worker streams them.
+    let grid = grid();
+    let clean = clean_records(&grid);
+    let path = tmp("ingest");
+    std::fs::write(
+        &path,
+        format!("{}\n{}\n", clean[0].to_json(), clean[1].to_json()),
+    )
+    .unwrap();
+    let mut checkpoint = Checkpoint::load(&path, &grid).unwrap();
+    assert_eq!((checkpoint.len(), checkpoint.duplicates()), (2, 0));
+
+    assert_eq!(checkpoint.ingest(clean[2].clone(), &grid), Ok(true));
+    assert_eq!(checkpoint.ingest(clean[2].clone(), &grid), Ok(false));
+    assert_eq!(checkpoint.duplicates(), 1);
+
+    let mut conflicting = clean[0].clone();
+    conflicting.total_cycles += 1;
+    let err = checkpoint.ingest(conflicting, &grid).unwrap_err();
+    assert!(err.contains("twice"), "{err}");
+
+    let mut foreign = clean[3].clone();
+    foreign.seed = 999;
+    let err = checkpoint.ingest(foreign, &grid).unwrap_err();
+    assert!(err.contains("seed"), "{err}");
+
+    assert_eq!(checkpoint.duplicates(), 1);
+    assert_eq!(checkpoint.into_records(), clean[..3]);
     std::fs::remove_file(&path).unwrap();
 }

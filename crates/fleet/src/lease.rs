@@ -7,7 +7,7 @@
 //! into a fresh lease for another worker *without* being taken from the
 //! original (both may finish; cells are pure functions of their
 //! coordinates, so the duplicate completions are byte-identical and the
-//! record ledger collapses them). The table never loses a cell: work
+//! queen's checkpoint collapses them). The table never loses a cell: work
 //! returns to the unleased pool when a lease is released with cells still
 //! outstanding and no surviving twin.
 //!

@@ -16,9 +16,11 @@
 //!   bytes a local run would.
 //! * **Duplicates are free**, so fault tolerance is *speculative
 //!   re-lease*: a lease silent past its TTL is carved into a twin lease
-//!   for another worker, first completion wins, and the queen's record
-//!   ledger collapses the byte-identical duplicate (a *conflicting*
-//!   duplicate aborts the run — that means determinism broke).
+//!   for another worker, first completion wins, and
+//!   [`Checkpoint::ingest`](cohmeleon_exp::Checkpoint::ingest) — the
+//!   exactly-once rule a local resume applies to its file — collapses
+//!   the byte-identical duplicate (a *conflicting* duplicate aborts the
+//!   run — that means determinism broke).
 //! * **The checkpoint layer is crash-proof**, so queen durability is
 //!   inherited: every accepted record is appended through the same
 //!   fsync-per-line [`CheckpointWriter`](cohmeleon_exp::CheckpointWriter)

@@ -24,12 +24,12 @@
 //! treats any other reply, such as the `HEARTBEAT` ("back off") older
 //! queens sent, as a protocol violation. Either side handles a protocol violation
 //! by closing the connection — the lease table treats a dropped worker as
-//! expired and the record ledger reconciles any duplicated completions, so
-//! closing is always safe.
+//! expired and `Checkpoint::ingest` reconciles any duplicated completions,
+//! so closing is always safe.
 //!
 //! The fire-and-forget verbs are also the protocol's *duplication-safe*
 //! set: the queen's receiver is idempotent against a repeated `RECORD`
-//! (ledger dedup), `DONE` (release is idempotent) and `HEARTBEAT`
+//! (checkpoint dedup), `DONE` (release is idempotent) and `HEARTBEAT`
 //! (unknown or already-renewed leases are ignored). The chaos transport
 //! (`cohmeleon-chaos`) leans on exactly this classification — it will
 //! duplicate or reorder only these lines, never the strict

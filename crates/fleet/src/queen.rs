@@ -1,14 +1,16 @@
 //! The queen: owns one grid and one checkpoint file, leases work out,
 //! and persists every record a worker streams back.
 //!
-//! The queen is the *only* writer. Each `RECORD` line is validated
-//! against the grid ([`validate_record`]), reconciled against everything
-//! seen so far (identical duplicates from speculative twins collapse;
-//! conflicting results abort the run — they mean the determinism
-//! invariant broke, which no amount of retrying fixes), and appended
-//! durably through the same [`CheckpointWriter`] discipline a local
-//! resumable run uses. A killed queen therefore resumes exactly like a
-//! killed local sweep: reload the checkpoint, lease out what is missing.
+//! The queen is the *only* writer. Each `RECORD` line goes through
+//! [`Checkpoint::ingest`] on the loaded checkpoint — the exactly-once
+//! rule a local resume applies to the file: the record is validated
+//! against the grid, identical duplicates from speculative twins
+//! collapse, and conflicting results abort the run (they mean the
+//! determinism invariant broke, which no amount of retrying fixes). A
+//! fresh record is then appended durably through the same
+//! [`CheckpointWriter`] discipline a local resumable run uses. A killed
+//! queen therefore resumes exactly like a killed local sweep: reload the
+//! checkpoint, lease out what is missing.
 //!
 //! [`run_local`] is the one-machine form: the queen on a loopback port
 //! plus worker processes it spawns and reaps itself — how `sweep shard`
@@ -25,8 +27,7 @@ use std::time::{Duration, Instant};
 use cohmeleon_chaos::{AcceptWaker, FaultPlan, FaultyTransport, Role};
 use cohmeleon_exp::checkpoint::sort_canonical;
 use cohmeleon_exp::{
-    finalize_canonical, validate_record, CellCoord, CellId, CellRecord, Checkpoint,
-    CheckpointWriter, SweepGrid,
+    finalize_canonical, CellId, CellRecord, Checkpoint, CheckpointWriter, SweepGrid,
 };
 
 use crate::lease::{Grant, LeaseTable};
@@ -100,63 +101,12 @@ pub struct QueenReport {
     pub complete: bool,
 }
 
-/// Exactly-once reconciliation of completed cell records.
-///
-/// Seeded from the checkpoint, fed every `RECORD` line: a fresh cell is
-/// accepted, a byte-identical duplicate is counted and dropped, a
-/// *conflicting* result for a coordinate already seen is an error — cells
-/// are pure functions of their coordinates, so disagreement means a
-/// worker ran a different grid (or the determinism invariant broke).
-#[derive(Debug, Default)]
-struct RecordLedger {
-    records: Vec<CellRecord>,
-    by_coord: HashMap<CellCoord, usize>,
-    duplicates: usize,
-}
-
-enum Ingest {
-    Fresh,
-    Duplicate,
-}
-
-impl RecordLedger {
-    fn seed(records: &[CellRecord]) -> RecordLedger {
-        let mut ledger = RecordLedger::default();
-        for record in records {
-            ledger
-                .ingest(record.clone())
-                .expect("checkpoint already deduplicated");
-        }
-        ledger
-    }
-
-    fn ingest(&mut self, record: CellRecord) -> Result<Ingest, String> {
-        match self.by_coord.entry(record.coord()) {
-            std::collections::hash_map::Entry::Occupied(existing) => {
-                let prior = &self.records[*existing.get()];
-                if *prior != record {
-                    return Err(format!(
-                        "cell {:?} completed twice with different results",
-                        record.coord()
-                    ));
-                }
-                self.duplicates += 1;
-                Ok(Ingest::Duplicate)
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(self.records.len());
-                self.records.push(record);
-                Ok(Ingest::Fresh)
-            }
-        }
-    }
-}
-
 /// Everything the connection handlers share, under one lock. Cells cost
 /// seconds of simulation each; a mutex around bookkeeping is noise.
 struct Shared {
     table: LeaseTable,
-    ledger: RecordLedger,
+    /// Every record persisted so far, loaded and fresh alike.
+    checkpoint: Checkpoint,
     writer: CheckpointWriter,
     ran: usize,
     capped: bool,
@@ -164,7 +114,7 @@ struct Shared {
     error: Option<String>,
     workers: HashSet<String>,
     /// Records delivered per worker name (fresh and duplicate alike —
-    /// this measures worker throughput, not ledger novelty).
+    /// this measures worker throughput, not checkpoint novelty).
     delivered: HashMap<String, usize>,
     /// Connection handlers still running.
     handlers: usize,
@@ -282,7 +232,7 @@ fn run(
     let pending = checkpoint.pending(grid);
     let reused = checkpoint.len();
     if pending.is_empty() {
-        let mut records = checkpoint.records().to_vec();
+        let mut records = checkpoint.into_records();
         sort_canonical(&mut records);
         finalize_canonical(path, &records)?;
         return Ok(QueenReport {
@@ -300,6 +250,9 @@ fn run(
         .chunk
         .unwrap_or_else(|| pending.len().div_ceil(8).clamp(1, 64));
     let writer = CheckpointWriter::open(path, checkpoint.valid_len())?;
+    // `duplicates` reports what this run reconciled, not what `load`
+    // collapsed in the file.
+    let loaded_duplicates = checkpoint.duplicates();
     let waker = AcceptWaker::new(&listener)?;
     let children = spawn()?;
     let queen = Queen {
@@ -307,7 +260,7 @@ fn run(
         options,
         shared: Mutex::new(Shared {
             table: LeaseTable::new(pending.iter().copied(), chunk, options.ttl),
-            ledger: RecordLedger::seed(checkpoint.records()),
+            checkpoint,
             writer,
             ran: 0,
             capped: false,
@@ -358,7 +311,8 @@ fn run(
         return Err(io::Error::new(io::ErrorKind::InvalidData, message));
     }
     drop(shared.writer);
-    let mut records = shared.ledger.records;
+    let duplicates = shared.checkpoint.duplicates() - loaded_duplicates;
+    let mut records = shared.checkpoint.into_records();
     sort_canonical(&mut records);
     if shared.complete {
         finalize_canonical(path, &records)?;
@@ -367,7 +321,7 @@ fn run(
         records,
         reused,
         ran: shared.ran,
-        duplicates: shared.ledger.duplicates,
+        duplicates,
         speculative: shared.table.speculative(),
         workers: shared.workers.len(),
         complete: shared.complete,
@@ -401,7 +355,7 @@ impl Queen<'_> {
             eprintln!(
                 "{}",
                 status_line(
-                    s.ledger.records.len(),
+                    s.checkpoint.len(),
                     self.grid.num_cells(),
                     started.elapsed(),
                     &delivered,
@@ -575,45 +529,41 @@ fn serve_worker(stream: TcpStream, queen: &Queen) {
                     // checkpoint stays frozen.
                     continue;
                 }
-                if let Err(e) = validate_record(&record, grid) {
-                    s.error = Some(e);
-                    break;
-                }
-                *s.delivered.entry(worker_name.clone()).or_default() += 1;
                 let (scenario, policy, seed) = record.coord();
+                let state = &mut *s;
+                let fresh = match state.checkpoint.ingest(record, grid) {
+                    Ok(fresh) => fresh,
+                    Err(message) => {
+                        state.error = Some(message);
+                        break;
+                    }
+                };
+                *state.delivered.entry(worker_name.clone()).or_default() += 1;
                 let dense = grid.cell_index(CellId {
                     scenario,
                     policy,
                     seed,
                 });
-                let state = &mut *s;
-                match state.ledger.ingest(record) {
-                    Ok(Ingest::Fresh) => {
-                        // Field borrows split: the fresh record lives in
-                        // the ledger while the writer appends it.
-                        let fresh = state.ledger.records.last().expect("fresh record");
-                        if let Err(e) = state.writer.append(fresh) {
-                            state.error = Some(format!("checkpoint append failed: {e}"));
-                            break;
-                        }
-                        state.table.complete_cell(dense, lease, Instant::now());
-                        state.ran += 1;
-                        if state.table.is_complete() {
-                            state.complete = true;
-                        } else if state.ran >= options.max_cells {
-                            state.capped = true;
-                        }
-                        if state.finished() {
-                            queen.changed.notify_all();
-                        }
-                    }
-                    Ok(Ingest::Duplicate) => {
-                        state.table.complete_cell(dense, lease, Instant::now());
-                    }
-                    Err(message) => {
-                        state.error = Some(message);
-                        break;
-                    }
+                if !fresh {
+                    state.table.complete_cell(dense, lease, Instant::now());
+                    continue;
+                }
+                // Field borrows split: the fresh record lives in the
+                // checkpoint while the writer appends it.
+                let record = state.checkpoint.records().last().expect("fresh record");
+                if let Err(e) = state.writer.append(record) {
+                    state.error = Some(format!("checkpoint append failed: {e}"));
+                    break;
+                }
+                state.table.complete_cell(dense, lease, Instant::now());
+                state.ran += 1;
+                if state.table.is_complete() {
+                    state.complete = true;
+                } else if state.ran >= options.max_cells {
+                    state.capped = true;
+                }
+                if state.finished() {
+                    queen.changed.notify_all();
                 }
             }
             ToQueen::Done { lease } => {
@@ -687,45 +637,6 @@ fn status_line(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn record(coord: CellCoord) -> CellRecord {
-        CellRecord {
-            scenario_index: coord.0,
-            policy_index: coord.1,
-            seed_index: coord.2,
-            scenario: "soc1".into(),
-            policy: format!("p{}", coord.1),
-            seed: 7,
-            total_cycles: 100,
-            total_offchip: 3,
-            invocations: 2,
-            structural_hash: 0xabc,
-            phases: vec![("phase-0".into(), 100, 3)],
-        }
-    }
-
-    #[test]
-    fn ledger_reconciles_duplicates_and_rejects_conflicts() {
-        let mut ledger = RecordLedger::default();
-        assert!(matches!(ledger.ingest(record((0, 0, 0))), Ok(Ingest::Fresh)));
-        assert!(matches!(
-            ledger.ingest(record((0, 0, 0))),
-            Ok(Ingest::Duplicate)
-        ));
-        assert_eq!(ledger.duplicates, 1);
-        let mut conflicting = record((0, 0, 0));
-        conflicting.total_cycles += 1;
-        assert!(ledger.ingest(conflicting).is_err());
-        assert_eq!(ledger.records.len(), 1);
-    }
-
-    #[test]
-    fn ledger_seeds_from_checkpoint_records() {
-        let seedset = [record((0, 0, 0)), record((0, 1, 0))];
-        let ledger = RecordLedger::seed(&seedset);
-        assert_eq!(ledger.records.len(), 2);
-        assert_eq!(ledger.duplicates, 0);
-    }
 
     #[test]
     fn status_line_reports_workers_leases_and_speculation() {

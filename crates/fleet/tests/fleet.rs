@@ -233,6 +233,35 @@ fn capped_queen_resumes_to_byte_identical() {
     assert_serial_bytes(&grid, &path);
 }
 
+/// The checkpoint collapses a duplicated line on load, as overlapping
+/// resumes leave behind; the report counts only the duplicate a worker
+/// streams during this run.
+#[test]
+fn duplicates_count_only_what_this_run_reconciled() {
+    let grid = grid();
+    let path = tmp_path("duplicates");
+    let first = CellRecord::from_cell(&grid.run_cell(grid.cell_at(0))).to_json();
+    std::fs::write(&path, format!("{first}\n{first}\n")).unwrap();
+    let report = with_queen(&grid, &path, &queen_options(30_000), |addr| {
+        let mut raw = RawWorker::join(addr, "twice");
+        let (id, start, len) = raw.lease();
+        // The duplicate goes ahead of the lease's last record, so the run
+        // cannot finish before the queen reconciles it.
+        raw.record(&grid, id, start).unwrap();
+        raw.record(&grid, id, start).unwrap();
+        for dense in start + 1..start + len {
+            raw.record(&grid, id, dense).unwrap();
+        }
+        raw.send(&ToQueen::Done { lease: id }).unwrap();
+        raw.hang_up();
+        finish(addr, &grid, "steady");
+    });
+    assert!(report.complete);
+    assert_eq!((report.reused, report.ran), (1, grid.num_cells() - 1));
+    assert_eq!(report.duplicates, 1);
+    assert_serial_bytes(&grid, &path);
+}
+
 /// Dynamic chunk sizing over the wire: with a configured chunk far larger
 /// than the grid, the queen's first grant still carves only a tail-sized
 /// piece (the unleased pool spread across `TAIL_PARALLELISM` workers), so

@@ -3,7 +3,7 @@
 //! SoC6 hosts three copies of the night-vision → autoencoder → MLP
 //! pipeline (undarken, denoise, classify). The example runs the pipelined
 //! application under Cohmeleon as a one-cell experiment grid with a
-//! *streaming observer* — the `ResultSink` prints each cell's
+//! *streaming observer* — a closure prints each cell's
 //! per-invocation coherence decisions the moment the cell completes,
 //! showing how the learned policy adapts along the chain and across
 //! workload sizes.
@@ -30,7 +30,7 @@ fn main() {
         .expect("experiment axes are non-empty");
 
     // Stream results through an observer instead of collecting: the
-    // closure is a `ResultSink` and fires once per completed cell.
+    // closure fires once per completed cell.
     let mut mix = [0usize; 4];
     grid.execute(&Serial, &mut |cell: CellResult| {
         for phase in &cell.result.phases {

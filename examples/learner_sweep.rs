@@ -4,14 +4,14 @@
 //! × exploration × update rule); a `LearnerSpec` names one
 //! composition as plain data, and `Experiment::learners` puts a whole
 //! sweep of them on the policy axis — here every exploration strategy
-//! over two state spaces, raced on SoC1 and streamed to a JSONL record
-//! as cells complete.
+//! over two state spaces, raced on SoC1 and collected as one flat
+//! record per cell (the line a checkpoint of the sweep would hold).
 //!
 //! Run with: `cargo run --release --example learner_sweep`
 
 use cohmeleon_repro::exp::{
-    AgentScope, Experiment, ExplorationKind, JsonlSink, LearnerSpec, StateSpaceKind, UpdateKind,
-    WeightPreset, WorkStealing,
+    AgentScope, Experiment, ExplorationKind, LearnerSpec, StateSpaceKind, UpdateKind, WeightPreset,
+    WorkStealing,
 };
 use cohmeleon_repro::soc::config::soc1;
 use cohmeleon_repro::workloads::generator::{generate_app, GeneratorParams};
@@ -44,11 +44,8 @@ fn main() {
         .build()
         .expect("experiment axes are non-empty");
 
-    // Stream a durable record while the sweep runs, then reload it.
-    let mut sink = JsonlSink::new(Vec::new());
-    grid.execute(&WorkStealing::new(), &mut sink);
-    let jsonl = String::from_utf8(sink.into_inner()).unwrap();
-    let records = cohmeleon_repro::exp::read_jsonl(&jsonl).expect("own JSONL parses");
+    // One record per cell, in canonical (policy-axis) order.
+    let records = grid.collect_records(&WorkStealing::new());
 
     println!(
         "{:<40} {:>14} {:>12} {:>8}",
@@ -59,9 +56,7 @@ fn main() {
         .find(|r| r.policy_index == 0)
         .expect("baseline cell present")
         .total_cycles as f64;
-    let mut sorted = records.clone();
-    sorted.sort_by_key(|r| r.policy_index);
-    for r in &sorted {
+    for r in &records {
         println!(
             "{:<40} {:>14} {:>12} {:>7.2}x",
             r.policy,

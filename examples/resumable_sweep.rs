@@ -17,13 +17,12 @@ use cohmeleon_repro::exp::{
 use cohmeleon_repro::soc::config::soc1;
 use cohmeleon_repro::workloads::generator::{generate_app, GeneratorParams};
 
-fn build_grid(checkpoint: &std::path::Path) -> SweepGrid {
+fn build_grid() -> SweepGrid {
     let config = soc1();
     let app = generate_app(&config, &GeneratorParams::quick(), 31);
     Experiment::evaluate(config, app)
         .policy_kinds([PolicyKind::FixedNonCoh, PolicyKind::Manual, PolicyKind::Cohmeleon])
         .seeds([1, 2])
-        .resume_from(checkpoint)
         .build()
         .expect("experiment axes are non-empty")
 }
@@ -31,11 +30,10 @@ fn build_grid(checkpoint: &std::path::Path) -> SweepGrid {
 fn main() {
     let dir = std::env::temp_dir().join("cohmeleon-resumable-sweep-example");
     std::fs::create_dir_all(&dir).expect("create example dir");
-    let checkpoint = dir.join("sweep.jsonl");
-    let _ = std::fs::remove_file(&checkpoint);
+    let path = &dir.join("sweep.jsonl");
+    let _ = std::fs::remove_file(path);
 
-    let grid = build_grid(&checkpoint);
-    let path = grid.resume_path().expect("checkpoint path configured");
+    let grid = build_grid();
 
     // --- 1. A run that "dies" after 2 of 6 cells -------------------------
     let partial = grid

@@ -10,8 +10,8 @@
 //! seeds — and the [`exp`] crate makes that grid a first-class value: an
 //! `Experiment` builds a typed `SweepGrid`, a pluggable executor runs its
 //! cells (serially or on a work-stealing pool, bit-identically), and
-//! results stream to observers as cells complete. Long sweeps are
-//! checkpointed (`Experiment::resume_from` — interrupted runs resume
+//! results stream to a closure as cells complete. Long sweeps are
+//! checkpointed (`SweepGrid::run_resumable` — interrupted runs resume
 //! instead of restarting) and spread across worker processes on one host
 //! or many (the [`fleet`] queen/worker coordinator), with every path
 //! pinned byte-identical to a clean serial run; `docs/ARCHITECTURE.md`
@@ -52,8 +52,8 @@
 //!   orchestration layer (`PolicyRouter` routing decisions through
 //!   global / per-kind / per-instance agents).
 //! * [`exp`] — experiment orchestration: the `Experiment` builder, sweep
-//!   grids, `Serial`/`WorkStealing` executors, streaming result sinks
-//!   (including `JsonlSink` persistence), and sweepable
+//!   grids, `Serial`/`WorkStealing` executors, flat JSONL cell records
+//!   with their crash-tolerant checkpoint, and sweepable
 //!   `LearnerSpec` agent configurations (component, scope and
 //!   reward-weight axes).
 //! * [`fleet`] — the multi-host sweep coordinator: a TCP queen leasing
