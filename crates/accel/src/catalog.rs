@@ -6,7 +6,7 @@
 //! the paper's Figure 2 (e.g. GEMM's reuse favouring caches, SPMV's
 //! irregular accesses, MRI-Q's compute-boundedness, NVDLA's long streaming
 //! bursts); absolute FPGA cycle counts are out of scope by design
-//! (DESIGN.md, "Tuning & validation philosophy").
+//! (`docs/ARCHITECTURE.md`, "Tuning and validation").
 
 use cohmeleon_core::AccelKindId;
 

@@ -22,11 +22,6 @@ use std::process::ExitCode;
 
 use cohmeleon_bench::policies::{build_policy, PolicyKind};
 use cohmeleon_bench::table;
-use cohmeleon_core::policy::CohmeleonPolicy;
-use cohmeleon_core::qlearn::LearningSchedule;
-use cohmeleon_core::reward::RewardWeights;
-use cohmeleon_core::value::QTable;
-use cohmeleon_core::Policy as _;
 use cohmeleon_soc::config::{
     motivation_isolation_soc, motivation_parallel_soc, soc0, soc0_irregular, soc0_streaming,
     soc1, soc2, soc3, soc4, soc5, soc6,
@@ -102,20 +97,6 @@ fn soc_by_name(name: &str) -> Option<SocConfig> {
     })
 }
 
-fn policy_kind(name: &str) -> Option<PolicyKind> {
-    Some(match name {
-        "fixed-non-coh-dma" => PolicyKind::FixedNonCoh,
-        "fixed-llc-coh-dma" => PolicyKind::FixedLlcCoh,
-        "fixed-coh-dma" => PolicyKind::FixedCohDma,
-        "fixed-full-coh" => PolicyKind::FixedFullCoh,
-        "rand" => PolicyKind::Random,
-        "fixed-hetero" => PolicyKind::FixedHetero,
-        "manual" => PolicyKind::Manual,
-        "cohmeleon" => PolicyKind::Cohmeleon,
-        _ => return None,
-    })
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -132,7 +113,10 @@ fn main() -> ExitCode {
         eprintln!("error: unknown SoC `{}`", args.soc);
         return ExitCode::from(2);
     };
-    let Some(kind) = policy_kind(&args.policy) else {
+    let Some(kind) = PolicyKind::ALL
+        .into_iter()
+        .find(|k| k.label() == args.policy)
+    else {
         eprintln!("error: unknown policy `{}`", args.policy);
         return ExitCode::from(2);
     };
@@ -158,35 +142,23 @@ fn main() -> ExitCode {
     };
     let train_app = generate_app(&config, &GeneratorParams::default(), args.seed);
 
-    // Build the policy; a pre-trained Q-table short-circuits training.
-    let mut policy: Box<dyn cohmeleon_core::Policy> =
-        if let (PolicyKind::Cohmeleon, Some(path)) = (kind, &args.load_qtable) {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let table = match QTable::from_tsv(&text) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let mut p = CohmeleonPolicy::new(
-                RewardWeights::paper_default(),
-                LearningSchedule::paper_default(args.train.max(1)),
-                args.seed,
-            );
-            p.set_table(table);
-            p.freeze();
-            println!("loaded trained Q-table from {path}");
-            Box::new(p)
-        } else {
-            build_policy(kind, &config, args.train.max(1), args.seed)
+    // Build the policy; a pre-trained Q-table is imported and frozen.
+    let mut policy = build_policy(kind, &config, args.train.max(1), args.seed);
+    if let (PolicyKind::Cohmeleon, Some(path)) = (kind, &args.load_qtable) {
+        let text = match std::fs::read_to_string(path) {
+            Ok(t) => t,
+            Err(e) => {
+                eprintln!("error: cannot read {path}: {e}");
+                return ExitCode::from(2);
+            }
         };
+        if let Err(e) = policy.import_table(&text) {
+            eprintln!("error: {path}: {e}");
+            return ExitCode::from(2);
+        }
+        policy.freeze();
+        println!("loaded trained Q-table from {path}");
+    }
 
     println!(
         "running `{}` on {} under {} (seed {})",
@@ -226,15 +198,11 @@ fn main() -> ExitCode {
     if let Some(path) = &args.save_qtable {
         // Only meaningful for cohmeleon, but harmless otherwise.
         if kind == PolicyKind::Cohmeleon {
-            // Re-train a fresh policy? No: we cannot recover the table from
-            // a Box<dyn Policy>; instead train a dedicated instance.
-            let mut p = CohmeleonPolicy::new(
-                RewardWeights::paper_default(),
-                LearningSchedule::paper_default(args.train.max(1)),
-                args.seed,
-            );
-            run_protocol(&config, &train_app, &test_app, &mut p, args.train, args.seed);
-            if let Err(e) = std::fs::write(path, p.table().to_tsv()) {
+            // The table the run above trained (or loaded) and evaluated.
+            let table = policy
+                .export_table()
+                .expect("the cohmeleon agent has a Q-table");
+            if let Err(e) = std::fs::write(path, table) {
                 eprintln!("error: cannot write {path}: {e}");
                 return ExitCode::from(2);
             }

@@ -8,7 +8,7 @@
 //! choices Cohmeleon's results actually depend on.
 
 use cohmeleon_exp::{
-    CellRecord, Experiment, ExplorationKind, LearnerSpec, StateSpaceKind, UpdateKind,
+    CellRecord, Experiment, ExplorationKind, LearnerSpec, StateSpace, UpdateKind,
 };
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
@@ -40,7 +40,7 @@ pub struct Data {
 /// update rules — 18 compositions, the paper's (`cohmeleon`) first.
 pub fn specs() -> Vec<LearnerSpec> {
     let mut specs = LearnerSpec::grid(
-        &StateSpaceKind::ALL,
+        &StateSpace::ALL,
         &ExplorationKind::ALL,
         &UpdateKind::ALL,
     );

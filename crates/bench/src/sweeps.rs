@@ -14,8 +14,11 @@
 //! and `paper` (Figure 9). Once one of their sweeps is complete, `sweep`
 //! renders the figure from the records ([`print_figure`]).
 
-use cohmeleon_core::agent::AgentBuilder;
-use cohmeleon_core::explore::{Softmax, Ucb1};
+use cohmeleon_core::agent::LearnedPolicy;
+use cohmeleon_core::explore::{Exploration, Softmax, Ucb1};
+use cohmeleon_core::reward::RewardWeights;
+use cohmeleon_core::space::StateSpace;
+use cohmeleon_core::update::BlendUpdate;
 use cohmeleon_exp::{
     AgentScope, CellRecord, Experiment, LearnerSpec, PolicyKind, PolicySpec, WeightPreset,
 };
@@ -163,26 +166,32 @@ fn calibration(scale: Scale) -> Experiment {
     let params = scale.pick(GeneratorParams::coverage(), GeneratorParams::quick());
     let train = generate_app(&config, &params, 1);
     let test = generate_app(&config, &params, 2);
+    // The paper agent with its exploration swapped, under the arm's
+    // persisted label.
+    fn arm(
+        label: &'static str,
+        explore: impl Fn(usize) -> Exploration + Send + Sync + 'static,
+    ) -> PolicySpec {
+        PolicySpec::custom(label, move |_config, iters, seed| {
+            Box::new(LearnedPolicy::with_components(
+                label,
+                StateSpace::Table3,
+                explore(iters),
+                BlendUpdate::paper(iters),
+                RewardWeights::paper_default(),
+                iters.max(1),
+                seed,
+            ))
+        })
+    }
     let softmax_arms = CALIBRATION_TAU0.iter().map(|&(label, tau0)| {
-        PolicySpec::custom(label, move |_config, iters, seed| {
-            Box::new(
-                AgentBuilder::paper(iters, seed)
-                    .exploration(Softmax::new(tau0, iters))
-                    .label(label)
-                    .build(),
-            )
+        arm(label, move |iters| {
+            Exploration::Softmax(Softmax::new(tau0, iters))
         })
     });
-    let ucb_arms = CALIBRATION_C.iter().map(|&(label, c)| {
-        PolicySpec::custom(label, move |_config, iters, seed| {
-            Box::new(
-                AgentBuilder::paper(iters, seed)
-                    .exploration(Ucb1::new(c))
-                    .label(label)
-                    .build(),
-            )
-        })
-    });
+    let ucb_arms = CALIBRATION_C
+        .iter()
+        .map(|&(label, c)| arm(label, move |_| Exploration::Ucb1(Ucb1::new(c))));
     Experiment::train_test(config, train, test)
         .policy_kinds([PolicyKind::Cohmeleon])
         .policies(softmax_arms)

@@ -19,7 +19,10 @@ use cohmeleon_bench::figures::{fig9, learner_ablation};
 use cohmeleon_bench::sweeps::named_experiment;
 use cohmeleon_bench::tracked::{soc6_params, suite_grid, SEED, TRAIN_ITERATIONS};
 use cohmeleon_bench::Scale;
-use cohmeleon_core::agent::AgentBuilder;
+use cohmeleon_core::policy::CohmeleonPolicy;
+use cohmeleon_core::qlearn::LearningSchedule;
+use cohmeleon_core::reward::RewardWeights;
+use cohmeleon_core::router::{AgentScope, PolicyRouter};
 use cohmeleon_exp::{
     CellRecord, CellResult, Experiment, PolicySpec, Serial, SweepGrid, WorkStealing,
 };
@@ -89,11 +92,14 @@ fn global_routed_cohmeleon_matches_the_bare_golden() {
     let test = generate_app(&config, &GeneratorParams::quick(), 2);
     let grid = Experiment::train_test(config, train, test)
         .policy(PolicySpec::custom("cohmeleon", |_, iters, seed| {
-            Box::new(
-                AgentBuilder::paper(iters, seed)
-                    .label("cohmeleon")
-                    .build_routed(),
-            )
+            let router = PolicyRouter::new(AgentScope::Global, seed, move |_, seed| {
+                Box::new(CohmeleonPolicy::new(
+                    RewardWeights::paper_default(),
+                    LearningSchedule::paper_default(iters),
+                    seed,
+                ))
+            });
+            Box::new(router.with_label("cohmeleon"))
         }))
         .seed(SEED)
         .train_iterations(TRAIN_ITERATIONS)
@@ -142,6 +148,104 @@ fn learners_grid_hashes_are_golden() {
             0x40f0_de77_42c0_ec16, // extended/ucb1/discounted
         ],
         "learners grid moved — an agent composition changed behaviour"
+    );
+}
+
+/// The hashes of the named grid `name` at `COHMELEON_FAST` scale, every
+/// cell in dense order, printed for regeneration.
+fn named_hashes(name: &str) -> Vec<u64> {
+    let grid = named_experiment(name, Scale::Fast)
+        .expect("a named grid")
+        .build()
+        .expect("named grids are non-empty");
+    let got = hashes(&grid);
+    for h in &got {
+        println!("{name} {h:#018x}");
+    }
+    got
+}
+
+/// The `scoped` grid: the paper composition under every agent scope ×
+/// {paper, balanced} weights, so the per-kind and per-instance routers
+/// are anchored end to end.
+#[test]
+fn scoped_grid_hashes_are_golden() {
+    assert_eq!(
+        named_hashes("scoped"),
+        vec![
+            0x8e67_999d_d3d9_3153, // global/paper (cohmeleon)
+            0x8e67_999d_d3d9_3153, // global/balanced
+            0x7d9f_ffde_6d5c_1ec6, // per-kind/paper
+            0x7d9f_ffde_6d5c_1ec6, // per-kind/balanced
+            0x7d9f_ffde_6d5c_1ec6, // per-instance/paper
+            0x7d9f_ffde_6d5c_1ec6, // per-instance/balanced
+        ],
+        "scoped grid moved — agent routing changed behaviour"
+    );
+}
+
+/// The `weights` grid: {global, per-kind} × every weight preset.
+#[test]
+fn weights_grid_hashes_are_golden() {
+    assert_eq!(
+        named_hashes("weights"),
+        vec![
+            0x8565_2121_5b62_2c15, // global/paper (cohmeleon)
+            0x8565_2121_5b62_2c15, // global/exec
+            0x8565_2121_5b62_2c15, // global/balanced
+            0x833f_d5a4_eb47_e735, // global/mem-heavy
+            0xe5cf_bb18_4363_a739, // global/mem
+            0x6d6f_3bf5_dbb5_3e2a, // per-kind/paper
+            0x6d6f_3bf5_dbb5_3e2a, // per-kind/exec
+            0x6d6f_3bf5_dbb5_3e2a, // per-kind/balanced
+            0x6d6f_3bf5_dbb5_3e2a, // per-kind/mem-heavy
+            0x6d6f_3bf5_dbb5_3e2a, // per-kind/mem
+        ],
+        "weights grid moved — a reweighted agent changed behaviour"
+    );
+}
+
+/// The `calibration` grid: the ε-greedy paper agent, Softmax at four τ₀
+/// and UCB1 at three c, over seeds 1–3 (seed-minor).
+#[test]
+fn calibration_grid_hashes_are_golden() {
+    assert_eq!(
+        named_hashes("calibration"),
+        vec![
+            // cohmeleon
+            0x79c7_e449_3db4_d534,
+            0x33d7_5e52_4aec_b71f,
+            0x14e1_d999_d9c9_5164,
+            // softmax-t0.05
+            0x19d1_830b_32ff_b7d3,
+            0x33d7_5e52_4aec_b71f,
+            0x1c5c_a3a4_50c3_ed5e,
+            // softmax-t0.1
+            0x79c7_e449_3db4_d534,
+            0x33d7_5e52_4aec_b71f,
+            0x1c5c_a3a4_50c3_ed5e,
+            // softmax-t0.2
+            0x33d7_5e52_4aec_b71f,
+            0x33d7_5e52_4aec_b71f,
+            0x6d66_7396_0b20_3952,
+            // softmax-t0.4
+            0x33d7_5e52_4aec_b71f,
+            0x49cb_7da5_f241_9441,
+            0x8c60_5157_94de_06cb,
+            // ucb1-c0.5
+            0x3ac1_da7a_9480_fa66,
+            0x3ac1_da7a_9480_fa66,
+            0x33d7_5e52_4aec_b71f,
+            // ucb1-c1.414
+            0x3ac1_da7a_9480_fa66,
+            0x3ac1_da7a_9480_fa66,
+            0x33d7_5e52_4aec_b71f,
+            // ucb1-c2
+            0x3ac1_da7a_9480_fa66,
+            0x3ac1_da7a_9480_fa66,
+            0x33d7_5e52_4aec_b71f,
+        ],
+        "calibration grid moved — an exploration constant changed behaviour"
     );
 }
 

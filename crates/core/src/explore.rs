@@ -1,11 +1,10 @@
-//! Action selection behind a trait: the [`ExplorationStrategy`] of the
-//! learning agent.
+//! Action selection: the [`Exploration`] strategy of the learning agent.
 //!
 //! The paper explores ε-greedily with ε decaying linearly from 0.5 to zero
 //! over training ([`EpsilonGreedy`], the default). The strategy is a
 //! component of [`LearnedPolicy`](crate::agent::LearnedPolicy) so the
 //! exploration/exploitation trade-off can be ablated independently of the
-//! state space and update rule:
+//! state space and update rule. [`Exploration`] holds one of three:
 //!
 //! * [`EpsilonGreedy`] — the paper's strategy, bit-identical to the
 //!   original hardwired agent (same RNG consumption, same tie-breaking).
@@ -43,48 +42,54 @@ pub struct SelectCtx<'a> {
 
 /// An action-selection strategy.
 ///
-/// Implementations must be deterministic given the RNG stream handed in by
-/// the agent, and must return a mode contained in `ctx.available`.
-pub trait ExplorationStrategy: Send {
-    /// A short display name (`"eps-greedy"`, `"softmax"`, `"ucb1"`).
-    fn label(&self) -> String;
-
-    /// Called once when the agent is assembled, with the state-space
-    /// cardinality (strategies that keep per-state statistics size them
-    /// here). Default: no-op.
-    fn init(&mut self, states: usize) {
-        let _ = states;
-    }
-
-    /// Marks the start of training iteration `iteration` (for decay
-    /// schedules). Default: no-op.
-    fn begin_iteration(&mut self, iteration: usize) {
-        let _ = iteration;
-    }
-
-    /// Permanently disables exploration. Selection must be pure greedy
-    /// afterwards (the agent also sets `ctx.frozen`). Default: no-op.
-    fn freeze(&mut self) {}
-
-    /// Selects a mode from `ctx.available`.
-    fn select(&mut self, ctx: SelectCtx<'_>, rng: &mut SmallRng) -> CoherenceMode;
+/// Every strategy is deterministic given the RNG stream handed in by the
+/// agent, and returns a mode contained in `ctx.available`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Exploration {
+    /// The paper's ε-greedy selection.
+    EpsilonGreedy(EpsilonGreedy),
+    /// Boltzmann sampling.
+    Softmax(Softmax),
+    /// Deterministic UCB1.
+    Ucb1(Ucb1),
 }
 
-impl ExplorationStrategy for Box<dyn ExplorationStrategy> {
-    fn label(&self) -> String {
-        (**self).label()
+impl Exploration {
+    /// Called once when the agent is assembled, with the state-space
+    /// cardinality (UCB1 sizes its visit counts here).
+    pub fn init(&mut self, states: usize) {
+        if let Exploration::Ucb1(u) = self {
+            u.init(states);
+        }
     }
-    fn init(&mut self, states: usize) {
-        (**self).init(states);
+
+    /// Marks the start of training iteration `iteration` (decay
+    /// schedules).
+    pub fn begin_iteration(&mut self, iteration: usize) {
+        match self {
+            Exploration::EpsilonGreedy(e) => e.begin_iteration(iteration),
+            Exploration::Softmax(s) => s.begin_iteration(iteration),
+            Exploration::Ucb1(_) => {}
+        }
     }
-    fn begin_iteration(&mut self, iteration: usize) {
-        (**self).begin_iteration(iteration);
+
+    /// Permanently disables exploration. Selection is pure greedy
+    /// afterwards (the agent also sets `ctx.frozen`).
+    pub fn freeze(&mut self) {
+        match self {
+            Exploration::EpsilonGreedy(e) => e.freeze(),
+            Exploration::Softmax(s) => s.freeze(),
+            Exploration::Ucb1(_) => {}
+        }
     }
-    fn freeze(&mut self) {
-        (**self).freeze();
-    }
-    fn select(&mut self, ctx: SelectCtx<'_>, rng: &mut SmallRng) -> CoherenceMode {
-        (**self).select(ctx, rng)
+
+    /// Selects a mode from `ctx.available`.
+    pub fn select(&mut self, ctx: SelectCtx<'_>, rng: &mut SmallRng) -> CoherenceMode {
+        match self {
+            Exploration::EpsilonGreedy(e) => e.select(ctx, rng),
+            Exploration::Softmax(s) => s.select(ctx, rng),
+            Exploration::Ucb1(u) => u.select(ctx),
+        }
     }
 }
 
@@ -134,12 +139,6 @@ impl EpsilonGreedy {
     pub fn epsilon(&self) -> f64 {
         self.epsilon
     }
-}
-
-impl ExplorationStrategy for EpsilonGreedy {
-    fn label(&self) -> String {
-        "eps-greedy".to_owned()
-    }
 
     fn begin_iteration(&mut self, iteration: usize) {
         self.epsilon = decayed(self.epsilon0, iteration, self.horizon);
@@ -149,7 +148,7 @@ impl ExplorationStrategy for EpsilonGreedy {
         self.epsilon = 0.0;
     }
 
-    fn select(&mut self, ctx: SelectCtx<'_>, rng: &mut SmallRng) -> CoherenceMode {
+    fn select(&self, ctx: SelectCtx<'_>, rng: &mut SmallRng) -> CoherenceMode {
         if !ctx.frozen && rng.gen::<f64>() < self.epsilon {
             let n = ctx.available.len();
             let pick = rng.gen_range(0..n);
@@ -216,9 +215,8 @@ impl Softmax {
     /// the whole scale — still leaves the worse action `e⁻¹ ≈ 37%` of the
     /// better one's probability mass. Early exploration stays broad, and
     /// the linear decay (to a 1% floor; see
-    /// [`begin_iteration`](ExplorationStrategy::begin_iteration)) mirrors
-    /// the ε schedule so learner-ablation comparisons decay on the same
-    /// clock.
+    /// [`Exploration::begin_iteration`]) mirrors the ε schedule so
+    /// learner-ablation comparisons decay on the same clock.
     ///
     /// **Calibration.** The `calibration` sweep grid in
     /// `cohmeleon-bench` (`sweep run --grid calibration`: τ₀ ∈ {0.05,
@@ -240,16 +238,9 @@ impl Softmax {
     /// **Overriding it.** The constant is only baked into this
     /// convenience constructor (and therefore into
     /// `LearnerSpec`-driven sweeps, which call it). In-process
-    /// composition can pick any schedule through the builder:
-    ///
-    /// ```
-    /// use cohmeleon_core::agent::AgentBuilder;
-    /// use cohmeleon_core::explore::Softmax;
-    ///
-    /// let agent = AgentBuilder::paper(/*train_iterations=*/ 20, /*seed=*/ 7)
-    ///     .exploration(Softmax::new(0.35, 20)) // hotter start, same horizon
-    ///     .build();
-    /// ```
+    /// composition can pick any schedule by handing `Softmax::new(τ₀, n)`
+    /// to [`LearnedPolicy::with_components`](crate::agent::LearnedPolicy::with_components),
+    /// as the calibration grid's arms do.
     pub fn default_schedule(train_iterations: usize) -> Softmax {
         Softmax::new(Softmax::DEFAULT_TAU0, train_iterations)
     }
@@ -257,12 +248,6 @@ impl Softmax {
     /// Current temperature.
     pub fn temperature(&self) -> f64 {
         self.tau
-    }
-}
-
-impl ExplorationStrategy for Softmax {
-    fn label(&self) -> String {
-        "softmax".to_owned()
     }
 
     fn begin_iteration(&mut self, iteration: usize) {
@@ -275,7 +260,7 @@ impl ExplorationStrategy for Softmax {
         self.tau = self.tau0 * 0.01;
     }
 
-    fn select(&mut self, ctx: SelectCtx<'_>, rng: &mut SmallRng) -> CoherenceMode {
+    fn select(&self, ctx: SelectCtx<'_>, rng: &mut SmallRng) -> CoherenceMode {
         if ctx.frozen {
             return greedy(&ctx);
         }
@@ -328,8 +313,8 @@ impl Ucb1 {
     ///
     /// As with [`Softmax::DEFAULT_TAU0`], the constant is fixed only in
     /// the `Default` impl (and therefore in `LearnerSpec`-driven
-    /// sweeps); compose `Ucb1::new(c)` through
-    /// [`AgentBuilder::exploration`](crate::agent::AgentBuilder::exploration)
+    /// sweeps); hand `Ucb1::new(c)` to
+    /// [`LearnedPolicy::with_components`](crate::agent::LearnedPolicy::with_components)
     /// to ablate it.
     ///
     /// **Calibration.** The same `calibration` sweep as
@@ -368,16 +353,13 @@ impl Default for Ucb1 {
     }
 }
 
-impl ExplorationStrategy for Ucb1 {
-    fn label(&self) -> String {
-        "ucb1".to_owned()
-    }
-
+impl Ucb1 {
+    /// Sizes the visit counts for `states` states.
     fn init(&mut self, states: usize) {
         self.counts = vec![0; states * CoherenceMode::COUNT];
     }
 
-    fn select(&mut self, ctx: SelectCtx<'_>, _rng: &mut SmallRng) -> CoherenceMode {
+    fn select(&mut self, ctx: SelectCtx<'_>) -> CoherenceMode {
         if ctx.frozen {
             return greedy(&ctx);
         }
@@ -422,6 +404,14 @@ mod tests {
         }
     }
 
+    fn strategies() -> [Exploration; 3] {
+        [
+            Exploration::EpsilonGreedy(EpsilonGreedy::paper(10)),
+            Exploration::Softmax(Softmax::default_schedule(10)),
+            Exploration::Ucb1(Ucb1::default()),
+        ]
+    }
+
     #[test]
     fn epsilon_greedy_matches_paper_decay() {
         let mut e = EpsilonGreedy::paper(10);
@@ -439,21 +429,15 @@ mod tests {
     fn frozen_strategies_are_greedy_and_deterministic() {
         let mut store = QTable::with_states(4);
         store.set_index(1, CoherenceMode::LlcCohDma.index(), 0.9);
-        let mut strategies: Vec<Box<dyn ExplorationStrategy>> = vec![
-            Box::new(EpsilonGreedy::paper(10)),
-            Box::new(Softmax::default_schedule(10)),
-            Box::new(Ucb1::default()),
-        ];
         let mut rng = SmallRng::seed_from_u64(1);
-        for s in &mut strategies {
+        for mut s in strategies() {
             s.init(4);
             s.freeze();
             for _ in 0..20 {
                 assert_eq!(
                     s.select(ctx(&store, 1, true), &mut rng),
                     CoherenceMode::LlcCohDma,
-                    "{}",
-                    s.label()
+                    "{s:?}"
                 );
             }
         }
@@ -464,19 +448,15 @@ mod tests {
         let mut store = QTable::with_states(2);
         store.set_index(0, 0, 0.3);
         store.set_index(0, 2, 0.6);
-        for make in [
-            || Box::new(EpsilonGreedy::paper(10)) as Box<dyn ExplorationStrategy>,
-            || Box::new(Softmax::default_schedule(10)) as Box<dyn ExplorationStrategy>,
-            || Box::new(Ucb1::default()) as Box<dyn ExplorationStrategy>,
-        ] {
-            let run = |mut s: Box<dyn ExplorationStrategy>| {
+        for s in strategies() {
+            let run = |mut s: Exploration| {
                 s.init(2);
                 let mut rng = SmallRng::seed_from_u64(77);
                 (0..50)
                     .map(|_| s.select(ctx(&store, 0, false), &mut rng))
                     .collect::<Vec<_>>()
             };
-            assert_eq!(run(make()), run(make()));
+            assert_eq!(run(s.clone()), run(s));
         }
     }
 
@@ -484,7 +464,7 @@ mod tests {
     fn softmax_prefers_higher_q_but_still_explores() {
         let mut store = QTable::with_states(1);
         store.set_index(0, CoherenceMode::CohDma.index(), 1.0);
-        let mut s = Softmax::new(0.2, 10);
+        let s = Softmax::new(0.2, 10);
         let mut rng = SmallRng::seed_from_u64(5);
         let mut picks = [0usize; 4];
         for _ in 0..500 {
@@ -501,7 +481,7 @@ mod tests {
     #[test]
     fn softmax_respects_availability() {
         let store = QTable::with_states(1);
-        let mut s = Softmax::default_schedule(4);
+        let s = Softmax::default_schedule(4);
         let mut rng = SmallRng::seed_from_u64(9);
         let available = ModeSet::all().without(CoherenceMode::FullCoh);
         for _ in 0..200 {
@@ -523,10 +503,9 @@ mod tests {
         let store = QTable::with_states(1);
         let mut u = Ucb1::default();
         u.init(1);
-        let mut rng = SmallRng::seed_from_u64(0);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..CoherenceMode::COUNT {
-            seen.insert(u.select(ctx(&store, 0, false), &mut rng));
+            seen.insert(u.select(ctx(&store, 0, false)));
         }
         assert_eq!(seen.len(), CoherenceMode::COUNT);
         for m in CoherenceMode::ALL {
@@ -541,11 +520,10 @@ mod tests {
         store.set_index(0, 1, 0.5);
         let mut u = Ucb1::default();
         u.init(1);
-        let mut rng = SmallRng::seed_from_u64(0);
         // After many selections every action keeps a nonzero share: the
         // √(ln N / n) bonus grows for whatever is neglected.
         for _ in 0..200 {
-            u.select(ctx(&store, 0, false), &mut rng);
+            u.select(ctx(&store, 0, false));
         }
         for m in CoherenceMode::ALL {
             assert!(u.visits(0, m.index()) > 5, "{m}: {:?}", u.visits(0, m.index()));

@@ -257,7 +257,7 @@ impl fmt::Debug for FrozenSnapshot {
 /// [`LearnedPolicy`]: crate::agent::LearnedPolicy
 pub struct FrozenPolicy {
     snapshot: Arc<FrozenSnapshot>,
-    space: Box<dyn StateSpace>,
+    space: StateSpace,
     topology: Topology,
 }
 
@@ -270,7 +270,7 @@ impl FrozenPolicy {
     /// Panics if `space.cardinality() != snapshot.states()` — a snapshot
     /// consulted through the wrong discretization would silently serve
     /// garbage.
-    pub fn new(snapshot: Arc<FrozenSnapshot>, space: impl StateSpace + 'static) -> FrozenPolicy {
+    pub fn new(snapshot: Arc<FrozenSnapshot>, space: StateSpace) -> FrozenPolicy {
         assert_eq!(
             space.cardinality(),
             snapshot.states(),
@@ -278,7 +278,7 @@ impl FrozenPolicy {
         );
         FrozenPolicy {
             snapshot,
-            space: Box::new(space),
+            space,
             topology: Topology::default(),
         }
     }
@@ -290,7 +290,7 @@ impl FrozenPolicy {
     ///
     /// Panics if the snapshot does not cover 243 states.
     pub fn table3(snapshot: Arc<FrozenSnapshot>) -> FrozenPolicy {
-        FrozenPolicy::new(snapshot, crate::space::Table3Space)
+        FrozenPolicy::new(snapshot, StateSpace::Table3)
     }
 
     /// The shared snapshot decisions are answered from.
@@ -309,7 +309,7 @@ impl fmt::Debug for FrozenPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FrozenPolicy")
             .field("snapshot", &self.snapshot)
-            .field("space", &self.space.label())
+            .field("space", &self.space)
             .finish_non_exhaustive()
     }
 }
@@ -358,9 +358,12 @@ impl Policy for FrozenPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::AgentBuilder;
-    use crate::explore::Softmax;
+    use crate::agent::LearnedPolicy;
+    use crate::explore::{Exploration, Softmax};
+    use crate::reward::RewardWeights;
+    use crate::router::PolicyRouter;
     use crate::snapshot::{ActiveAccel, ArchParams};
+    use crate::update::BlendUpdate;
     use crate::PartitionId;
 
     fn arch() -> ArchParams {
@@ -521,10 +524,17 @@ mod tests {
             ModeSet::from_modes([CoherenceMode::LlcCohDma, CoherenceMode::FullCoh]),
         ];
         for scope in AgentScope::ALL {
-            let mut router = AgentBuilder::paper(3, 11)
-                .exploration(Softmax::default_schedule(3))
-                .scope(scope)
-                .build_routed();
+            let mut router = PolicyRouter::new(scope, 11, |_, seed| {
+                Box::new(LearnedPolicy::with_components(
+                    "softmax",
+                    StateSpace::Table3,
+                    Exploration::Softmax(Softmax::default_schedule(3)),
+                    BlendUpdate::paper(3),
+                    RewardWeights::paper_default(),
+                    3,
+                    seed,
+                ))
+            });
             router.bind_topology(&topology);
             // Plant distinct per-agent tables through the namespaced
             // import, then freeze: live decisions are now pure argmax.
@@ -561,7 +571,7 @@ mod tests {
     fn mismatched_space_is_rejected() {
         let table = synthetic_table(243, 1);
         let snap = Arc::new(FrozenSnapshot::parse(&table.to_tsv(), 243).unwrap());
-        let _ = FrozenPolicy::new(snap, crate::space::CoarseSpace);
+        let _ = FrozenPolicy::new(snap, StateSpace::Coarse);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!    ([`policy::RandomPolicy`], [`policy::FixedPolicy`],
 //!    [`policy::FixedHeterogeneousPolicy`], the manually-tuned
 //!    [`policy::ManualPolicy`] of Algorithm 1) and the learning-based
-//!    [`agent::LearnedPolicy`] — a composable agent stack whose
-//!    paper-default composition is [`policy::CohmeleonPolicy`].
+//!    [`agent::LearnedPolicy`] — one agent type over three closed
+//!    component choices, whose paper-default composition is
+//!    [`policy::CohmeleonPolicy`].
 //! 3. **Actuate** — the embedding system applies the decision; in the paper
 //!    a register write in the accelerator tile, in this reproduction a field
 //!    on the simulated invocation.
@@ -32,30 +33,32 @@
 //!
 //! # The composable agent stack
 //!
-//! The learning subsystem decomposes along three pluggable axes, each a
-//! trait with the paper's choice as the default implementation, over one
-//! dense [`value::QTable`] sized for the chosen state space:
+//! The learning subsystem decomposes along three axes, each a closed
+//! type with the paper's choice as the default, over one dense
+//! [`value::QTable`] sized for the chosen state space:
 //!
-//! | Axis | Trait | Paper default | Alternatives |
+//! | Axis | Type | Paper default | Alternatives |
 //! |---|---|---|---|
-//! | Discretization | [`space::StateSpace`] | [`space::Table3Space`] (3⁵) | [`space::CoarseSpace`] (3³), [`space::ExtendedSpace`] (3⁷) |
-//! | Exploration | [`explore::ExplorationStrategy`] | [`explore::EpsilonGreedy`] | [`explore::Softmax`], [`explore::Ucb1`] |
-//! | Update rule | [`update::UpdateRule`] | [`update::BlendUpdate`] | [`update::DiscountedUpdate`] |
+//! | Discretization | [`space::StateSpace`] | `Table3` (3⁵) | `Coarse` (3³), `Extended` (3⁷) |
+//! | Exploration | [`explore::Exploration`] | [`explore::EpsilonGreedy`] | [`explore::Softmax`], [`explore::Ucb1`] |
+//! | Update rule | [`update::BlendUpdate`] | `BlendUpdate::paper` (γ = 0) | `BlendUpdate::discounted` (γ = 0.5) |
 //!
-//! [`agent::LearnedPolicy`] composes one of each into a [`Policy`];
-//! [`agent::AgentBuilder`] is the ergonomic way to assemble one. The
-//! type alias [`policy::CohmeleonPolicy`] pins the paper-default
-//! composition and is bit-identical to the pre-redesign hardwired agent
-//! (golden structural-hash and Q-table TSV tests hold it to that).
+//! [`agent::LearnedPolicy::with_components`] composes one of each into a
+//! [`Policy`]. The type alias [`policy::CohmeleonPolicy`] names the
+//! paper-default composition, and its `new` constructor is bit-identical
+//! to the pre-redesign hardwired agent (golden structural-hash and
+//! Q-table TSV tests hold it to that). Sweeps name compositions as data
+//! through `cohmeleon_exp::LearnerSpec`, which builds every cell with
+//! `with_components`.
 //!
 //! On top of the component axes sits the orchestration layer
 //! ([`router`]): a [`router::PolicyRouter`] owns one or more agents
 //! keyed by an [`router::AgentScope`] — one global agent (the paper),
 //! one per accelerator kind, or one per instance — and routes every
 //! `decide`/`observe` to the sub-agent owning the invocation. Reward
-//! weights enter the same composition through
-//! [`agent::AgentBuilder::reward_weights`], making "which reward" and
-//! "which scope" sweepable axes alongside the three component choices.
+//! weights are the `weights` argument of `with_components`, which makes
+//! "which reward" and "which scope" sweepable `LearnerSpec` axes
+//! alongside the three component choices.
 //!
 //! # Example
 //!
@@ -105,17 +108,17 @@ pub mod status;
 pub mod update;
 pub mod value;
 
-pub use agent::{AgentBuilder, CohmeleonPolicy, LearnedPolicy};
+pub use agent::{CohmeleonPolicy, LearnedPolicy};
 pub use error::CoreError;
-pub use explore::{EpsilonGreedy, ExplorationStrategy, SelectCtx, Softmax, Ucb1};
+pub use explore::{EpsilonGreedy, Exploration, SelectCtx, Softmax, Ucb1};
 pub use frozen::{FrozenPolicy, FrozenSnapshot, FrozenTable};
 pub use modes::{CoherenceMode, ModeSet};
 pub use policy::{Decision, Policy};
 pub use router::{AgentScope, PolicyRouter, ScopeKey};
 pub use snapshot::{ActiveAccel, ArchParams, SystemSnapshot};
-pub use space::{CoarseSpace, ExtendedSpace, StateSpace, Table3Space};
+pub use space::StateSpace;
 pub use state::State;
-pub use update::{BlendUpdate, DiscountedUpdate, UpdateRule};
+pub use update::BlendUpdate;
 pub use value::QTable;
 
 /// Identifies a *kind* of accelerator (e.g. "FFT", "GEMM", or a particular

@@ -718,10 +718,14 @@ mod tests {
         // A router's default label composes scope and sub-agent name;
         // scoped LearnerSpec labels (the `ql[...]` grid coordinates) are
         // pinned in `cohmeleon-exp`.
-        let routed = crate::agent::AgentBuilder::paper(10, 0)
-            .scope(AgentScope::PerKind)
-            .build_routed();
-        assert_eq!(routed.name(), "per-kind(learned[table3+eps-greedy+blend])");
+        let routed = PolicyRouter::new(AgentScope::PerKind, 0, |_, seed| {
+            Box::new(CohmeleonPolicy::new(
+                RewardWeights::paper_default(),
+                LearningSchedule::paper_default(10),
+                seed,
+            ))
+        });
+        assert_eq!(routed.name(), "per-kind(cohmeleon)");
     }
 
     #[test]

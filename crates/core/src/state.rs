@@ -38,7 +38,7 @@ impl CountBucket {
     ///
     /// The paper does not specify how fractional averages are rounded; we
     /// round to the nearest integer with ties away from zero (0.5 ⇒ 1),
-    /// as documented in DESIGN.md.
+    /// as documented in `docs/ARCHITECTURE.md`, "Tuning and validation".
     pub fn from_average(avg: f64) -> CountBucket {
         let rounded = avg.round().max(0.0) as usize;
         CountBucket::from_count(rounded)

@@ -1,13 +1,13 @@
 //! Integration tests of the composable agent stack: the frozen contract
-//! across every exploration strategy, and determinism of dyn-composed
-//! agents.
+//! across every exploration strategy, and determinism of non-default
+//! compositions.
 
-use cohmeleon_core::agent::{AgentBuilder, LearnedPolicy};
-use cohmeleon_core::explore::{EpsilonGreedy, ExplorationStrategy, Softmax, Ucb1};
+use cohmeleon_core::agent::LearnedPolicy;
+use cohmeleon_core::explore::{EpsilonGreedy, Exploration, Softmax, Ucb1};
 use cohmeleon_core::reward::{InvocationMeasurement, RewardWeights};
 use cohmeleon_core::snapshot::{ActiveAccel, ArchParams, SystemSnapshot};
-use cohmeleon_core::space::{ExtendedSpace, StateSpace};
-use cohmeleon_core::update::{BlendUpdate, UpdateRule};
+use cohmeleon_core::space::StateSpace;
+use cohmeleon_core::update::BlendUpdate;
 use cohmeleon_core::{AccelInstanceId, CoherenceMode, ModeSet, PartitionId, Policy};
 
 fn snapshot(footprint: u64, active: usize) -> SystemSnapshot {
@@ -61,9 +61,17 @@ fn drive<P: Policy>(policy: &mut P, iterations: usize) -> Vec<CoherenceMode> {
 /// training-time behaviour.
 #[test]
 fn frozen_agents_are_greedy_for_every_strategy() {
-    fn check<E: ExplorationStrategy + 'static>(explore: E) {
-        let label = explore.label();
-        let mut agent = AgentBuilder::paper(4, 3).exploration(explore).build();
+    fn check(explore: Exploration) {
+        let label = format!("{explore:?}");
+        let mut agent = LearnedPolicy::with_components(
+            label.clone(),
+            StateSpace::Table3,
+            explore,
+            BlendUpdate::paper(4),
+            RewardWeights::paper_default(),
+            4,
+            3,
+        );
         drive(&mut agent, 4); // trains, then freezes
         let tsv_before = agent.table().to_tsv();
         let snap = snapshot(4096, 1);
@@ -79,21 +87,21 @@ fn frozen_agents_are_greedy_for_every_strategy() {
             "{label}: frozen agents must not write"
         );
     }
-    check(EpsilonGreedy::paper(4));
-    check(Softmax::default_schedule(4));
-    check(Ucb1::default());
+    check(Exploration::EpsilonGreedy(EpsilonGreedy::paper(4)));
+    check(Exploration::Softmax(Softmax::default_schedule(4)));
+    check(Exploration::Ucb1(Ucb1::default()));
 }
 
-/// The whole stack is deterministic under a fixed seed, for dyn-composed
-/// agents too.
+/// The whole stack is deterministic under a fixed seed, for non-default
+/// compositions too.
 #[test]
 fn dyn_composed_agents_are_deterministic() {
     let make = || {
         LearnedPolicy::with_components(
-            "dyn",
-            Box::new(ExtendedSpace) as Box<dyn StateSpace>,
-            Box::new(Softmax::default_schedule(5)) as Box<dyn ExplorationStrategy>,
-            Box::new(BlendUpdate::paper(5)) as Box<dyn UpdateRule>,
+            "extended-softmax",
+            StateSpace::Extended,
+            Exploration::Softmax(Softmax::default_schedule(5)),
+            BlendUpdate::paper(5),
             RewardWeights::paper_default(),
             5,
             777,

@@ -3,14 +3,13 @@
 
 use std::sync::OnceLock;
 
-use cohmeleon_core::agent::AgentBuilder;
 use cohmeleon_core::manual::{algorithm1_restricted, ManualThresholds};
 use cohmeleon_core::policy::{CohmeleonPolicy, Policy};
 use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::{InvocationMeasurement, RewardHistory, RewardWeights};
-use cohmeleon_core::router::AgentScope;
+use cohmeleon_core::router::{AgentScope, PolicyRouter};
 use cohmeleon_core::snapshot::{ActiveAccel, ArchParams, SystemSnapshot};
-use cohmeleon_core::update::{BlendUpdate, UpdateRule};
+use cohmeleon_core::update::BlendUpdate;
 use cohmeleon_core::{
     AccelInstanceId, AccelKindId, CoherenceMode, FrozenSnapshot, ModeSet, PartitionId, QTable,
     State,
@@ -54,15 +53,24 @@ fn arb_measurement() -> impl Strategy<Value = InvocationMeasurement> {
     )
 }
 
+/// A fresh per-kind router of paper agents.
+fn per_kind_router() -> PolicyRouter {
+    PolicyRouter::new(AgentScope::PerKind, 5, |_, seed| {
+        Box::new(CohmeleonPolicy::new(
+            RewardWeights::paper_default(),
+            LearningSchedule::paper_default(2),
+            seed,
+        ))
+    })
+}
+
 /// A trained per-kind router's exported tables (sections `global`,
 /// `kind0`, `kind1`): the valid document the parser properties truncate
 /// and mutate.
 fn per_kind_document() -> &'static str {
     static DOCUMENT: OnceLock<String> = OnceLock::new();
     DOCUMENT.get_or_init(|| {
-        let mut router = AgentBuilder::paper(2, 5)
-            .scope(AgentScope::PerKind)
-            .build_routed();
+        let mut router = per_kind_router();
         router.bind_topology(&[
             (AccelInstanceId(0), AccelKindId(0)),
             (AccelInstanceId(1), AccelKindId(1)),
@@ -92,9 +100,7 @@ fn per_kind_document() -> &'static str {
 /// Either may reject it; neither may panic.
 fn parse_both(text: &str) -> (bool, bool) {
     let frozen = FrozenSnapshot::parse(text, State::COUNT).is_ok();
-    let mut router = AgentBuilder::paper(2, 5)
-        .scope(AgentScope::PerKind)
-        .build_routed();
+    let mut router = per_kind_router();
     (frozen, router.import_tables(text).is_ok())
 }
 
@@ -146,7 +152,7 @@ proptest! {
     #[test]
     fn q_updates_stay_bounded(updates in proptest::collection::vec((0usize..243, 0usize..4, 0.0f64..1.0), 1..300)) {
         let mut table = QTable::new();
-        let mut rule = BlendUpdate::paper(10);
+        let rule = BlendUpdate::paper(10);
         for (s, a, r) in updates {
             rule.apply(&mut table, s, a, r);
         }

@@ -12,7 +12,6 @@
 
 use proptest::prelude::*;
 
-use cohmeleon_core::agent::AgentBuilder;
 use cohmeleon_core::policy::{CohmeleonPolicy, Policy};
 use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::{InvocationMeasurement, RewardWeights};
@@ -338,21 +337,21 @@ fn router_table_roundtrips_through_the_policy_trait() {
 
 #[test]
 fn builder_scope_builds_routers() {
-    let router = AgentBuilder::paper(5, 2)
-        .scope(AgentScope::PerInstance)
-        .build_routed();
-    assert_eq!(router.scope(), AgentScope::PerInstance);
-    let mut router = router;
-    router.bind_topology(&topology());
-    assert_eq!(router.num_agents(), 5);
+    let router = |scope| PolicyRouter::new(scope, 2, |_, s| Box::new(paper_agent(5, s)));
+    let mut per_instance = router(AgentScope::PerInstance);
+    assert_eq!(per_instance.scope(), AgentScope::PerInstance);
+    // Per-instance agents appear as the topology binds, one per tile.
+    assert_eq!(per_instance.num_agents(), 0);
+    per_instance.bind_topology(&topology());
+    assert_eq!(per_instance.num_agents(), 5);
     assert_eq!(
-        router.agent_keys().next(),
+        per_instance.agent_keys().next(),
         Some(ScopeKey::Instance(AccelInstanceId(0)))
     );
-    // A Global build_routed wraps exactly one agent.
-    let router = AgentBuilder::paper(5, 2).build_routed();
-    assert_eq!(router.scope(), AgentScope::Global);
-    assert_eq!(router.num_agents(), 1);
+    // A Global router wraps exactly one agent from the start.
+    let global = router(AgentScope::Global);
+    assert_eq!(global.scope(), AgentScope::Global);
+    assert_eq!(global.num_agents(), 1);
 }
 
 #[test]

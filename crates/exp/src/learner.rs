@@ -1,12 +1,13 @@
 //! Sweepable learner configurations: [`LearnerSpec`] names one cell of the
-//! agent design space (state space × exploration × update rule) as plain
-//! data.
+//! agent design space (state space × exploration × update rule, plus the
+//! scope and reward-weight orchestration axes) as plain data.
 //!
-//! The agent redesign in `cohmeleon-core` made the learning subsystem
-//! composable; this module makes the composition *configurable* — a
-//! `LearnerSpec` is `Copy`, serializable, prints a stable string form
-//! (`table3/eps-greedy/blend`), and builds the corresponding boxed policy
-//! for a grid cell. That is what lets a
+//! `cohmeleon-core` composes one learning agent type,
+//! [`LearnedPolicy`], from closed component types; this module is the
+//! one place a composition is *named* — a `LearnerSpec` is `Copy`,
+//! serializable, prints a stable string form (`table3/eps-greedy/blend`),
+//! and builds the corresponding boxed policy for a grid cell. That is
+//! what lets a
 //! [`SweepGrid`](crate::SweepGrid) treat "which learner" as one more axis,
 //! exactly like seeds and scenarios (see the `learners` grid of
 //! `cohmeleon_bench::sweeps`, rendered by its `learner_ablation` figure).
@@ -22,32 +23,22 @@
 //! [`Ucb1::DEFAULT_C`](cohmeleon_core::explore::Ucb1::DEFAULT_C)); those
 //! constants are uncalibrated against the paper's ε schedule, so read
 //! cross-strategy ablation gaps with that caveat (their rustdoc explains
-//! the derivation and how to override via `AgentBuilder`).
+//! the derivation and how to override via
+//! [`LearnedPolicy::with_components`]).
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use cohmeleon_core::agent::LearnedPolicy;
-use cohmeleon_core::explore::{EpsilonGreedy, ExplorationStrategy, Softmax, Ucb1};
+use cohmeleon_core::explore::{EpsilonGreedy, Exploration, Softmax, Ucb1};
 use cohmeleon_core::reward::RewardWeights;
 use cohmeleon_core::router::{PolicyRouter, ScopeKey};
-use cohmeleon_core::space::{CoarseSpace, ExtendedSpace, StateSpace, Table3Space};
-use cohmeleon_core::update::{BlendUpdate, DiscountedUpdate, UpdateRule};
+use cohmeleon_core::update::BlendUpdate;
 use cohmeleon_core::Policy;
 
 pub use cohmeleon_core::router::AgentScope;
-
-/// Which state-space discretizer the agent senses through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum StateSpaceKind {
-    /// 3³ = 27 states (`CoarseSpace`).
-    Coarse,
-    /// The paper's 3⁵ = 243 states (`Table3Space`).
-    Table3,
-    /// 3⁷ = 2187 states (`ExtendedSpace`).
-    Extended,
-}
+pub use cohmeleon_core::space::StateSpace;
 
 /// Which exploration strategy selects actions during training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -69,32 +60,6 @@ pub enum UpdateKind {
     Discounted,
 }
 
-impl StateSpaceKind {
-    /// All state spaces, coarse to fine.
-    pub const ALL: [StateSpaceKind; 3] = [
-        StateSpaceKind::Coarse,
-        StateSpaceKind::Table3,
-        StateSpaceKind::Extended,
-    ];
-
-    /// The stable string form.
-    pub fn label(self) -> &'static str {
-        match self {
-            StateSpaceKind::Coarse => "coarse",
-            StateSpaceKind::Table3 => "table3",
-            StateSpaceKind::Extended => "extended",
-        }
-    }
-
-    fn build(self) -> Box<dyn StateSpace> {
-        match self {
-            StateSpaceKind::Coarse => Box::new(CoarseSpace),
-            StateSpaceKind::Table3 => Box::new(Table3Space),
-            StateSpaceKind::Extended => Box::new(ExtendedSpace),
-        }
-    }
-}
-
 impl ExplorationKind {
     /// All exploration strategies.
     pub const ALL: [ExplorationKind; 3] = [
@@ -112,11 +77,15 @@ impl ExplorationKind {
         }
     }
 
-    fn build(self, train_iterations: usize) -> Box<dyn ExplorationStrategy> {
+    fn build(self, train_iterations: usize) -> Exploration {
         match self {
-            ExplorationKind::EpsilonGreedy => Box::new(EpsilonGreedy::paper(train_iterations)),
-            ExplorationKind::Softmax => Box::new(Softmax::default_schedule(train_iterations)),
-            ExplorationKind::Ucb1 => Box::new(Ucb1::default()),
+            ExplorationKind::EpsilonGreedy => {
+                Exploration::EpsilonGreedy(EpsilonGreedy::paper(train_iterations))
+            }
+            ExplorationKind::Softmax => {
+                Exploration::Softmax(Softmax::default_schedule(train_iterations))
+            }
+            ExplorationKind::Ucb1 => Exploration::Ucb1(Ucb1::default()),
         }
     }
 }
@@ -133,10 +102,10 @@ impl UpdateKind {
         }
     }
 
-    fn build(self, train_iterations: usize) -> Box<dyn UpdateRule> {
+    fn build(self, train_iterations: usize) -> BlendUpdate {
         match self {
-            UpdateKind::Blend => Box::new(BlendUpdate::paper(train_iterations)),
-            UpdateKind::Discounted => Box::new(DiscountedUpdate::default_schedule(train_iterations)),
+            UpdateKind::Blend => BlendUpdate::paper(train_iterations),
+            UpdateKind::Discounted => BlendUpdate::discounted(train_iterations),
         }
     }
 }
@@ -212,7 +181,7 @@ impl WeightPreset {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LearnerSpec {
     /// The state-space discretizer.
-    pub state_space: StateSpaceKind,
+    pub state_space: StateSpace,
     /// The exploration strategy.
     pub exploration: ExplorationKind,
     /// The update rule.
@@ -228,7 +197,7 @@ impl LearnerSpec {
     /// agent, paper reward weights.
     pub fn paper() -> LearnerSpec {
         LearnerSpec {
-            state_space: StateSpaceKind::Table3,
+            state_space: StateSpace::Table3,
             exploration: ExplorationKind::EpsilonGreedy,
             update: UpdateKind::Blend,
             scope: AgentScope::Global,
@@ -268,7 +237,7 @@ impl LearnerSpec {
     /// weights); compose with [`with_scope`](Self::with_scope) /
     /// [`with_weights`](Self::with_weights) to move them.
     pub fn grid(
-        spaces: &[StateSpaceKind],
+        spaces: &[StateSpace],
         explorations: &[ExplorationKind],
         updates: &[UpdateKind],
     ) -> Vec<LearnerSpec> {
@@ -304,48 +273,42 @@ impl LearnerSpec {
     /// cell runs directly and what a scoped cell's router builds per
     /// [`ScopeKey`].
     ///
+    /// The agent auto-freezes after `max(1, train_iterations)`
+    /// iterations, the horizon of the paper's ε and α schedules, so the
+    /// paper spec builds exactly the agent `CohmeleonPolicy::new` builds
+    /// from `LearningSchedule::paper_default(train_iterations)`.
+    ///
     /// [`Global`]: AgentScope::Global
-    fn build_agent(&self, train_iterations: usize, seed: u64) -> Box<dyn Policy> {
-        use cohmeleon_core::policy::CohmeleonPolicy;
-        use cohmeleon_core::qlearn::LearningSchedule;
-
-        if *self == LearnerSpec::paper() {
-            return Box::new(CohmeleonPolicy::new(
-                RewardWeights::paper_default(),
-                LearningSchedule::paper_default(train_iterations),
-                seed,
-            ));
-        }
-        Box::new(LearnedPolicy::with_components(
+    fn build_agent(&self, train_iterations: usize, seed: u64) -> LearnedPolicy {
+        LearnedPolicy::with_components(
             self.label(),
-            self.state_space.build(),
+            self.state_space,
             self.exploration.build(train_iterations),
             self.update.build(train_iterations),
             self.weights.weights(),
-            train_iterations,
+            train_iterations.max(1),
             seed,
-        ))
+        )
     }
 
-    /// Builds the agent for one grid cell. The paper composition builds
-    /// the concrete `CohmeleonPolicy`; every other [`Global`]-scoped spec
-    /// assembles a dyn-composed [`LearnedPolicy`]; `PerKind`/`PerInstance`
-    /// specs wrap the composition in a
+    /// Builds the agent for one grid cell. A [`Global`]-scoped spec
+    /// builds one [`LearnedPolicy`]; `PerKind`/`PerInstance` specs wrap
+    /// the composition in a
     /// [`PolicyRouter`] — one sub-agent of the same composition (same
     /// seed) per scope key, created as the engine binds the SoC topology.
     ///
     /// [`Global`]: AgentScope::Global
     pub fn build(&self, train_iterations: usize, seed: u64) -> Box<dyn Policy> {
         match self.scope {
-            AgentScope::Global => self.build_agent(train_iterations, seed),
+            AgentScope::Global => Box::new(self.build_agent(train_iterations, seed)),
             scope => {
                 // Sub-agents are built as the *global* variant of this
                 // spec (partitioning is the router's job, not the
                 // sub-agent's), every one from the same seed: divergence
                 // from the global cell comes only from state partitioning.
                 let sub = self.with_scope(AgentScope::Global);
-                let factory = move |_key: ScopeKey, sub_seed: u64| {
-                    sub.build_agent(train_iterations, sub_seed)
+                let factory = move |_key: ScopeKey, sub_seed: u64| -> Box<dyn Policy> {
+                    Box::new(sub.build_agent(train_iterations, sub_seed))
                 };
                 Box::new(PolicyRouter::new(scope, seed, factory).with_label(self.label()))
             }
@@ -375,16 +338,57 @@ mod tests {
 
     #[test]
     fn paper_spec_builds_the_paper_agent() {
+        use cohmeleon_core::policy::CohmeleonPolicy;
+        use cohmeleon_core::qlearn::LearningSchedule;
+        use cohmeleon_core::reward::InvocationMeasurement;
+        use cohmeleon_core::snapshot::{ArchParams, SystemSnapshot};
+        use cohmeleon_core::{AccelInstanceId, ModeSet, PartitionId};
+
         let spec = LearnerSpec::paper();
         assert_eq!(spec.label(), "cohmeleon");
-        let policy = spec.build(3, 7);
-        assert_eq!(policy.name(), "cohmeleon");
+        // Same decisions and the same table as `CohmeleonPolicy::new`,
+        // through and past the schedule horizon (including the clamped
+        // zero-iteration horizon).
+        for iterations in [0, 3] {
+            let mut built = spec.build(iterations, 7);
+            let mut direct: Box<dyn Policy> = Box::new(CohmeleonPolicy::new(
+                RewardWeights::paper_default(),
+                LearningSchedule::paper_default(iterations),
+                7,
+            ));
+            assert_eq!(built.name(), "cohmeleon");
+            for iteration in 0..iterations + 2 {
+                built.begin_iteration(iteration);
+                direct.begin_iteration(iteration);
+                for i in 0..20u64 {
+                    let snapshot = SystemSnapshot::new(
+                        ArchParams::new(32 * 1024, 256 * 1024, 2),
+                        vec![],
+                        1024 << (i % 9),
+                        vec![PartitionId(0)],
+                    );
+                    let measurement = InvocationMeasurement {
+                        total_cycles: 10_000 + 997 * i,
+                        accel_active_cycles: 5_000,
+                        accel_comm_cycles: 2_000,
+                        offchip_accesses: (i * 13 % 100) as f64,
+                        footprint_bytes: 1024 << (i % 9),
+                    };
+                    let accel = AccelInstanceId(0);
+                    let d = built.decide(&snapshot, ModeSet::all(), accel);
+                    assert_eq!(d, direct.decide(&snapshot, ModeSet::all(), accel));
+                    built.observe(accel, &d, &measurement);
+                    direct.observe(accel, &d, &measurement);
+                }
+                assert_eq!(built.export_table(), direct.export_table());
+            }
+        }
     }
 
     #[test]
     fn grid_enumerates_the_cartesian_product() {
         let specs = LearnerSpec::grid(
-            &StateSpaceKind::ALL,
+            &StateSpace::ALL,
             &ExplorationKind::ALL,
             &UpdateKind::ALL,
         );
@@ -402,7 +406,7 @@ mod tests {
         // updates × 3 scopes × 5 weight presets.
         let mut labels = std::collections::HashSet::new();
         for spec in LearnerSpec::grid(
-            &StateSpaceKind::ALL,
+            &StateSpace::ALL,
             &ExplorationKind::ALL,
             &UpdateKind::ALL,
         ) {
@@ -423,7 +427,7 @@ mod tests {
     #[test]
     fn non_paper_specs_build_distinctly_named_agents() {
         let spec = LearnerSpec {
-            state_space: StateSpaceKind::Extended,
+            state_space: StateSpace::Extended,
             exploration: ExplorationKind::Ucb1,
             update: UpdateKind::Discounted,
             ..LearnerSpec::paper()
@@ -440,7 +444,7 @@ mod tests {
         assert_eq!(LearnerSpec::paper().to_string(), "table3/eps-greedy/blend");
         assert_eq!(LearnerSpec::paper().label(), "cohmeleon");
         let spec = LearnerSpec {
-            state_space: StateSpaceKind::Extended,
+            state_space: StateSpace::Extended,
             exploration: ExplorationKind::Ucb1,
             update: UpdateKind::Discounted,
             ..LearnerSpec::paper()

@@ -110,7 +110,7 @@ pub use grid::{
     Scenario, SweepGrid,
 };
 pub use learner::{
-    AgentScope, ExplorationKind, LearnerSpec, StateSpaceKind, UpdateKind, WeightPreset,
+    AgentScope, ExplorationKind, LearnerSpec, StateSpace, UpdateKind, WeightPreset,
 };
 pub use policies::{build_policy, policy_suite, PolicyKind};
 pub use sink::{normalize_records, read_jsonl, CellRecord};

@@ -5,13 +5,11 @@
 //! module under its old path.
 
 use cohmeleon_core::manual::ManualThresholds;
-use cohmeleon_core::policy::{
-    CohmeleonPolicy, FixedPolicy, ManualPolicy, RandomPolicy,
-};
-use cohmeleon_core::qlearn::LearningSchedule;
-use cohmeleon_core::reward::RewardWeights;
+use cohmeleon_core::policy::{FixedPolicy, ManualPolicy, RandomPolicy};
 use cohmeleon_core::{CoherenceMode, Policy};
 use cohmeleon_soc::{profile_heterogeneous, SocConfig};
+
+use crate::learner::LearnerSpec;
 
 /// Which policy to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,11 +99,7 @@ pub fn build_policy(
         PolicyKind::Manual => Box::new(ManualPolicy::new(ManualThresholds::for_arch(
             &config.arch_params(),
         ))),
-        PolicyKind::Cohmeleon => Box::new(CohmeleonPolicy::new(
-            RewardWeights::paper_default(),
-            LearningSchedule::paper_default(train_iterations),
-            seed,
-        )),
+        PolicyKind::Cohmeleon => LearnerSpec::paper().build(train_iterations, seed),
     }
 }
 

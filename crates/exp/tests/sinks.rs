@@ -3,7 +3,7 @@
 
 use cohmeleon_exp::{
     canonical_jsonl, normalize_records, read_jsonl, CellRecord, Experiment, ExplorationKind,
-    LearnerSpec, PolicyKind, Serial, StateSpaceKind, UpdateKind, WorkStealing,
+    LearnerSpec, PolicyKind, Serial, StateSpace, UpdateKind, WorkStealing,
 };
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
@@ -17,12 +17,12 @@ fn quick_grid() -> cohmeleon_exp::SweepGrid {
         .policy_kinds([PolicyKind::FixedNonCoh, PolicyKind::Manual])
         .learners([
             LearnerSpec {
-                state_space: StateSpaceKind::Coarse,
+                state_space: StateSpace::Coarse,
                 exploration: ExplorationKind::Softmax,
                 ..LearnerSpec::paper()
             },
             LearnerSpec {
-                state_space: StateSpaceKind::Extended,
+                state_space: StateSpace::Extended,
                 exploration: ExplorationKind::Ucb1,
                 update: UpdateKind::Discounted,
                 ..LearnerSpec::paper()

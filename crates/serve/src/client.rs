@@ -329,7 +329,7 @@ fn protocol_error(message: String) -> io::Error {
 /// survive a dead server must check connectivity before starting a run.
 pub struct RemotePolicy {
     client: ServeClient,
-    space: Box<dyn StateSpace>,
+    space: StateSpace,
     topology: Topology,
 }
 
@@ -341,7 +341,7 @@ impl RemotePolicy {
     ///
     /// If `space`'s cardinality differs from the server's advertised
     /// state count — queries would be systematically out of range.
-    pub fn new(client: ServeClient, space: Box<dyn StateSpace>) -> RemotePolicy {
+    pub fn new(client: ServeClient, space: StateSpace) -> RemotePolicy {
         assert_eq!(
             space.cardinality(),
             client.states(),

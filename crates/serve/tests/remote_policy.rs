@@ -13,9 +13,12 @@
 use std::net::TcpListener;
 use std::sync::Arc;
 
-use cohmeleon_core::explore::Softmax;
-use cohmeleon_core::space::{StateSpace, Table3Space};
-use cohmeleon_core::{AgentBuilder, AgentScope, FrozenPolicy, FrozenSnapshot, Policy};
+use cohmeleon_core::explore::{Exploration, Softmax};
+use cohmeleon_core::reward::RewardWeights;
+use cohmeleon_core::update::BlendUpdate;
+use cohmeleon_core::{
+    AgentScope, FrozenPolicy, FrozenSnapshot, LearnedPolicy, Policy, PolicyRouter, StateSpace,
+};
 use cohmeleon_serve::{
     run_server, Query, RemotePolicy, ServeClient, ServeOptions, ServerReport,
 };
@@ -35,10 +38,17 @@ fn trained_snapshot() -> FrozenSnapshot {
     };
     let train_app = generate_app(&config, &params, 11);
     let test_app = generate_app(&config, &params, 22);
-    let mut router = AgentBuilder::paper(TRAIN_ITERATIONS, SEED)
-        .exploration(Softmax::default_schedule(TRAIN_ITERATIONS))
-        .scope(AgentScope::PerKind)
-        .build_routed();
+    let mut router = PolicyRouter::new(AgentScope::PerKind, SEED, |_, seed| {
+        Box::new(LearnedPolicy::with_components(
+            "softmax",
+            StateSpace::Table3,
+            Exploration::Softmax(Softmax::default_schedule(TRAIN_ITERATIONS)),
+            BlendUpdate::paper(TRAIN_ITERATIONS),
+            RewardWeights::paper_default(),
+            TRAIN_ITERATIONS,
+            seed,
+        ))
+    });
     run_protocol(
         &config,
         &train_app,
@@ -48,7 +58,7 @@ fn trained_snapshot() -> FrozenSnapshot {
         SEED,
     );
     let text = router.export_table().expect("router exports tables");
-    FrozenSnapshot::parse(&text, Table3Space.cardinality()).expect("frozen export parses")
+    FrozenSnapshot::parse(&text, StateSpace::Table3.cardinality()).expect("frozen export parses")
 }
 
 /// Runs `run_server` on an OS-assigned loopback port; returns the address
@@ -76,7 +86,7 @@ fn remote_dispatch_is_bit_identical_to_local() {
     let client = ServeClient::connect(&addr, "remote-policy-test").expect("connect");
     assert_eq!(client.states(), 243);
     assert_eq!(client.scope(), AgentScope::PerKind);
-    let mut remote = RemotePolicy::new(client, Box::new(Table3Space));
+    let mut remote = RemotePolicy::new(client, StateSpace::Table3);
     let remote_result = evaluate_policy(&config, &app, &mut remote, SEED);
 
     assert_eq!(

@@ -1,7 +1,7 @@
 //! Every timing constant of the simulated SoC, in one place.
 //!
 //! Absolute values cannot match the authors' FPGA prototypes; what matters
-//! (DESIGN.md, "Tuning & validation philosophy") is that the *relative*
+//! (`docs/ARCHITECTURE.md`, "Tuning and validation") is that the *relative*
 //! costs reproduce the paper's shapes: invocation/flush overheads that
 //! dominate small workloads, LLC service costs that make coherent DMA the
 //! most contention-sensitive mode, and DRAM burst behaviour that lets

@@ -6,20 +6,20 @@
 //! * the `Policy` trait — anything that can map a `SystemSnapshot` to a
 //!   `CoherenceMode` can drive the SoC (a "footprint threshold" heuristic
 //!   here), and
-//! * the agent builder — a learning agent recomposed from non-default
-//!   parts (coarse state space, softmax exploration) without writing a
-//!   policy by hand.
+//! * `LearnerSpec` — a learning agent recomposed from non-default parts
+//!   (coarse state space, softmax exploration) without writing a policy
+//!   by hand.
 //!
 //! Run with: `cargo run --release --example custom_policy`
 
-use cohmeleon_repro::core::agent::AgentBuilder;
-use cohmeleon_repro::core::explore::Softmax;
 use cohmeleon_repro::core::policy::{Decision, Policy};
-use cohmeleon_repro::core::space::CoarseSpace;
 use cohmeleon_repro::core::{
     AccelInstanceId, CoherenceMode, ModeSet, State, SystemSnapshot,
 };
-use cohmeleon_repro::exp::{normalize_records, Experiment, PolicyKind, PolicySpec, WorkStealing};
+use cohmeleon_repro::exp::{
+    normalize_records, Experiment, ExplorationKind, LearnerSpec, PolicyKind, PolicySpec,
+    StateSpace, WorkStealing,
+};
 use cohmeleon_repro::soc::config::soc2;
 use cohmeleon_repro::workloads::generator::{generate_app, GeneratorParams};
 
@@ -70,15 +70,11 @@ fn main() {
         .policy(PolicySpec::kind(PolicyKind::Cohmeleon))
         // A recomposed learning agent: coarse 27-state sensing + softmax
         // exploration, otherwise the paper's reward and update rule.
-        .policy(PolicySpec::custom("coarse-softmax", |_, iters, seed| {
-            Box::new(
-                AgentBuilder::paper(iters, seed)
-                    .state_space(CoarseSpace)
-                    .exploration(Softmax::default_schedule(iters))
-                    .label("coarse-softmax")
-                    .build(),
-            )
-        }))
+        .learners([LearnerSpec {
+            state_space: StateSpace::Coarse,
+            exploration: ExplorationKind::Softmax,
+            ..LearnerSpec::paper()
+        }])
         .seed(3)
         .train_iterations(10)
         .build()
@@ -87,7 +83,7 @@ fn main() {
 
     for record in &records {
         println!(
-            "{:<16} {:>14} cycles {:>12} off-chip",
+            "{:<24} {:>14} cycles {:>12} off-chip",
             record.policy, record.total_cycles, record.total_offchip
         );
     }

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example learner_sweep`
 
 use cohmeleon_repro::exp::{
-    AgentScope, Experiment, ExplorationKind, LearnerSpec, StateSpaceKind, UpdateKind, WeightPreset,
+    AgentScope, Experiment, ExplorationKind, LearnerSpec, StateSpace, UpdateKind, WeightPreset,
     WorkStealing,
 };
 use cohmeleon_repro::soc::config::soc1;
@@ -27,7 +27,7 @@ fn main() {
     // Every exploration strategy × {table3, extended}; the paper
     // composition (exactly `CohmeleonPolicy`) comes first in the grid.
     let mut specs = LearnerSpec::grid(
-        &[StateSpaceKind::Table3, StateSpaceKind::Extended],
+        &[StateSpace::Table3, StateSpace::Extended],
         &ExplorationKind::ALL,
         &[UpdateKind::Blend],
     );

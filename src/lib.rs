@@ -45,10 +45,10 @@
 //!
 //! * [`core`] — the paper's contribution: coherence modes, the
 //!   sense/decide/actuate/evaluate framework, the baseline policies, and
-//!   the composable learning-agent stack (`StateSpace` ×
-//!   `ExplorationStrategy` × `UpdateRule` over one `QTable`, behind
-//!   `LearnedPolicy`/`AgentBuilder`; `CohmeleonPolicy` is the
-//!   bit-identical paper-default composition), plus the agent
+//!   the learning agent (one `LearnedPolicy` type composing a
+//!   `StateSpace`, an `Exploration` strategy and a `BlendUpdate` rule
+//!   over one `QTable`; `CohmeleonPolicy` is the bit-identical
+//!   paper-default composition), plus the agent
 //!   orchestration layer (`PolicyRouter` routing decisions through
 //!   global / per-kind / per-instance agents).
 //! * [`exp`] — experiment orchestration: the `Experiment` builder, sweep

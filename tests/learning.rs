@@ -1,11 +1,12 @@
 //! Learning-behaviour integration tests: the RL module interacting with
 //! the full simulated system.
 
-use cohmeleon_repro::core::agent::AgentBuilder;
 use cohmeleon_repro::core::policy::CohmeleonPolicy;
 use cohmeleon_repro::core::qlearn::LearningSchedule;
 use cohmeleon_repro::core::reward::RewardWeights;
+use cohmeleon_repro::core::router::{AgentScope, PolicyRouter};
 use cohmeleon_repro::core::{CoherenceMode, State};
+use cohmeleon_repro::exp::LearnerSpec;
 use cohmeleon_repro::soc::config::soc1;
 use cohmeleon_repro::soc::Soc;
 use cohmeleon_repro::workloads::generator::{generate_app, GeneratorParams};
@@ -37,8 +38,9 @@ fn training_populates_the_q_table() {
 /// The agent-stack redesign must not move paper results by a single bit:
 /// `LearnedPolicy` assembled from all default components reproduces the
 /// pre-redesign `CohmeleonPolicy`'s exact structural hash *and* Q-table
-/// TSV on the quick suite. The constants were captured from the hardwired
-/// pre-redesign implementation.
+/// TSV on the quick suite, built directly, through the paper
+/// `LearnerSpec` and through a `Global` router. The constants were
+/// captured from the hardwired pre-redesign implementation.
 #[test]
 fn golden_default_agent_matches_pre_redesign_cohmeleon() {
     let config = soc1();
@@ -61,53 +63,53 @@ fn golden_default_agent_matches_pre_redesign_cohmeleon() {
         LearningSchedule::paper_default(3),
         7,
     );
-    let (result, _) = run(Box::new(direct));
+    let (result, direct) = run(Box::new(direct));
     assert_eq!(
         result.structural_hash(),
         0x49cb7da5f2419441,
         "modeled behaviour changed for the default agent (regenerate goldens          only for *intentional* model changes)"
     );
+    assert_eq!(direct.export_table().as_deref(), Some(expected_tsv));
 
-    // The same composition assembled through the builder: identical table.
-    let built = AgentBuilder::paper(3, 7).label("cohmeleon").build();
-    let (result_built, policy) = run(Box::new(built));
-    assert_eq!(result_built.structural_hash(), 0x49cb7da5f2419441);
-    let _ = policy;
+    // The same composition named as the paper `LearnerSpec`: identical
+    // hash and table.
+    let (result_spec, spec_policy) = run(LearnerSpec::paper().build(3, 7));
+    assert_eq!(result_spec.structural_hash(), 0x49cb7da5f2419441);
+    assert_eq!(spec_policy.name(), "cohmeleon");
+    assert_eq!(spec_policy.export_table().as_deref(), Some(expected_tsv));
 
     // The agent-orchestration refactor must be invisible in the paper's
     // configuration: routing the same agent through a `Global`-scoped
     // `PolicyRouter` (what a scoped `LearnerSpec` builds) reproduces the
     // identical hash — the router forwards every decide/observe bit for
     // bit.
-    let routed = AgentBuilder::paper(3, 7).label("cohmeleon").build_routed();
+    let routed = PolicyRouter::new(AgentScope::Global, 7, |_, seed| {
+        Box::new(CohmeleonPolicy::new(
+            RewardWeights::paper_default(),
+            LearningSchedule::paper_default(3),
+            seed,
+        ))
+    });
     let (result_routed, _) = run(Box::new(routed));
     assert_eq!(
         result_routed.structural_hash(),
         0x49cb7da5f2419441,
         "Global-scoped routing changed modeled behaviour"
     );
-
-    // Re-run the direct agent to extract the trained table for the TSV pin
-    // (the boxed run above type-erased it).
-    let mut tsv_policy = CohmeleonPolicy::new(
-        RewardWeights::paper_default(),
-        LearningSchedule::paper_default(3),
-        7,
-    );
-    run_protocol(&config, &train, &test, &mut tsv_policy, 3, 7);
-    assert_eq!(tsv_policy.table().to_tsv(), expected_tsv);
 }
 
 #[test]
 fn per_kind_router_trains_one_agent_per_kind() {
-    use cohmeleon_repro::core::router::AgentScope;
-
     let config = soc1();
     let train = generate_app(&config, &GeneratorParams::quick(), 1);
     let test = generate_app(&config, &GeneratorParams::quick(), 2);
-    let mut router = AgentBuilder::paper(2, 7)
-        .scope(AgentScope::PerKind)
-        .build_routed();
+    let mut router = PolicyRouter::new(AgentScope::PerKind, 7, |_, seed| {
+        Box::new(CohmeleonPolicy::new(
+            RewardWeights::paper_default(),
+            LearningSchedule::paper_default(2),
+            seed,
+        ))
+    });
     let result = run_protocol(&config, &train, &test, &mut router, 2, 7);
     assert!(result.total_duration() > 0);
     // The engine bound the SoC topology: one sub-agent per accelerator
