@@ -25,6 +25,8 @@
 //! socket decides how those requests traverse the memory hierarchy based on
 //! the coherence mode selected at invocation time.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod profile;
 pub mod schedule;

@@ -177,7 +177,6 @@ fn serve_leg(seed: u64) -> Result<FaultPlan, (FaultPlan, String)> {
     let addr = listener.local_addr().expect("local addr").to_string();
     let server_options = ServeOptions {
         chaos: Some(plan.clone()),
-        ..ServeOptions::default()
     };
     // A lost SWAP reply makes the client retry a swap the server already
     // applied, so versions can run past 2: pad the verify list with

@@ -13,7 +13,7 @@
 //!   --app      application config file (see cohmeleon-workloads docs);
 //!              omitted = a randomly generated evaluation application
 //!   --seed     RNG seed (default 7)
-//!   --train    Cohmeleon training iterations (default 10)
+//!   --train    Cohmeleon training iterations (default 10; 0 with --load-qtable)
 //!   --save-qtable / --load-qtable
 //!              persist or restore a trained Q-table (TSV)
 //! ```
@@ -142,8 +142,10 @@ fn main() -> ExitCode {
     };
     let train_app = generate_app(&config, &GeneratorParams::default(), args.seed);
 
-    // Build the policy; a pre-trained Q-table is imported and frozen.
+    // Build the policy; a pre-trained Q-table is imported and frozen, and
+    // then evaluated without a training loop.
     let mut policy = build_policy(kind, &config, args.train.max(1), args.seed);
+    let mut train_iterations = args.train;
     if let (PolicyKind::Cohmeleon, Some(path)) = (kind, &args.load_qtable) {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
@@ -157,6 +159,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
         policy.freeze();
+        train_iterations = 0;
         println!("loaded trained Q-table from {path}");
     }
 
@@ -169,7 +172,7 @@ fn main() -> ExitCode {
         &train_app,
         &test_app,
         policy.as_mut(),
-        args.train,
+        train_iterations,
         args.seed,
     );
 

@@ -592,10 +592,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         snapshot.states(),
         snapshot.num_tables()
     );
-    let options = ServeOptions {
-        chaos,
-        ..ServeOptions::default()
-    };
+    let options = ServeOptions { chaos };
     let report = run_server(listener, snapshot, &options).map_err(|e| format!("serve: {e}"))?;
     println!(
         "sweep: served {} decisions in {} batches to {} client(s), {} swap(s), {} error(s), final version {}",

@@ -18,6 +18,8 @@
 //! configuration (smaller workloads, fewer training iterations) — useful
 //! for smoke tests; the full configuration regenerates the paper's scales.
 
+#![forbid(unsafe_code)]
+
 pub mod figures;
 pub mod scale;
 pub mod sweeps;

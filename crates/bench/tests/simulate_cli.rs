@@ -1,0 +1,41 @@
+//! `simulate --load-qtable` evaluates the loaded table and nothing else.
+//!
+//! A loaded Q-table is imported and frozen, so `--train N` must not run N
+//! training iterations on it: frozen ε-greedy draws tie-break numbers on
+//! every tied row it meets, and discarded training runs would shift the
+//! stream the test run draws from. This drives the real binary on soc6
+//! with an untrained (header-only) table, where every row ties, and
+//! asserts that the evaluation does not depend on `--train`.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+/// Runs `simulate` with `args` and returns its `total:` line.
+fn total_line(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(args)
+        .output()
+        .expect("simulate runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "simulate {args:?} failed: {}\n{stdout}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout
+        .lines()
+        .find(|line| line.starts_with("total:"))
+        .unwrap_or_else(|| panic!("simulate {args:?} printed no total line:\n{stdout}"))
+        .to_owned()
+}
+
+#[test]
+fn loaded_table_is_evaluated_without_training() {
+    let table = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("simulate_cli_untrained.tsv");
+    std::fs::write(&table, "# cohmeleon q-table v1\n").expect("write the table");
+    let table = table.to_str().expect("utf-8 path");
+
+    let run =
+        |train: &str| total_line(&["--soc", "soc6", "--load-qtable", table, "--train", train]);
+    assert_eq!(run("0"), run("2"));
+}

@@ -43,8 +43,8 @@ pub enum WalkMode {
 }
 
 /// Process-wide default [`WalkMode`] for newly built controllers
-/// (`Run` unless overridden; the perf harness flips it to measure the
-/// per-line reference).
+/// (`Run` unless overridden; `crates/bench/tests/walk_modes.rs` flips it to
+/// replay the tracked suites under the per-line reference).
 static DEFAULT_WALK_MODE: AtomicU8 = AtomicU8::new(1);
 
 /// The process-wide default [`WalkMode`] applied by

@@ -27,6 +27,8 @@
 //! checks the SWMR and inclusion invariants and is exercised by property
 //! tests.
 
+#![forbid(unsafe_code)]
+
 pub mod controller;
 pub mod effects;
 pub mod geometry;

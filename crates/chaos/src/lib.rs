@@ -40,6 +40,7 @@
 //! [`LineReader`] both sides read lines with, and the [`AcceptWaker`]
 //! that ends the queen's and the server's blocking accept loops.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod plan;

@@ -93,8 +93,10 @@ impl Exploration {
     }
 }
 
-/// Greedy argmax with deterministic lowest-index tie-breaking — the frozen
-/// behaviour shared by every strategy.
+/// Greedy argmax with deterministic lowest-index tie-breaking: the whole
+/// frozen selection of [`Softmax`] and [`Ucb1`], and the first step of
+/// [`EpsilonGreedy`]'s exploit pick, which then breaks exact and near
+/// ties at random.
 fn greedy(ctx: &SelectCtx<'_>) -> CoherenceMode {
     ctx.store
         .best_index(ctx.state, ctx.available)

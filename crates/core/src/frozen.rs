@@ -1,21 +1,23 @@
-//! Read-optimized frozen decision tables: the serving-side counterpart of
-//! the [`router`](crate::router) module.
+//! Frozen decision tables: the serving-side counterpart of the
+//! [`router`](crate::router) module.
 //!
-//! A trained policy's persisted artifact — a Q-table TSV or a namespaced
-//! router-tables document — still carries the full learner shape: per-agent
-//! Q-tables, exploration state, reward history. None of that belongs on a
-//! serving read path. This module collapses the artifact into a
-//! [`FrozenSnapshot`]: for every `(state, availability-mask)` pair the
-//! argmax is **precomputed** into a dense byte table, so a served decision
-//! is two indexed loads and no floating-point compare — and, crucially, the
-//! structure is immutable after construction, so it can be shared across
-//! reader threads behind an `Arc` with no lock and no interior mutability.
+//! A trained policy's persisted artifact is a Q-table TSV or a namespaced
+//! router-tables document: one Q-table per agent, and no exploration or
+//! reward state. [`FrozenSnapshot`] parses it once into one [`QTable`] per
+//! agent key and is never written again, so reader threads share it
+//! behind an `Arc` with no interior mutability.
 //!
 //! Semantics are pinned to the live stack:
 //!
-//! * Per-table argmax is exactly [`QTable::best_index`] (strict `>`, ties
-//!   to the lowest mode index) — the same function every frozen
-//!   exploration strategy reduces to.
+//! * A decision is the owning table's [`QTable::best_index`] (strict `>`,
+//!   ties to the lowest mode index). Frozen [`Softmax`] and [`Ucb1`]
+//!   agents decide the same way. The paper's frozen [`EpsilonGreedy`]
+//!   agent does not: it breaks exact and near ties at random, so on an
+//!   untrained all-zero row it picks like the Random policy where a
+//!   snapshot picks the lowest available mode. It is also charged
+//!   [`Learned`](PolicyComplexity::Learned) decision overhead where
+//!   [`FrozenPolicy`] is charged [`Heuristic`](PolicyComplexity::Heuristic).
+//!   This module's tests pin both differences.
 //! * Parsing, key resolution and the key → table map are the router's
 //!   own: the artifact goes through the router's tables parser, and a
 //!   decision resolves its key with [`AgentScope::key`] and looks it up in
@@ -29,6 +31,10 @@
 //! (`State::from_snapshot` + `encode_sensed`) and then consults the frozen
 //! snapshot — the local reference that a remote serving path must match
 //! bit for bit.
+//!
+//! [`Softmax`]: crate::explore::Softmax
+//! [`Ucb1`]: crate::explore::Ucb1
+//! [`EpsilonGreedy`]: crate::explore::EpsilonGreedy
 
 use std::fmt;
 use std::sync::Arc;
@@ -42,78 +48,8 @@ use crate::state::State;
 use crate::value::QTable;
 use crate::{AccelInstanceId, AccelKindId};
 
-/// Number of availability masks over the four modes (2⁴, including the
-/// unused empty mask so indexing is a plain shift).
-const MASKS: usize = 1 << CoherenceMode::COUNT;
-
-/// One agent's Q-table, collapsed to its argmax: `best[state * 16 + mask]`
-/// holds the winning mode index for every non-empty availability mask.
-#[derive(Clone)]
-pub struct FrozenTable {
-    best: Vec<u8>,
-}
-
-impl FrozenTable {
-    /// Precomputes the argmax of `table` for every `(state, mask)` pair.
-    /// `table.num_states()` rows are covered.
-    pub fn from_table(table: &QTable) -> FrozenTable {
-        let states = table.num_states();
-        let mut best = vec![0u8; states * MASKS];
-        for state in 0..states {
-            for mask in 1..MASKS {
-                let set = ModeSet::from_bits(mask as u8);
-                let mode = table.best_index(state, set).expect("non-empty mask");
-                best[state * MASKS + mask] = mode.index() as u8;
-            }
-        }
-        FrozenTable { best }
-    }
-
-    /// Number of states covered.
-    pub fn states(&self) -> usize {
-        self.best.len() / MASKS
-    }
-
-    /// The precomputed argmax for `state` among `available`; `None` iff
-    /// `available` is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range (callers validate against
-    /// [`FrozenSnapshot::states`] first).
-    #[inline]
-    pub fn decide(&self, state: usize, available: ModeSet) -> Option<CoherenceMode> {
-        if available.is_empty() {
-            return None;
-        }
-        Some(CoherenceMode::from_index(
-            self.best[state * MASKS + available.bits() as usize] as usize,
-        ))
-    }
-}
-
-impl fmt::Debug for FrozenTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FrozenTable")
-            .field("states", &self.states())
-            .finish_non_exhaustive()
-    }
-}
-
-/// 64-bit FNV-1a of the snapshot text — a cheap stable fingerprint for
-/// telling table versions apart in server stats and logs.
-fn fnv1a(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    }
-    hash
-}
-
-/// An immutable, read-optimized decision store: every agent table of one
-/// persisted artifact collapsed to [`FrozenTable`]s, keyed through the
-/// router's slot map.
+/// An immutable decision store: every agent table of one persisted
+/// artifact, keyed through the router's slot map.
 ///
 /// Construction does all the work; after [`parse`](Self::parse) the
 /// structure is never written again, so it is freely shareable across
@@ -122,8 +58,7 @@ fn fnv1a(text: &str) -> u64 {
 pub struct FrozenSnapshot {
     scope: AgentScope,
     states: usize,
-    tables: ScopeMap<FrozenTable>,
-    fingerprint: u64,
+    tables: ScopeMap<QTable>,
 }
 
 impl FrozenSnapshot {
@@ -157,14 +92,13 @@ impl FrozenSnapshot {
             .map(|(key, body)| {
                 let table = QTable::from_tsv_with_states(&body, states)
                     .map_err(|e| format!("agent {key}: {e}"))?;
-                Ok((key, FrozenTable::from_table(&table)))
+                Ok((key, table))
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(FrozenSnapshot {
             scope,
             states,
             tables: ScopeMap::new(tables),
-            fingerprint: fnv1a(text),
         })
     }
 
@@ -188,18 +122,11 @@ impl FrozenSnapshot {
         self.tables.keys()
     }
 
-    /// FNV-1a fingerprint of the source text (stable version identity for
-    /// server stats).
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Resolves one decision exactly as a frozen live router would:
-    /// the owning table's precomputed argmax, or the lowest-index
-    /// available mode where no table exists for the key (the fresh
-    /// zero-table agent's behaviour). `kind` is the instance's registered
-    /// accelerator kind, `None` if unregistered (per-kind routing then
-    /// falls back to the global catch-all).
+    /// Resolves one decision: the owning table's [`QTable::best_index`],
+    /// or the lowest-index available mode where no table exists for the
+    /// key (the fresh zero-table agent's argmax). `kind` is the instance's
+    /// registered accelerator kind, `None` if unregistered (per-kind
+    /// routing then falls back to the global catch-all).
     ///
     /// Returns `None` iff `available` is empty.
     ///
@@ -224,7 +151,7 @@ impl FrozenSnapshot {
             self.states
         );
         match self.tables.get(self.scope.key(instance, kind)) {
-            Some(table) => table.decide(state, available),
+            Some(table) => table.best_index(state, available),
             // Zero-table fallback: every Q reads 0.0, argmax is the
             // lowest-index available mode.
             None => available.iter().next(),
@@ -238,7 +165,6 @@ impl fmt::Debug for FrozenSnapshot {
             .field("scope", &self.scope)
             .field("states", &self.states)
             .field("tables", &self.keys().collect::<Vec<_>>())
-            .field("fingerprint", &format_args!("{:016x}", self.fingerprint))
             .finish()
     }
 }
@@ -282,27 +208,6 @@ impl FrozenPolicy {
             topology: Topology::default(),
         }
     }
-
-    /// Convenience constructor for paper-default (Table-3, 243-state)
-    /// snapshots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot does not cover 243 states.
-    pub fn table3(snapshot: Arc<FrozenSnapshot>) -> FrozenPolicy {
-        FrozenPolicy::new(snapshot, StateSpace::Table3)
-    }
-
-    /// The shared snapshot decisions are answered from.
-    pub fn snapshot(&self) -> &Arc<FrozenSnapshot> {
-        &self.snapshot
-    }
-
-    /// The registered kind of `instance`, if any (from
-    /// [`Policy::bind_topology`]).
-    pub fn kind_of(&self, instance: AccelInstanceId) -> Option<AccelKindId> {
-        self.topology.kind_of(instance)
-    }
 }
 
 impl fmt::Debug for FrozenPolicy {
@@ -331,7 +236,7 @@ impl Policy for FrozenPolicy {
         );
         let state = State::from_snapshot(snapshot);
         let state_index = self.space.encode_sensed(snapshot, &state);
-        let kind = self.kind_of(accel);
+        let kind = self.topology.kind_of(accel);
         let mode = self
             .snapshot
             .decide(accel, kind, state_index, available)
@@ -358,8 +263,9 @@ impl Policy for FrozenPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::LearnedPolicy;
-    use crate::explore::{Exploration, Softmax};
+    use crate::agent::{CohmeleonPolicy, LearnedPolicy};
+    use crate::explore::{EpsilonGreedy, Exploration, Softmax};
+    use crate::qlearn::LearningSchedule;
     use crate::reward::RewardWeights;
     use crate::router::PolicyRouter;
     use crate::snapshot::{ActiveAccel, ArchParams};
@@ -386,8 +292,9 @@ mod tests {
         SystemSnapshot::new(arch(), active, footprint, vec![PartitionId(0)])
     }
 
-    /// A deterministic synthetic table: distinct values per entry so
-    /// argmaxes differ across states and masks.
+    /// A deterministic synthetic table: the four values of every row are
+    /// distinct (no row has a tie), and argmaxes differ across states and
+    /// masks.
     fn synthetic_table(states: usize, salt: u64) -> QTable {
         let mut t = QTable::with_states(states);
         for s in 0..states {
@@ -397,24 +304,6 @@ mod tests {
             }
         }
         t
-    }
-
-    #[test]
-    fn frozen_table_matches_best_index_everywhere() {
-        let table = synthetic_table(27, 3);
-        let frozen = FrozenTable::from_table(&table);
-        assert_eq!(frozen.states(), 27);
-        for state in 0..27 {
-            for mask in 1u8..16 {
-                let set = ModeSet::from_bits(mask);
-                assert_eq!(
-                    frozen.decide(state, set),
-                    table.best_index(state, set),
-                    "state {state} mask {mask:#06b}"
-                );
-            }
-        }
-        assert_eq!(frozen.decide(0, ModeSet::EMPTY), None);
     }
 
     #[test]
@@ -444,11 +333,6 @@ mod tests {
         );
         let snap = FrozenSnapshot::parse(&text, 243).unwrap();
         assert_eq!(snap.num_tables(), 1);
-        // Different text, different fingerprint.
-        assert_ne!(
-            snap.fingerprint(),
-            FrozenSnapshot::parse(&table.to_tsv(), 243).unwrap().fingerprint()
-        );
         // The same holds for a router-tables document.
         let text = format!(
             "# snapshot v1 grid=scoped scenario=soc1 policy=ql seed=1 hash=abc\n\n\
@@ -500,8 +384,10 @@ mod tests {
 
     /// The headline identity: a frozen snapshot parsed from a live
     /// router's export decides bit-identically to that router, on every
-    /// scope, including catch-all fallbacks. Softmax agents are pure
-    /// argmax once frozen, so the live side is deterministic.
+    /// scope. The synthetic tables have no tied row, so frozen Softmax
+    /// agents and the paper's frozen ε-greedy agents are both pure argmax
+    /// on them. The overhead class still differs: the live agents are
+    /// charged `Learned`, the snapshot `Heuristic`.
     #[test]
     fn snapshot_matches_live_router_on_every_scope() {
         let topology = [
@@ -523,46 +409,101 @@ mod tests {
             ModeSet::from_modes([CoherenceMode::NonCohDma, CoherenceMode::CohDma]),
             ModeSet::from_modes([CoherenceMode::LlcCohDma, CoherenceMode::FullCoh]),
         ];
-        for scope in AgentScope::ALL {
-            let mut router = PolicyRouter::new(scope, 11, |_, seed| {
-                Box::new(LearnedPolicy::with_components(
-                    "softmax",
-                    StateSpace::Table3,
-                    Exploration::Softmax(Softmax::default_schedule(3)),
-                    BlendUpdate::paper(3),
-                    RewardWeights::paper_default(),
-                    3,
-                    seed,
-                ))
-            });
-            router.bind_topology(&topology);
-            // Plant distinct per-agent tables through the namespaced
-            // import, then freeze: live decisions are now pure argmax.
-            let mut doc = format!("# cohmeleon router tables v1 scope={scope}\n");
-            for (i, key) in router.agent_keys().collect::<Vec<_>>().into_iter().enumerate() {
-                doc.push_str(&format!("## agent {key}\n"));
-                doc.push_str(&synthetic_table(243, i as u64 + 1).to_tsv());
-            }
-            router.import_tables(&doc).unwrap();
-            router.freeze();
+        // Instance 9 is unregistered: per-kind falls back to the global
+        // catch-all, per-instance to the zero-table default. Those agents
+        // hold no synthetic table, so every row of theirs ties, and only
+        // the Softmax agents decide them like the snapshot (the ε-greedy
+        // side is pinned by the next test).
+        let cases = [
+            (
+                Exploration::Softmax(Softmax::default_schedule(3)),
+                &[0u16, 1, 2, 3, 9][..],
+            ),
+            (
+                Exploration::EpsilonGreedy(EpsilonGreedy::paper(3)),
+                &[0u16, 1, 2, 3][..],
+            ),
+        ];
+        for (explore, instances) in cases {
+            for scope in AgentScope::ALL {
+                let explore = explore.clone();
+                let mut router = PolicyRouter::new(scope, 11, move |_, seed| {
+                    Box::new(LearnedPolicy::with_components(
+                        "agent",
+                        StateSpace::Table3,
+                        explore.clone(),
+                        BlendUpdate::paper(3),
+                        RewardWeights::paper_default(),
+                        3,
+                        seed,
+                    ))
+                });
+                router.bind_topology(&topology);
+                // Plant distinct per-agent tables through the namespaced
+                // import, then freeze: live decisions are now pure argmax.
+                let mut doc = format!("# cohmeleon router tables v1 scope={scope}\n");
+                for (i, key) in router
+                    .agent_keys()
+                    .collect::<Vec<_>>()
+                    .into_iter()
+                    .enumerate()
+                {
+                    doc.push_str(&format!("## agent {key}\n"));
+                    doc.push_str(&synthetic_table(243, i as u64 + 1).to_tsv());
+                }
+                router.import_tables(&doc).unwrap();
+                router.freeze();
 
-            let frozen =
-                Arc::new(FrozenSnapshot::parse(&router.export_tables(), 243).unwrap());
-            assert_eq!(frozen.scope(), scope);
-            let mut policy = FrozenPolicy::table3(Arc::clone(&frozen));
-            policy.bind_topology(&topology);
+                let frozen = Arc::new(FrozenSnapshot::parse(&router.export_tables(), 243).unwrap());
+                assert_eq!(frozen.scope(), scope);
+                let mut policy = FrozenPolicy::new(Arc::clone(&frozen), StateSpace::Table3);
+                policy.bind_topology(&topology);
+                assert_eq!(router.complexity(), PolicyComplexity::Learned);
+                assert_eq!(policy.complexity(), PolicyComplexity::Heuristic);
 
-            // Instance 9 is unregistered: per-kind falls back to the
-            // global catch-all, per-instance to the zero-table default.
-            for instance in [0u16, 1, 2, 3, 9] {
-                for snap in &snaps {
-                    for set in sets {
-                        let live = router.decide(snap, set, AccelInstanceId(instance));
-                        let cold = policy.decide(snap, set, AccelInstanceId(instance));
-                        assert_eq!(live, cold, "scope {scope} instance {instance}");
+                for &instance in instances {
+                    for snap in &snaps {
+                        for set in sets {
+                            let live = router.decide(snap, set, AccelInstanceId(instance));
+                            let cold = policy.decide(snap, set, AccelInstanceId(instance));
+                            assert_eq!(live, cold, "scope {scope} instance {instance}");
+                        }
                     }
                 }
             }
+        }
+    }
+
+    /// Where the two frozen semantics part: on an untrained all-zero row
+    /// the paper's frozen ε-greedy agent breaks the four-way tie at
+    /// random, while a snapshot of the same agent always answers the
+    /// lowest-index mode.
+    #[test]
+    fn untrained_agent_ties_at_random_but_its_snapshot_does_not() {
+        let mut agent = CohmeleonPolicy::new(
+            RewardWeights::paper_default(),
+            LearningSchedule::paper_default(3),
+            5,
+        );
+        agent.freeze();
+        let snap = busy(2, 64 * 1024);
+        let accel = AccelInstanceId(0);
+        let picks: Vec<CoherenceMode> = (0..32)
+            .map(|_| agent.decide(&snap, ModeSet::all(), accel).mode)
+            .collect();
+        assert!(
+            picks.iter().any(|&mode| mode != picks[0]),
+            "frozen ε-greedy should break all-zero ties at random: {picks:?}"
+        );
+
+        let text = agent.export_table().unwrap();
+        let frozen = Arc::new(FrozenSnapshot::parse(&text, 243).unwrap());
+        let mut policy = FrozenPolicy::new(frozen, StateSpace::Table3);
+        for _ in 0..32 {
+            assert_eq!(
+                policy.decide(&snap, ModeSet::all(), accel).mode,
+                CoherenceMode::NonCohDma
+            );
         }
     }
 

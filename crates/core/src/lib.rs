@@ -91,6 +91,8 @@
 //! policy.observe(AccelInstanceId(0), &decision, &measurement);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agent;
 pub mod error;
 pub mod explore;
@@ -111,7 +113,7 @@ pub mod value;
 pub use agent::{CohmeleonPolicy, LearnedPolicy};
 pub use error::CoreError;
 pub use explore::{EpsilonGreedy, Exploration, SelectCtx, Softmax, Ucb1};
-pub use frozen::{FrozenPolicy, FrozenSnapshot, FrozenTable};
+pub use frozen::{FrozenPolicy, FrozenSnapshot};
 pub use modes::{CoherenceMode, ModeSet};
 pub use policy::{Decision, Policy};
 pub use router::{AgentScope, PolicyRouter, ScopeKey};

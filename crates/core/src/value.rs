@@ -77,8 +77,10 @@ impl QTable {
     /// Returns `None` if `available` is empty. This is the single argmax
     /// used by [`best_action`](Self::best_action), by every exploration
     /// strategy's greedy path and by
-    /// [`FrozenTable`](crate::frozen::FrozenTable), so tie semantics cannot
-    /// drift between them.
+    /// [`FrozenSnapshot::decide`](crate::frozen::FrozenSnapshot::decide).
+    /// Frozen Softmax and UCB1 agents return it as is; the paper's
+    /// ε-greedy agent then breaks exact and near ties with it at random
+    /// (see [`EpsilonGreedy`](crate::explore::EpsilonGreedy)).
     pub fn best_index(&self, state: usize, available: ModeSet) -> Option<CoherenceMode> {
         let mut best: Option<(CoherenceMode, f64)> = None;
         for mode in available.iter() {

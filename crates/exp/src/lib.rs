@@ -90,6 +90,7 @@
 //! ([`Protocol::EvaluateOnly`]), so a one-cell grid reproduces the old free
 //! functions bit for bit.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;

@@ -46,6 +46,7 @@
 //! table and coordination diagram, and `cohmeleon-bench`'s `sweep queen`
 //! / `sweep worker` / `sweep shard` subcommands for the CLI entry points.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lease;

@@ -21,6 +21,8 @@
 //! footprint-proportional approximation of Section 4.3 used to split a
 //! controller's traffic among concurrently-active accelerators.
 
+#![forbid(unsafe_code)]
+
 use cohmeleon_sim::stats::Counter;
 use cohmeleon_sim::{Cycle, Resource};
 use serde::{Deserialize, Serialize};

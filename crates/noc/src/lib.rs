@@ -31,6 +31,8 @@
 //! assert!(arrival > Cycle(100));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod mesh;
 pub mod network;
 

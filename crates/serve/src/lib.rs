@@ -9,10 +9,10 @@
 //!
 //! * [`protocol`] — the `serve/1` line protocol: `HELLO`, batched
 //!   `DECIDE`, `SWAP`, `STAT`, `SHUTDOWN`.
-//! * [`swap`] — [`SwapCell`]: a hand-rolled arc-swap so the read path
-//!   never takes a lock.
 //! * [`server`] — [`run_server`]: one handler thread per connection; each
-//!   `DECIDE` batch is answered from exactly one table version.
+//!   `DECIDE` batch clones the live table's `Arc` once under a read lock,
+//!   so it is answered from exactly one table version, and a `SWAP`
+//!   installs a new version with one assignment under the write lock.
 //! * [`client`] — [`ServeClient`] plus [`RemotePolicy`], a [`Policy`]
 //!   adapter proving a simulation can outsource its decide phase and stay
 //!   bit-identical to local frozen dispatch.
@@ -22,6 +22,7 @@
 //!
 //! [`Policy`]: cohmeleon_core::Policy
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
@@ -29,11 +30,9 @@ pub mod histogram;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;
-pub mod swap;
 
 pub use client::{RemotePolicy, ServeClient, ServerStat};
 pub use histogram::LogHistogram;
 pub use loadgen::{run_load, LoadOptions, LoadReport, SwapPlan};
 pub use protocol::{Query, ToClient, ToServer, PROTOCOL_VERSION};
-pub use server::{run_server, ServeOptions, ServerReport, TableVersion};
-pub use swap::SwapCell;
+pub use server::{run_server, ServeOptions, ServerReport};

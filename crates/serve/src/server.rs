@@ -1,4 +1,4 @@
-//! The decision server: concurrent clients, a lock-free read path, and
+//! The decision server: concurrent clients, a shared read path, and
 //! atomic snapshot hot-swap.
 //!
 //! Mirrors the fleet queen's shape — a blocking accept loop inside
@@ -6,18 +6,18 @@
 //! short read timeout, and the last handler out after `SHUTDOWN` waking
 //! the accept loop — but the shared state is deliberately different:
 //! where the queen funnels every message through one mutex, the server's
-//! hot path touches **no lock at all**. The live table is an
-//! `Arc<TableVersion>` behind a [`SwapCell`]; a `DECIDE` handler loads it
-//! once per batch (so the whole batch is answered from exactly one
-//! version, which the `MODES` reply names) and answers every query with
-//! two indexed loads into the frozen snapshot. Counters are relaxed
-//! atomics; only `SWAP` — a rare administrative verb — takes a mutex, and
-//! only against other swaps.
+//! handlers only share a read lock. The live table is an
+//! `Arc<TableVersion>` behind a `std::sync::RwLock`; a `DECIDE` handler
+//! clones the `Arc` under a read guard once per batch (so the whole batch
+//! is answered from exactly one version, which the `MODES` reply names)
+//! and answers every query from the frozen snapshot with no lock held.
+//! Counters are relaxed atomics; only `SWAP` — a rare administrative verb
+//! — takes the write guard, for one assignment.
 
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 
 use cohmeleon_chaos::{AcceptWaker, FaultPlan, FaultyTransport, Role};
@@ -25,35 +25,26 @@ use cohmeleon_core::frozen::FrozenSnapshot;
 use cohmeleon_core::{AccelInstanceId, AccelKindId, ModeSet};
 
 use crate::protocol::{LineReader, Query, ToClient, ToServer};
-use crate::swap::SwapCell;
+
+/// Handler read timeout: how quickly a handler notices shutdown under a
+/// silent peer.
+const READ_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// One installed snapshot with its monotonic version number.
-pub struct TableVersion {
+struct TableVersion {
     /// The version (1 for the initial table, +1 per successful `SWAP`).
-    pub version: u64,
+    version: u64,
     /// The immutable decision store.
-    pub snapshot: FrozenSnapshot,
+    snapshot: FrozenSnapshot,
 }
 
 /// Tuning knobs for [`run_server`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
-    /// Handler read timeout — how quickly a handler notices shutdown
-    /// under a silent peer.
-    pub read_timeout: Duration,
     /// Seeded network fault injection: when set, every accepted client
     /// connection is wrapped in a [`FaultyTransport`] playing
     /// [`Role::Server`]. `None` is the plain direct path.
     pub chaos: Option<FaultPlan>,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            read_timeout: Duration::from_millis(200),
-            chaos: None,
-        }
-    }
 }
 
 /// What a server run did.
@@ -75,9 +66,9 @@ pub struct ServerReport {
 
 /// State shared by every handler thread.
 struct Shared {
-    live: SwapCell<TableVersion>,
-    /// Serialises swaps against each other (never against readers).
-    swap_lock: Mutex<()>,
+    /// The live table. A swap is one assignment under the write guard,
+    /// so even a poisoned lock holds a whole `Arc`.
+    live: RwLock<Arc<TableVersion>>,
     /// Every snapshot ever installed must cover this many states; query
     /// validation happens against it before dispatch.
     states: usize,
@@ -108,11 +99,10 @@ pub fn run_server(
 ) -> io::Result<ServerReport> {
     let shared = Shared {
         states: initial.states(),
-        live: SwapCell::new(Arc::new(TableVersion {
+        live: RwLock::new(Arc::new(TableVersion {
             version: 1,
             snapshot: initial,
         })),
-        swap_lock: Mutex::new(()),
         decisions: AtomicU64::new(0),
         batches: AtomicU64::new(0),
         swaps: AtomicU64::new(0),
@@ -159,8 +149,15 @@ pub fn run_server(
         swaps: shared.swaps.load(Ordering::Relaxed),
         clients: shared.clients.load(Ordering::Relaxed),
         errors: shared.errors.load(Ordering::Relaxed),
-        final_version: shared.live.load().version,
+        final_version: shared.live().version,
     })
+}
+
+impl Shared {
+    /// The live table version: one `Arc` clone under a read guard.
+    fn live(&self) -> Arc<TableVersion> {
+        Arc::clone(&self.live.read().unwrap_or_else(PoisonError::into_inner))
+    }
 }
 
 fn send(writer: &mut FaultyTransport, message: &ToClient) -> io::Result<()> {
@@ -186,7 +183,7 @@ fn serve_client(stream: TcpStream, shared: &Shared, options: &ServeOptions) {
     else {
         return;
     };
-    if stream.set_read_timeout(Some(options.read_timeout)).is_err() {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
         return;
     }
     let Ok(mut writer) = stream.try_clone() else {
@@ -227,7 +224,7 @@ fn serve_client(stream: TcpStream, shared: &Shared, options: &ServeOptions) {
                 reject(shared, &mut writer, format!("expected HELLO, got `{line}`"));
                 return;
             };
-            let live = shared.live.load();
+            let live = shared.live();
             let hello = ToClient::Hello {
                 version: live.version,
                 scope: live.snapshot.scope(),
@@ -245,9 +242,9 @@ fn serve_client(stream: TcpStream, shared: &Shared, options: &ServeOptions) {
                 reject(shared, &mut writer, "unexpected mid-session HELLO".into());
             }
             ToServer::Decide { queries } => {
-                // One load for the whole batch: every query is answered
+                // One clone for the whole batch: every query is answered
                 // from exactly this version, torn-free by construction.
-                let live = shared.live.load();
+                let live = shared.live();
                 match decide_batch(&live.snapshot, shared.states, &queries) {
                     Ok(modes) => {
                         shared
@@ -287,7 +284,7 @@ fn serve_client(stream: TcpStream, shared: &Shared, options: &ServeOptions) {
             },
             ToServer::Stat => {
                 let reply = ToClient::Stat {
-                    version: shared.live.load().version,
+                    version: shared.live().version,
                     decisions: shared.decisions.load(Ordering::Relaxed),
                     batches: shared.batches.load(Ordering::Relaxed),
                     swaps: shared.swaps.load(Ordering::Relaxed),
@@ -336,8 +333,9 @@ fn decide_batch(
     Ok(modes)
 }
 
-/// Loads, parses and atomically installs a new snapshot. Serialised
-/// against other swaps; readers are never blocked.
+/// Loads, parses and atomically installs a new snapshot. Reading and
+/// parsing happen outside the lock; the write guard then serialises the
+/// version bump and the assignment against other swaps and readers.
 fn install_snapshot(
     shared: &Shared,
     path: &str,
@@ -348,11 +346,9 @@ fn install_snapshot(
         .map_err(|e| format!("swap: `{path}`: {e}"))?;
     let scope = snapshot.scope();
     let tables = snapshot.num_tables();
-    let _guard = shared.swap_lock.lock().expect("swap lock");
-    let version = shared.live.load().version + 1;
-    shared
-        .live
-        .store(Arc::new(TableVersion { version, snapshot }));
+    let mut live = shared.live.write().unwrap_or_else(PoisonError::into_inner);
+    let version = live.version + 1;
+    *live = Arc::new(TableVersion { version, snapshot });
     shared.swaps.fetch_add(1, Ordering::Relaxed);
     Ok((version, scope, tables))
 }

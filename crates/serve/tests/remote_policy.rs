@@ -79,7 +79,7 @@ fn remote_dispatch_is_bit_identical_to_local() {
     let config = soc1();
     let app = generate_app(&config, &GeneratorParams::default(), 33);
 
-    let mut local = FrozenPolicy::table3(Arc::new(snapshot.clone()));
+    let mut local = FrozenPolicy::new(Arc::new(snapshot.clone()), StateSpace::Table3);
     let local_result = evaluate_policy(&config, &app, &mut local, SEED);
 
     let (addr, server) = spawn_server(snapshot);

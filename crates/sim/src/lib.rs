@@ -36,6 +36,8 @@
 //! assert_eq!(grant.end, Cycle(21));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod events;
 pub mod resource;
 pub mod rng;

@@ -42,6 +42,8 @@
 //! assert_eq!(result.phases[0].invocations.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod config;
 pub mod engine;

@@ -18,6 +18,8 @@
 //! * [`runner`] — the train-then-test experiment protocol and metric
 //!   normalization helpers shared by the figure harnesses.
 
+#![forbid(unsafe_code)]
+
 pub mod appconfig;
 pub mod case_studies;
 pub mod generator;

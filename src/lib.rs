@@ -62,10 +62,11 @@
 //!   checkpoint (see the `sweep queen`/`sweep worker` subcommands).
 //! * [`serve`] — the online decision-serving runtime: a TCP server
 //!   dispatching batched `decide()` queries against an immutable frozen
-//!   snapshot, hot-swappable mid-traffic with lock-free reads, plus the
-//!   client, the in-engine `RemotePolicy` adapter (bit-identical to
-//!   local dispatch) and the verifying load generator (see the `sweep
-//!   freeze`/`sweep serve`/`sweep clients` subcommands).
+//!   snapshot, hot-swappable mid-traffic behind a `RwLock` (one read
+//!   guard per batch, one write guard per swap), plus the client, the
+//!   in-engine `RemotePolicy` adapter (bit-identical to local dispatch)
+//!   and the verifying load generator (see the `sweep freeze`/`sweep
+//!   serve`/`sweep clients` subcommands).
 //! * [`chaos`] — deterministic network fault injection for the two
 //!   runtimes above: a seeded, replayable `FaultyTransport` (split
 //!   writes, stalls, resets, duplicated idempotent lines, reordered
@@ -76,6 +77,8 @@
 //! * [`accel`] — accelerator communication models and the traffic generator.
 //! * [`workloads`] — the phase/thread/chain evaluation applications.
 //! * [`sim`], [`noc`], [`cache`], [`mem`] — the simulation substrates.
+
+#![forbid(unsafe_code)]
 
 pub use cohmeleon_accel as accel;
 pub use cohmeleon_cache as cache;
