@@ -33,5 +33,5 @@ pub mod schedule;
 pub mod table2;
 
 pub use catalog::{catalog, AccelSpec};
-pub use profile::{AccessPattern, AccelProfile};
+pub use profile::{AccelProfile, AccessPattern};
 pub use schedule::{BurstOp, BurstSchedule};

@@ -219,7 +219,10 @@ mod tests {
     #[test]
     fn pattern_labels() {
         assert_eq!(AccessPattern::Streaming.label(), "streaming");
-        assert_eq!(AccessPattern::Strided { stride_lines: 2 }.label(), "strided");
+        assert_eq!(
+            AccessPattern::Strided { stride_lines: 2 }.label(),
+            "strided"
+        );
         assert_eq!(
             AccessPattern::Irregular {
                 access_fraction: 0.5

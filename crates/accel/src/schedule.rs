@@ -98,11 +98,7 @@ impl BurstSchedule {
     }
 
     /// Spreads the write traffic evenly among the read bursts.
-    fn interleave_writes(
-        profile: &AccelProfile,
-        lines: u64,
-        reads: Vec<BurstOp>,
-    ) -> Vec<BurstOp> {
+    fn interleave_writes(profile: &AccelProfile, lines: u64, reads: Vec<BurstOp>) -> Vec<BurstOp> {
         let total_write_lines = (profile.write_factor * lines as f64).round() as u64;
         if total_write_lines == 0 {
             return reads;
@@ -260,8 +256,12 @@ mod tests {
         assert_eq!(a, b);
         let c = BurstSchedule::generate(&p, 256, 43);
         assert_ne!(a, c, "different seeds sample different offsets");
-        let offsets: std::collections::HashSet<u64> =
-            a.ops().iter().filter(|o| !o.write).map(|o| o.line_offset).collect();
+        let offsets: std::collections::HashSet<u64> = a
+            .ops()
+            .iter()
+            .filter(|o| !o.write)
+            .map(|o| o.line_offset)
+            .collect();
         assert!(offsets.len() > 4, "irregular offsets should scatter");
     }
 

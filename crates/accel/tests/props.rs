@@ -6,30 +6,28 @@ use proptest::prelude::*;
 
 fn arb_profile() -> impl Strategy<Value = AccelProfile> {
     (
-        1u64..64,          // burst_lines
-        0u64..256,         // compute per line
-        0.25f64..4.0,      // read factor
-        0.0f64..4.0,       // write factor
-        0usize..3,         // pattern selector
-        1u64..32,          // stride
-        0.05f64..1.0,      // access fraction
-        any::<bool>(),     // in place
+        1u64..64,      // burst_lines
+        0u64..256,     // compute per line
+        0.25f64..4.0,  // read factor
+        0.0f64..4.0,   // write factor
+        0usize..3,     // pattern selector
+        1u64..32,      // stride
+        0.05f64..1.0,  // access fraction
+        any::<bool>(), // in place
     )
-        .prop_map(
-            |(burst, compute, rf, wf, pat, stride, frac, in_place)| {
-                let mut p = AccelProfile::streaming("prop", burst, compute, rf, wf);
-                p = match pat {
-                    1 => p.with_stride(stride),
-                    2 => p.with_irregular(frac),
-                    _ => p,
-                };
-                if in_place {
-                    p.with_in_place()
-                } else {
-                    p
-                }
-            },
-        )
+        .prop_map(|(burst, compute, rf, wf, pat, stride, frac, in_place)| {
+            let mut p = AccelProfile::streaming("prop", burst, compute, rf, wf);
+            p = match pat {
+                1 => p.with_stride(stride),
+                2 => p.with_irregular(frac),
+                _ => p,
+            };
+            if in_place {
+                p.with_in_place()
+            } else {
+                p
+            }
+        })
 }
 
 proptest! {

@@ -30,7 +30,10 @@ fn main() {
                 let test = generate_app(&config, &GeneratorParams::quick(), seed + 1);
                 let mut policy = build_policy(kind, &config, 2, seed);
                 let result = run_protocol(&config, &train, &test, policy.as_mut(), 2, seed);
-                println!("{name} {kind:?} seed={seed} hash={:#018x}", result.structural_hash());
+                println!(
+                    "{name} {kind:?} seed={seed} hash={:#018x}",
+                    result.structural_hash()
+                );
             }
         }
     }

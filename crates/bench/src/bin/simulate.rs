@@ -23,8 +23,8 @@ use std::process::ExitCode;
 use cohmeleon_bench::policies::{build_policy, PolicyKind};
 use cohmeleon_bench::table;
 use cohmeleon_soc::config::{
-    motivation_isolation_soc, motivation_parallel_soc, soc0, soc0_irregular, soc0_streaming,
-    soc1, soc2, soc3, soc4, soc5, soc6,
+    motivation_isolation_soc, motivation_parallel_soc, soc0, soc0_irregular, soc0_streaming, soc1,
+    soc2, soc3, soc4, soc5, soc6,
 };
 use cohmeleon_soc::SocConfig;
 use cohmeleon_workloads::appconfig::parse_app;
@@ -53,10 +53,7 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
             "--soc" => args.soc = value("--soc")?,
             "--policy" => args.policy = value("--policy")?,
@@ -104,7 +101,16 @@ fn main() -> ExitCode {
             if e != "help" {
                 eprintln!("error: {e}\n");
             }
-            eprintln!("{}", include_str!("simulate.rs").lines().skip(3).take(16).map(|l| l.trim_start_matches("//! ")).collect::<Vec<_>>().join("\n"));
+            eprintln!(
+                "{}",
+                include_str!("simulate.rs")
+                    .lines()
+                    .skip(3)
+                    .take(16)
+                    .map(|l| l.trim_start_matches("//! "))
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            );
             return ExitCode::from(2);
         }
     };

@@ -75,11 +75,11 @@ use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
 use cohmeleon_bench::sweeps::{named_experiment, print_figure, GRID_NAMES};
-use cohmeleon_chaos::FaultPlan;
 use cohmeleon_bench::Scale;
-use cohmeleon_exp::{Checkpoint, SweepGrid, WorkStealing};
+use cohmeleon_chaos::FaultPlan;
 use cohmeleon_core::FrozenSnapshot;
 use cohmeleon_exp::{write_snapshot, SnapshotMeta};
+use cohmeleon_exp::{Checkpoint, SweepGrid, WorkStealing};
 use cohmeleon_fleet::{run_local, run_queen, run_worker, QueenOptions, WorkerOptions};
 use cohmeleon_serve::{run_load, run_server, LoadOptions, ServeClient, ServeOptions, SwapPlan};
 
@@ -535,7 +535,8 @@ fn cmd_freeze(args: &[String]) -> Result<(), String> {
         seed: result.seed,
         structural_hash: result.result.structural_hash(),
     };
-    write_snapshot(&out, &meta, &tables).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    write_snapshot(&out, &meta, &tables)
+        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     println!(
         "sweep: froze `{}` cell (scenario `{}`, policy `{}`, seed {}) → {}",
         grid_name,
@@ -577,8 +578,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Ok(Some(meta)) = SnapshotMeta::parse(&text) {
         println!("sweep: snapshot provenance: {meta}");
     }
-    let snapshot = FrozenSnapshot::parse(&text, states)
-        .map_err(|e| format!("{}: {e}", table.display()))?;
+    let snapshot =
+        FrozenSnapshot::parse(&text, states).map_err(|e| format!("{}: {e}", table.display()))?;
     let listener = std::net::TcpListener::bind(&listen)
         .map_err(|e| format!("cannot listen on {listen}: {e}"))?;
     let addr = listener

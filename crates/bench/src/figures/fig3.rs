@@ -88,8 +88,11 @@ pub fn run(scale: Scale) -> Data {
         for (p, mode) in CoherenceMode::ALL.into_iter().enumerate() {
             let invs = &results.cell(s, p, 0).result.phases[0].invocations;
             let n = invs.len().max(1) as f64;
-            let mean_time =
-                invs.iter().map(|r| r.measurement.total_cycles as f64).sum::<f64>() / n;
+            let mean_time = invs
+                .iter()
+                .map(|r| r.measurement.total_cycles as f64)
+                .sum::<f64>()
+                / n;
             let mean_mem = invs
                 .iter()
                 .map(|r| r.measurement.offchip_accesses)
@@ -138,7 +141,14 @@ pub fn print(data: &Data) {
     println!(
         "{}",
         table::render(
-            &["parallel", "mode", "norm-time", "norm-mem", "cycles", "offchip"],
+            &[
+                "parallel",
+                "mode",
+                "norm-time",
+                "norm-mem",
+                "cycles",
+                "offchip"
+            ],
             &rows
         )
     );

@@ -73,10 +73,7 @@ pub fn run(scale: Scale) -> Data {
             rows.push(tally(
                 &name,
                 class.label(),
-                records
-                    .iter()
-                    .filter(|(c, _)| *c == class)
-                    .map(|(_, m)| *m),
+                records.iter().filter(|(c, _)| *c == class).map(|(_, m)| *m),
             ));
         }
     }
@@ -120,7 +117,14 @@ pub fn print(data: &Data) {
     println!(
         "{}",
         table::render(
-            &["policy (size)", "non-coh-dma", "llc-coh-dma", "coh-dma", "full-coh", "n"],
+            &[
+                "policy (size)",
+                "non-coh-dma",
+                "llc-coh-dma",
+                "coh-dma",
+                "full-coh",
+                "n"
+            ],
             &rows
         )
     );

@@ -7,9 +7,7 @@
 //! every cell normalized against the paper's composition — which ablation
 //! choices Cohmeleon's results actually depend on.
 
-use cohmeleon_exp::{
-    CellRecord, Experiment, ExplorationKind, LearnerSpec, StateSpace, UpdateKind,
-};
+use cohmeleon_exp::{CellRecord, Experiment, ExplorationKind, LearnerSpec, StateSpace, UpdateKind};
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 
@@ -39,11 +37,7 @@ pub struct Data {
 /// The swept axes: every state space, every exploration strategy, both
 /// update rules — 18 compositions, the paper's (`cohmeleon`) first.
 pub fn specs() -> Vec<LearnerSpec> {
-    let mut specs = LearnerSpec::grid(
-        &StateSpace::ALL,
-        &ExplorationKind::ALL,
-        &UpdateKind::ALL,
-    );
+    let mut specs = LearnerSpec::grid(&StateSpace::ALL, &ExplorationKind::ALL, &UpdateKind::ALL);
     // The paper composition is the normalization baseline: cell 0.
     specs.retain(|s| *s != LearnerSpec::paper());
     specs.insert(0, LearnerSpec::paper());
@@ -126,8 +120,7 @@ mod tests {
         let specs = specs();
         assert_eq!(specs.len(), 18);
         assert_eq!(specs[0], LearnerSpec::paper());
-        let spaces: std::collections::HashSet<_> =
-            specs.iter().map(|s| s.state_space).collect();
+        let spaces: std::collections::HashSet<_> = specs.iter().map(|s| s.state_space).collect();
         let explorations: std::collections::HashSet<_> =
             specs.iter().map(|s| s.exploration).collect();
         let updates: std::collections::HashSet<_> = specs.iter().map(|s| s.update).collect();

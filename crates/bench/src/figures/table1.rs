@@ -11,7 +11,14 @@ pub fn print() {
         .map(|entry| {
             let mut cells = vec![entry.system.to_owned()];
             for mode in CoherenceMode::ALL {
-                cells.push(if entry.modes.contains(mode) { "✓" } else { "" }.to_owned());
+                cells.push(
+                    if entry.modes.contains(mode) {
+                        "✓"
+                    } else {
+                        ""
+                    }
+                    .to_owned(),
+                );
             }
             cells
         })
@@ -19,7 +26,13 @@ pub fn print() {
     println!(
         "{}",
         table::render(
-            &["system", "non-coh DMA", "LLC-coh DMA", "coh DMA", "fully-coh"],
+            &[
+                "system",
+                "non-coh DMA",
+                "LLC-coh DMA",
+                "coh DMA",
+                "fully-coh"
+            ],
             &rows
         )
     );

@@ -7,10 +7,7 @@ use crate::table;
 
 /// Prints Table 2 from the data in `cohmeleon-accel`.
 pub fn print() {
-    let names: Vec<String> = catalog()
-        .into_iter()
-        .map(|s| s.profile.name)
-        .collect();
+    let names: Vec<String> = catalog().into_iter().map(|s| s.profile.name).collect();
     let header: Vec<&str> = std::iter::once("suite")
         .chain(names.iter().map(|n| n.as_str()))
         .collect();

@@ -103,7 +103,10 @@ pub fn print(data: &Data) {
         .collect();
     println!(
         "{}",
-        table::render(&["scope", "weights", "label", "norm-time", "norm-mem"], &rows)
+        table::render(
+            &["scope", "weights", "label", "norm-time", "norm-mem"],
+            &rows
+        )
     );
     println!("(normalized to global scope + paper weights; >1.00 means worse)");
 }
@@ -117,8 +120,7 @@ mod tests {
         let specs = specs();
         assert_eq!(specs.len(), SCOPES.len() * WeightPreset::ALL.len());
         assert_eq!(specs[0], LearnerSpec::paper());
-        let labels: std::collections::HashSet<String> =
-            specs.iter().map(|s| s.label()).collect();
+        let labels: std::collections::HashSet<String> = specs.iter().map(|s| s.label()).collect();
         assert_eq!(labels.len(), specs.len(), "labels must be distinct");
         assert!(labels.contains("cohmeleon"));
     }

@@ -107,7 +107,11 @@ fn suite(scale: Scale) -> Experiment {
     let train = generate_app(&config, &params, 1);
     let test = generate_app(&config, &params, 2);
     Experiment::train_test(config, train, test)
-        .policy_kinds([PolicyKind::FixedNonCoh, PolicyKind::Manual, PolicyKind::Cohmeleon])
+        .policy_kinds([
+            PolicyKind::FixedNonCoh,
+            PolicyKind::Manual,
+            PolicyKind::Cohmeleon,
+        ])
         .seeds([1, 2, 3, 4])
         .train_iterations(scale.pick(2, 1))
 }
@@ -225,8 +229,14 @@ mod tests {
     fn rebuilding_a_named_grid_is_deterministic() {
         // The fleet-worker contract: a worker process rebuilding the grid
         // by name must get bit-identical cells.
-        let a = named_experiment("suite", Scale::Fast).unwrap().build().unwrap();
-        let b = named_experiment("suite", Scale::Fast).unwrap().build().unwrap();
+        let a = named_experiment("suite", Scale::Fast)
+            .unwrap()
+            .build()
+            .unwrap();
+        let b = named_experiment("suite", Scale::Fast)
+            .unwrap()
+            .build()
+            .unwrap();
         let cell = cohmeleon_exp::CellId {
             scenario: 0,
             policy: 0,

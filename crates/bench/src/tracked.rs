@@ -16,8 +16,11 @@ use cohmeleon_workloads::sizes::SizeClass;
 use crate::policies::PolicyKind;
 
 /// Policies in the fixed suites, in run order.
-pub const SUITE: [PolicyKind; 3] =
-    [PolicyKind::FixedNonCoh, PolicyKind::Manual, PolicyKind::Cohmeleon];
+pub const SUITE: [PolicyKind; 3] = [
+    PolicyKind::FixedNonCoh,
+    PolicyKind::Manual,
+    PolicyKind::Cohmeleon,
+];
 /// Train iterations per learning cell of the tracked suites.
 pub const TRAIN_ITERATIONS: usize = 2;
 /// The tracked suites' single grid seed.

@@ -55,13 +55,21 @@ fn hashes(grid: &SweepGrid) -> Vec<u64> {
 /// the same protocol through a different entry point.
 #[test]
 fn soc1_quick_suite_hashes_are_golden() {
-    let got = hashes(&suite_grid(soc1(), &GeneratorParams::quick(), TRAIN_ITERATIONS));
+    let got = hashes(&suite_grid(
+        soc1(),
+        &GeneratorParams::quick(),
+        TRAIN_ITERATIONS,
+    ));
     for h in &got {
         println!("soc1 {h:#018x}");
     }
     assert_eq!(
         got,
-        vec![0x987c_ae79_cfe3_cc73, 0xe235_0979_6cec_0fca, 0x49cb_7da5_f241_9441],
+        vec![
+            0x987c_ae79_cfe3_cc73,
+            0xe235_0979_6cec_0fca,
+            0x49cb_7da5_f241_9441
+        ],
         "soc1 suite moved — modeled behaviour changed"
     );
 }
@@ -76,7 +84,11 @@ fn soc6_large_suite_hashes_are_golden() {
     }
     assert_eq!(
         got,
-        vec![0x66a6_1b52_9cb7_62f2, 0x193c_f5ec_ba4b_191c, 0x7708_82f6_7f86_feb9],
+        vec![
+            0x66a6_1b52_9cb7_62f2,
+            0x193c_f5ec_ba4b_191c,
+            0x7708_82f6_7f86_feb9
+        ],
         "soc6 suite moved — modeled behaviour changed"
     );
 }

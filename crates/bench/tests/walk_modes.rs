@@ -60,7 +60,11 @@ fn per_line_reference_reproduces_the_suite_goldens() {
 
     assert_eq!(
         reference.hashes,
-        vec![0x987c_ae79_cfe3_cc73, 0xe235_0979_6cec_0fca, 0x49cb_7da5_f241_9441],
+        vec![
+            0x987c_ae79_cfe3_cc73,
+            0xe235_0979_6cec_0fca,
+            0x49cb_7da5_f241_9441
+        ],
         "per-line reference moved — modeled behaviour changed"
     );
     assert_eq!(

@@ -292,7 +292,8 @@ impl CoherenceController {
         first: LineAddr,
         count: u64,
     ) -> AccessEffects {
-        self.l2_range(cache, first, count, true, /*fetch_on_miss=*/ false).0
+        self.l2_range(cache, first, count, true, /*fetch_on_miss=*/ false)
+            .0
     }
 
     fn l2_range(
@@ -315,7 +316,16 @@ impl CoherenceController {
         let mut hits = 0u64;
         for i in 0..count {
             let line = first.offset(i);
-            if self.l2_access_at(cache, l2_set, llc_set, p, line, write, fetch_on_miss, &mut fx) {
+            if self.l2_access_at(
+                cache,
+                l2_set,
+                llc_set,
+                p,
+                line,
+                write,
+                fetch_on_miss,
+                &mut fx,
+            ) {
                 hits += 1;
             }
             l2_set += 1;
@@ -544,7 +554,10 @@ impl CoherenceController {
                 };
                 if !pr.hit {
                     // Inclusion guarantees residency; tolerate release builds.
-                    debug_assert!(false, "inclusion violated: L2 victim {line} absent from LLC");
+                    debug_assert!(
+                        false,
+                        "inclusion violated: L2 victim {line} absent from LLC"
+                    );
                     return;
                 }
                 pr.way
@@ -737,7 +750,13 @@ impl CoherenceController {
         } = self;
         let sets = llcs[p].sets();
         let first_set = llcs[p].set_of(first);
-        let make = |_| if write { LlcEntry::dirty() } else { LlcEntry::clean() };
+        let make = |_| {
+            if write {
+                LlcEntry::dirty()
+            } else {
+                LlcEntry::clean()
+            }
+        };
         let mut hits = 0u64;
         for s in 0..sets {
             // Burst indices landing in set s: first_set + i ≡ s (mod sets).
@@ -1076,7 +1095,10 @@ mod tests {
     fn address_map_partitions() {
         let m = AddressMap::new(2);
         assert_eq!(m.partition_of(LineAddr(0)), PartitionId(0));
-        assert_eq!(m.partition_of(m.region_base(PartitionId(1))), PartitionId(1));
+        assert_eq!(
+            m.partition_of(m.region_base(PartitionId(1))),
+            PartitionId(1)
+        );
     }
 
     #[test]
@@ -1233,7 +1255,10 @@ mod tests {
         c.l2_access(CacheId(1), line(0), false); // both Shared
         let fx = c.coh_dma_access(line(0), true);
         assert_eq!(fx.invalidations, 2);
-        assert_eq!(fx.dram_fetches, 0, "full-line DMA write allocates without fetch");
+        assert_eq!(
+            fx.dram_fetches, 0,
+            "full-line DMA write allocates without fetch"
+        );
         assert_eq!(c.l2(CacheId(0)).peek(line(0)), None);
         assert_eq!(c.l2(CacheId(1)).peek(line(0)), None);
         assert!(c.llc(PartitionId(0)).peek(line(0)).unwrap().dirty);

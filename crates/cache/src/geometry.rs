@@ -47,7 +47,10 @@ impl CacheGeometry {
     /// Panics if the capacity is not an exact multiple of `ways ×
     /// line_bytes` or any parameter is zero.
     pub fn new(size_bytes: u64, ways: u32, line_bytes: u64) -> CacheGeometry {
-        assert!(size_bytes > 0 && ways > 0 && line_bytes > 0, "geometry parameters must be non-zero");
+        assert!(
+            size_bytes > 0 && ways > 0 && line_bytes > 0,
+            "geometry parameters must be non-zero"
+        );
         let g = CacheGeometry {
             size_bytes,
             ways,

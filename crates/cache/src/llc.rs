@@ -211,7 +211,8 @@ impl LlcPartition {
         M: FnMut(usize) -> LlcEntry,
         E: FnMut(usize, Entry<LlcEntry>),
     {
-        self.tags.walk_stripe(set, lines, out, on_hit, make, on_evict)
+        self.tags
+            .walk_stripe(set, lines, out, on_hit, make, on_evict)
     }
 
     /// The tag-walk operation counters.

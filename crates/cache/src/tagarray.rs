@@ -561,10 +561,18 @@ impl<S> TagArray<S> {
     /// (detected in O(1) via the per-set valid count) exactly as a fresh
     /// [`insert`](Self::insert) would, so no spurious eviction occurs — the
     /// returned way reports the diversion.
-    pub fn insert_at(&mut self, probe: Probe, line: LineAddr, state: S) -> (usize, Option<Entry<S>>) {
+    pub fn insert_at(
+        &mut self,
+        probe: Probe,
+        line: LineAddr,
+        state: S,
+    ) -> (usize, Option<Entry<S>>) {
         debug_assert!(!probe.hit, "insert_at requires a miss probe");
         debug_assert!(self.peek(line).is_none(), "inserting resident line {line}");
-        debug_assert_ne!(line.0, INVALID, "line address collides with the invalid tag");
+        debug_assert_ne!(
+            line.0, INVALID,
+            "line address collides with the invalid tag"
+        );
         self.clock += 1;
         let clock = self.clock;
         let set = self.set_of(line) as usize;
@@ -721,7 +729,10 @@ impl<S: Copy> TagArray<S> {
         let mut evictions = 0usize;
         for (m, &line) in lines.iter().enumerate() {
             debug_assert_eq!(set, self.set_of(line), "stripe member maps elsewhere");
-            debug_assert_ne!(line.0, INVALID, "line address collides with the invalid tag");
+            debug_assert_ne!(
+                line.0, INVALID,
+                "line address collides with the invalid tag"
+            );
             self.clock += 1;
             self.stats.probes += 1;
             // Probe against the scratch.
@@ -729,7 +740,12 @@ impl<S: Copy> TagArray<S> {
                 self.stats.hits += 1;
                 hits += 1;
                 self.stripe_lrus[i] = self.clock;
-                on_hit(m, self.states[base + i].as_mut().expect("scratch hit holds state"));
+                on_hit(
+                    m,
+                    self.states[base + i]
+                        .as_mut()
+                        .expect("scratch hit holds state"),
+                );
                 out.push(Probe {
                     hit: true,
                     way: base + i,
@@ -749,7 +765,9 @@ impl<S: Copy> TagArray<S> {
                 evictions += 1;
                 let victim = Entry {
                     line: LineAddr(self.stripe_tags[i]),
-                    state: self.states[base + i].take().expect("valid way holds a state"),
+                    state: self.states[base + i]
+                        .take()
+                        .expect("valid way holds a state"),
                 };
                 on_evict(m, victim);
             } else {
@@ -951,7 +969,16 @@ mod tests {
             (1 << 61) + 12345,
         ] {
             let (m, l) = reciprocal(d);
-            for n in [0u64, 1, d - 1, d, d + 1, u64::MAX / 2, u64::MAX - 1, u64::MAX] {
+            for n in [
+                0u64,
+                1,
+                d - 1,
+                d,
+                d + 1,
+                u64::MAX / 2,
+                u64::MAX - 1,
+                u64::MAX,
+            ] {
                 assert_eq!(rem_magic(n, m, l, d), n % d, "n={n} d={d}");
             }
         }
@@ -1050,7 +1077,13 @@ mod tests {
         for t in [&mut a, &mut b] {
             t.insert(LineAddr(2), 100);
         }
-        let members = [LineAddr(2), LineAddr(0), LineAddr(4), LineAddr(6), LineAddr(2)];
+        let members = [
+            LineAddr(2),
+            LineAddr(0),
+            LineAddr(4),
+            LineAddr(6),
+            LineAddr(2),
+        ];
         // Reference: per-line probe + immediate fill.
         let mut ref_victims = Vec::new();
         let mut ref_probes = Vec::new();
@@ -1095,14 +1128,35 @@ mod tests {
         let mut out = Vec::new();
         // Empty set: all-miss-into-free-ways, zero traversals.
         let scans_before = t.tag_stats().scans;
-        let kind = t.walk_stripe(0, &[LineAddr(0), LineAddr(2)], &mut out, |_, _| {}, |_| 0, |_, _| {});
+        let kind = t.walk_stripe(
+            0,
+            &[LineAddr(0), LineAddr(2)],
+            &mut out,
+            |_, _| {},
+            |_| 0,
+            |_, _| {},
+        );
         assert_eq!(kind, StripeKind::AllMissFree);
         assert_eq!(t.tag_stats().scans, scans_before);
         // Same members again: all-hit.
-        let kind = t.walk_stripe(0, &[LineAddr(0), LineAddr(2)], &mut out, |_, _| {}, |_| 0, |_, _| {});
+        let kind = t.walk_stripe(
+            0,
+            &[LineAddr(0), LineAddr(2)],
+            &mut out,
+            |_, _| {},
+            |_| 0,
+            |_, _| {},
+        );
         assert_eq!(kind, StripeKind::AllHit);
         // Fresh members into the full set: all-miss-with-eviction.
-        let kind = t.walk_stripe(0, &[LineAddr(4), LineAddr(6)], &mut out, |_, _| {}, |_| 0, |_, _| {});
+        let kind = t.walk_stripe(
+            0,
+            &[LineAddr(4), LineAddr(6)],
+            &mut out,
+            |_, _| {},
+            |_| 0,
+            |_, _| {},
+        );
         assert_eq!(kind, StripeKind::AllMissEvict);
     }
 

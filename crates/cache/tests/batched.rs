@@ -113,7 +113,13 @@ fn assert_state_eq(
         let line = LineAddr(base.0 + i);
         for c in 0..a.num_l2s() {
             let id = CacheId(c as u16);
-            prop_assert_eq!(a.l2(id).peek(line), b.l2(id).peek(line), "L2 {} line {}", c, i);
+            prop_assert_eq!(
+                a.l2(id).peek(line),
+                b.l2(id).peek(line),
+                "L2 {} line {}",
+                c,
+                i
+            );
         }
         let pa = a.llc(a.address_map().partition_of(line)).peek(line);
         let pb = b.llc(b.address_map().partition_of(line)).peek(line);

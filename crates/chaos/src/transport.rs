@@ -137,8 +137,9 @@ impl FaultyTransport {
         config: ChaosConfig,
         log: Arc<Mutex<Vec<FaultEvent>>>,
     ) -> io::Result<FaultyTransport> {
-        let mut rng =
-            SmallRng::seed_from_u64(seed ^ (conn.wrapping_add(1)).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let mut rng = SmallRng::seed_from_u64(
+            seed ^ (conn.wrapping_add(1)).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        );
         let reset = if rng.next_u64() % 1000 < u64::from(config.reset) {
             Some(ResetPoint {
                 offset: rng.next_u64() % config.reset_window.max(1),
@@ -250,10 +251,13 @@ impl FaultyTransport {
                 if reset.on_write && s.written + buf.len() as u64 > reset.offset {
                     let keep = (reset.offset.saturating_sub(s.written)) as usize;
                     s.tripped = true;
-                    s.record(op, FaultKind::Reset {
-                        offset: reset.offset,
-                        on_write: true,
-                    });
+                    s.record(
+                        op,
+                        FaultKind::Reset {
+                            offset: reset.offset,
+                            on_write: true,
+                        },
+                    );
                     Some(WriteScript {
                         reset_keep: Some(keep.min(buf.len())),
                         hold: false,
@@ -268,73 +272,72 @@ impl FaultyTransport {
             } else {
                 None
             }
-            .unwrap_or_else(
-                || {
-                    s.written += buf.len() as u64;
-                    // Dup/reorder decisions only apply to a buffer that is
-                    // exactly one complete line — which is how both
-                    // protocols write.
-                    let single_line = buf.last() == Some(&b'\n')
-                        && buf.iter().filter(|&&b| b == b'\n').count() == 1;
-                    if single_line
-                        && s.held.is_none()
-                        && s.role.reorderable(buf)
-                        && s.draw(config.reorder)
-                    {
-                        s.held = Some(buf.to_vec());
-                        s.record(op, FaultKind::HoldLine { bytes: buf.len() });
-                        return WriteScript {
-                            reset_keep: None,
-                            hold: true,
-                            cuts: Vec::new(),
-                            delay: Duration::ZERO,
-                            duplicate: false,
-                            flush_held: None,
-                        };
+            .unwrap_or_else(|| {
+                s.written += buf.len() as u64;
+                // Dup/reorder decisions only apply to a buffer that is
+                // exactly one complete line — which is how both
+                // protocols write.
+                let single_line =
+                    buf.last() == Some(&b'\n') && buf.iter().filter(|&&b| b == b'\n').count() == 1;
+                if single_line
+                    && s.held.is_none()
+                    && s.role.reorderable(buf)
+                    && s.draw(config.reorder)
+                {
+                    s.held = Some(buf.to_vec());
+                    s.record(op, FaultKind::HoldLine { bytes: buf.len() });
+                    return WriteScript {
+                        reset_keep: None,
+                        hold: true,
+                        cuts: Vec::new(),
+                        delay: Duration::ZERO,
+                        duplicate: false,
+                        flush_held: None,
+                    };
+                }
+                let duplicate = single_line && s.role.duplicable(buf) && s.draw(config.duplicate);
+                if duplicate {
+                    if s.role.dup_earns_reply(buf) {
+                        s.pending_dup_replies += 1;
                     }
-                    let duplicate =
-                        single_line && s.role.duplicable(buf) && s.draw(config.duplicate);
-                    if duplicate {
-                        if s.role.dup_earns_reply(buf) {
-                            s.pending_dup_replies += 1;
-                        }
-                        s.record(op, FaultKind::DuplicateLine { bytes: buf.len() });
+                    s.record(op, FaultKind::DuplicateLine { bytes: buf.len() });
+                }
+                let mut cuts = Vec::new();
+                let mut delay = Duration::ZERO;
+                if buf.len() >= 2 && s.draw(config.split_write) {
+                    let parts = 2 + s.draw_range(3) as usize;
+                    for _ in 0..parts - 1 {
+                        cuts.push(1 + s.draw_range(buf.len() as u64 - 1) as usize);
                     }
-                    let mut cuts = Vec::new();
-                    let mut delay = Duration::ZERO;
-                    if buf.len() >= 2 && s.draw(config.split_write) {
-                        let parts = 2 + s.draw_range(3) as usize;
-                        for _ in 0..parts - 1 {
-                            cuts.push(1 + s.draw_range(buf.len() as u64 - 1) as usize);
-                        }
-                        cuts.sort_unstable();
-                        cuts.dedup();
-                        delay =
-                            Duration::from_micros(s.draw_range(config.max_split_delay_us + 1));
-                        s.record(op, FaultKind::SplitWrite {
+                    cuts.sort_unstable();
+                    cuts.dedup();
+                    delay = Duration::from_micros(s.draw_range(config.max_split_delay_us + 1));
+                    s.record(
+                        op,
+                        FaultKind::SplitWrite {
                             parts: cuts.len() + 1,
                             bytes: buf.len(),
-                        });
+                        },
+                    );
+                }
+                let flush_held = if single_line && s.held.is_some() {
+                    let held = s.held.take();
+                    if let Some(held) = &held {
+                        s.record(op, FaultKind::FlushHeld { bytes: held.len() });
                     }
-                    let flush_held = if single_line && s.held.is_some() {
-                        let held = s.held.take();
-                        if let Some(held) = &held {
-                            s.record(op, FaultKind::FlushHeld { bytes: held.len() });
-                        }
-                        held
-                    } else {
-                        None
-                    };
-                    WriteScript {
-                        reset_keep: None,
-                        hold: false,
-                        cuts,
-                        delay,
-                        duplicate,
-                        flush_held,
-                    }
-                },
-            )
+                    held
+                } else {
+                    None
+                };
+                WriteScript {
+                    reset_keep: None,
+                    hold: false,
+                    cuts,
+                    delay,
+                    duplicate,
+                    flush_held,
+                }
+            })
         };
 
         // Perform the socket work outside the state lock so injected
@@ -382,10 +385,13 @@ impl FaultyTransport {
             match reset_point {
                 Some(reset) if !reset.on_write && s.read >= reset.offset => {
                     s.tripped = true;
-                    s.record(op, FaultKind::Reset {
-                        offset: reset.offset,
-                        on_write: false,
-                    });
+                    s.record(
+                        op,
+                        FaultKind::Reset {
+                            offset: reset.offset,
+                            on_write: false,
+                        },
+                    );
                     ReadScript::Reset
                 }
                 _ if s.draw(config.stall) => {
@@ -504,10 +510,13 @@ mod tests {
     #[test]
     fn split_write_preserves_bytes() {
         let (a, b) = pair();
-        let plan = FaultPlan::with_config(7, ChaosConfig {
-            split_write: 1000,
-            ..quiet()
-        });
+        let plan = FaultPlan::with_config(
+            7,
+            ChaosConfig {
+                split_write: 1000,
+                ..quiet()
+            },
+        );
         let mut t = plan.wrap(a, Role::Worker).unwrap();
         t.write_all(b"LEASE\n").unwrap();
         t.write_all(b"HELLO fleet/1 worker-0\n").unwrap();
@@ -526,10 +535,13 @@ mod tests {
     #[test]
     fn duplicate_applies_only_to_dup_safe_lines() {
         let (a, b) = pair();
-        let plan = FaultPlan::with_config(3, ChaosConfig {
-            duplicate: 1000,
-            ..quiet()
-        });
+        let plan = FaultPlan::with_config(
+            3,
+            ChaosConfig {
+                duplicate: 1000,
+                ..quiet()
+            },
+        );
         let mut t = plan.wrap(a, Role::Worker).unwrap();
         t.write_all(b"HELLO fleet/1 w\n").unwrap(); // request/reply: never duplicated
         t.write_all(b"RECORD 1 {}\n").unwrap(); // fire-and-forget: duplicated
@@ -543,10 +555,13 @@ mod tests {
     #[test]
     fn duplicated_decide_counts_an_owed_reply() {
         let (a, b) = pair();
-        let plan = FaultPlan::with_config(3, ChaosConfig {
-            duplicate: 1000,
-            ..quiet()
-        });
+        let plan = FaultPlan::with_config(
+            3,
+            ChaosConfig {
+                duplicate: 1000,
+                ..quiet()
+            },
+        );
         let mut t = plan.wrap(a, Role::Client).unwrap();
         t.write_all(b"DECIDE 1 0:0:1:15\n").unwrap();
         assert_eq!(t.take_pending_dup_replies(), 1);
@@ -561,20 +576,26 @@ mod tests {
     #[test]
     fn heartbeats_reorder_behind_the_next_line() {
         let (a, b) = pair();
-        let plan = FaultPlan::with_config(11, ChaosConfig {
-            reorder: 1000,
-            ..quiet()
-        });
+        let plan = FaultPlan::with_config(
+            11,
+            ChaosConfig {
+                reorder: 1000,
+                ..quiet()
+            },
+        );
         let mut t = plan.wrap(a, Role::Worker).unwrap();
         t.write_all(b"HEARTBEAT 4\n").unwrap();
         t.write_all(b"RECORD 4 {}\n").unwrap();
         drop(t);
         assert_eq!(read_all_lines(b, 2), vec!["RECORD 4 {}", "HEARTBEAT 4"]);
         let kinds: Vec<_> = plan.events().iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, vec![
-            FaultKind::HoldLine { bytes: 12 },
-            FaultKind::FlushHeld { bytes: 12 },
-        ]);
+        assert_eq!(
+            kinds,
+            vec![
+                FaultKind::HoldLine { bytes: 12 },
+                FaultKind::FlushHeld { bytes: 12 },
+            ]
+        );
     }
 
     #[test]
@@ -617,11 +638,14 @@ mod tests {
 
     #[test]
     fn polling_roles_stall_as_wouldblock_blocking_roles_sleep() {
-        let plan = FaultPlan::with_config(5, ChaosConfig {
-            stall: 1000,
-            max_stall_ms: 1,
-            ..quiet()
-        });
+        let plan = FaultPlan::with_config(
+            5,
+            ChaosConfig {
+                stall: 1000,
+                max_stall_ms: 1,
+                ..quiet()
+            },
+        );
         let mut buf = [0u8; 8];
         // Polling side: the stall surfaces as a synthetic WouldBlock.
         let (a, _b) = pair();
@@ -638,28 +662,40 @@ mod tests {
         let n = worker_side.read(&mut buf).unwrap();
         assert!(n > 0);
         let events = plan.events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::StallRead { synthetic: true, .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::StallRead { synthetic: false, .. })));
+        assert!(events.iter().any(|e| matches!(
+            e.kind,
+            FaultKind::StallRead {
+                synthetic: true,
+                ..
+            }
+        )));
+        assert!(events.iter().any(|e| matches!(
+            e.kind,
+            FaultKind::StallRead {
+                synthetic: false,
+                ..
+            }
+        )));
     }
 
     #[test]
     fn same_seed_same_ops_same_faults() {
         let run = |seed: u64| {
-            let plan = FaultPlan::with_config(seed, ChaosConfig {
-                split_write: 300,
-                duplicate: 300,
-                reorder: 300,
-                stall: 300,
-                ..quiet()
-            });
+            let plan = FaultPlan::with_config(
+                seed,
+                ChaosConfig {
+                    split_write: 300,
+                    duplicate: 300,
+                    reorder: 300,
+                    stall: 300,
+                    ..quiet()
+                },
+            );
             let (a, b) = pair();
             let mut t = plan.wrap(a, Role::Worker).unwrap();
             for i in 0..20 {
-                t.write_all(format!("RECORD {i} {{}}\n").as_bytes()).unwrap();
+                t.write_all(format!("RECORD {i} {{}}\n").as_bytes())
+                    .unwrap();
                 t.write_all(format!("HEARTBEAT {i}\n").as_bytes()).unwrap();
             }
             drop(t);

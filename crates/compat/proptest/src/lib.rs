@@ -521,8 +521,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "case 0 failed")]
     fn failures_panic_with_case_number() {
-        run_cases("failing", 4, |_| {
-            Err(TestCaseError::Fail("boom".into()))
-        });
+        run_cases("failing", 4, |_| Err(TestCaseError::Fail("boom".into())));
     }
 }

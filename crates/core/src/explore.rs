@@ -154,7 +154,10 @@ impl EpsilonGreedy {
         if !ctx.frozen && rng.gen::<f64>() < self.epsilon {
             let n = ctx.available.len();
             let pick = rng.gen_range(0..n);
-            ctx.available.iter().nth(pick).expect("index within set size")
+            ctx.available
+                .iter()
+                .nth(pick)
+                .expect("index within set size")
         } else {
             // Exploit: argmax with *random* tie-breaking.
             let best = greedy(&ctx);
@@ -337,7 +340,10 @@ impl Ucb1 {
     /// UCB1 with exploration constant `c` (larger explores more; the
     /// bonus term is `c·√(ln N / n)` on a [0, 1] Q-scale).
     pub fn new(c: f64) -> Ucb1 {
-        Ucb1 { c, counts: Vec::new() }
+        Ucb1 {
+            c,
+            counts: Vec::new(),
+        }
     }
 
     /// The visit count of `(state, action)`.
@@ -367,7 +373,8 @@ impl Ucb1 {
         }
         if self.counts.len() < (ctx.state + 1) * CoherenceMode::COUNT {
             // init() sizes this from the state space; tolerate direct use.
-            self.counts.resize((ctx.state + 1) * CoherenceMode::COUNT, 0);
+            self.counts
+                .resize((ctx.state + 1) * CoherenceMode::COUNT, 0);
         }
         let row = &self.counts[ctx.state * CoherenceMode::COUNT..];
         // Unvisited actions first, in index order.
@@ -528,7 +535,11 @@ mod tests {
             u.select(ctx(&store, 0, false));
         }
         for m in CoherenceMode::ALL {
-            assert!(u.visits(0, m.index()) > 5, "{m}: {:?}", u.visits(0, m.index()));
+            assert!(
+                u.visits(0, m.index()) > 5,
+                "{m}: {:?}",
+                u.visits(0, m.index())
+            );
         }
     }
 }

@@ -360,11 +360,10 @@ mod tests {
             FrozenSnapshot::parse("# cohmeleon router tables v1 scope=per-socket\n", 243).is_err()
         );
         // Content between header and first section.
-        assert!(FrozenSnapshot::parse(
-            "# cohmeleon router tables v1 scope=global\nstray\n",
-            243
-        )
-        .is_err());
+        assert!(
+            FrozenSnapshot::parse("# cohmeleon router tables v1 scope=global\nstray\n", 243)
+                .is_err()
+        );
         // Duplicate key.
         assert!(FrozenSnapshot::parse(
             "# cohmeleon router tables v1 scope=per-kind\n## agent kind0\n## agent kind0\n",
@@ -525,6 +524,9 @@ mod tests {
             snap.decide(AccelInstanceId(5), None, 0, set),
             Some(CoherenceMode::LlcCohDma)
         );
-        assert_eq!(snap.decide(AccelInstanceId(5), None, 0, ModeSet::EMPTY), None);
+        assert_eq!(
+            snap.decide(AccelInstanceId(5), None, 0, ModeSet::EMPTY),
+            None
+        );
     }
 }

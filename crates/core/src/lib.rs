@@ -126,17 +126,23 @@ pub use value::QTable;
 /// Identifies a *kind* of accelerator (e.g. "FFT", "GEMM", or a particular
 /// traffic-generator configuration). Used by design-time policies that fix a
 /// mode per accelerator type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub struct AccelKindId(pub u16);
 
 /// Identifies one physical accelerator instance in the SoC (one accelerator
 /// tile). The reward history of Section 4.2 is kept per instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub struct AccelInstanceId(pub u16);
 
 /// Identifies one memory partition: an LLC slice plus its dedicated DRAM
 /// controller and channel (one "memory tile" in ESP terms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub struct PartitionId(pub u16);
 
 impl std::fmt::Display for AccelKindId {

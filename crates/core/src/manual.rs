@@ -172,10 +172,7 @@ mod tests {
     fn l2_sized_footprint_balances_against_coh_dma_population() {
         // More coherent-DMA accelerators active than fully-coherent ones
         // ⇒ steer toward fully-coherent to spread load.
-        let s = snapshot(
-            vec![running(1, CoherenceMode::CohDma, 8 * 1024)],
-            16 * 1024,
-        );
+        let s = snapshot(vec![running(1, CoherenceMode::CohDma, 8 * 1024)], 16 * 1024);
         assert_eq!(algorithm1(&s, &thresholds()), CoherenceMode::FullCoh);
         // Equal counts ⇒ coherent DMA.
         let s = snapshot(

@@ -192,7 +192,9 @@ impl ModeSet {
 
     /// Iterates the contained modes in canonical order.
     pub fn iter(self) -> impl Iterator<Item = CoherenceMode> {
-        CoherenceMode::ALL.into_iter().filter(move |m| self.contains(*m))
+        CoherenceMode::ALL
+            .into_iter()
+            .filter(move |m| self.contains(*m))
     }
 
     /// The modes present in both sets.

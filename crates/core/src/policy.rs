@@ -285,10 +285,7 @@ impl FixedHeterogeneousPolicy {
         let factory_assignment = Arc::clone(&assignment);
         let mut router = PolicyRouter::new(AgentScope::PerKind, 0, move |key, _seed| {
             let mode = match key {
-                ScopeKey::Kind(kind) => factory_assignment
-                    .get(&kind)
-                    .copied()
-                    .unwrap_or(default),
+                ScopeKey::Kind(kind) => factory_assignment.get(&kind).copied().unwrap_or(default),
                 _ => default,
             };
             Box::new(FixedPolicy::new(mode))
@@ -411,7 +408,10 @@ pub struct RestrictedPolicy<P> {
 impl<P: Policy> RestrictedPolicy<P> {
     /// Wraps `inner`, constraining its choices to `allowed`.
     pub fn new(inner: P, allowed: ModeSet) -> RestrictedPolicy<P> {
-        assert!(!allowed.is_empty(), "restriction must allow at least one mode");
+        assert!(
+            !allowed.is_empty(),
+            "restriction must allow at least one mode"
+        );
         RestrictedPolicy { inner, allowed }
     }
 
@@ -575,8 +575,7 @@ mod tests {
         let mut kind_of = HashMap::new();
         kind_of.insert(AccelInstanceId(10), AccelKindId(0));
         kind_of.insert(AccelInstanceId(11), AccelKindId(1));
-        let mut p =
-            FixedHeterogeneousPolicy::new(assignment, kind_of, CoherenceMode::LlcCohDma);
+        let mut p = FixedHeterogeneousPolicy::new(assignment, kind_of, CoherenceMode::LlcCohDma);
         let d0 = p.decide(&snapshot(1024), ModeSet::all(), AccelInstanceId(10));
         assert_eq!(d0.mode, CoherenceMode::NonCohDma);
         let d1 = p.decide(&snapshot(1024), ModeSet::all(), AccelInstanceId(11));
@@ -584,18 +583,18 @@ mod tests {
         // Unknown instance falls back to the default.
         let d2 = p.decide(&snapshot(1024), ModeSet::all(), AccelInstanceId(99));
         assert_eq!(d2.mode, CoherenceMode::LlcCohDma);
-        assert_eq!(p.mode_for_kind(AccelKindId(1)), Some(CoherenceMode::FullCoh));
+        assert_eq!(
+            p.mode_for_kind(AccelKindId(1)),
+            Some(CoherenceMode::FullCoh)
+        );
     }
 
     #[test]
     fn heterogeneous_clone_preserves_bound_topology() {
         let mut assignment = HashMap::new();
         assignment.insert(AccelKindId(0), CoherenceMode::FullCoh);
-        let mut p = FixedHeterogeneousPolicy::new(
-            assignment,
-            HashMap::new(),
-            CoherenceMode::NonCohDma,
-        );
+        let mut p =
+            FixedHeterogeneousPolicy::new(assignment, HashMap::new(), CoherenceMode::NonCohDma);
         // An instance registered after construction (what the engine's
         // topology binding does) must survive a clone: both route it to
         // its kind's profiled mode, not the catch-all default.
@@ -699,10 +698,22 @@ mod tests {
         // sweeps and fleet queens in `cohmeleon-exp` verify stored
         // records against them, so changing one silently orphans every
         // existing checkpoint and JSONL artifact. See `Policy::name`.
-        assert_eq!(FixedPolicy::new(CoherenceMode::NonCohDma).name(), "fixed-non-coh-dma");
-        assert_eq!(FixedPolicy::new(CoherenceMode::LlcCohDma).name(), "fixed-llc-coh-dma");
-        assert_eq!(FixedPolicy::new(CoherenceMode::CohDma).name(), "fixed-coh-dma");
-        assert_eq!(FixedPolicy::new(CoherenceMode::FullCoh).name(), "fixed-full-coh");
+        assert_eq!(
+            FixedPolicy::new(CoherenceMode::NonCohDma).name(),
+            "fixed-non-coh-dma"
+        );
+        assert_eq!(
+            FixedPolicy::new(CoherenceMode::LlcCohDma).name(),
+            "fixed-llc-coh-dma"
+        );
+        assert_eq!(
+            FixedPolicy::new(CoherenceMode::CohDma).name(),
+            "fixed-coh-dma"
+        );
+        assert_eq!(
+            FixedPolicy::new(CoherenceMode::FullCoh).name(),
+            "fixed-full-coh"
+        );
         assert_eq!(RandomPolicy::new(0).name(), "rand");
         let cohmeleon = CohmeleonPolicy::new(
             RewardWeights::paper_default(),

@@ -234,7 +234,13 @@ fn mem_component(mem: f64, min: f64, max: f64) -> f64 {
 mod tests {
     use super::*;
 
-    fn measurement(total: u64, active: u64, comm: u64, mem: f64, footprint: u64) -> InvocationMeasurement {
+    fn measurement(
+        total: u64,
+        active: u64,
+        comm: u64,
+        mem: f64,
+        footprint: u64,
+    ) -> InvocationMeasurement {
         InvocationMeasurement {
             total_cycles: total,
             accel_active_cycles: active,

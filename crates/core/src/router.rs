@@ -71,8 +71,11 @@ pub enum AgentScope {
 
 impl AgentScope {
     /// All scopes, coarsest first.
-    pub const ALL: [AgentScope; 3] =
-        [AgentScope::Global, AgentScope::PerKind, AgentScope::PerInstance];
+    pub const ALL: [AgentScope; 3] = [
+        AgentScope::Global,
+        AgentScope::PerKind,
+        AgentScope::PerInstance,
+    ];
 
     /// The stable string form (`"global"`, `"per-kind"`,
     /// `"per-instance"`). Like policy names, these labels are persisted
@@ -774,7 +777,8 @@ mod tests {
         ]);
         assert_eq!(router.num_agents(), 2);
         let d = |r: &mut PolicyRouter, i: u16| {
-            r.decide(&snapshot(1024), ModeSet::all(), AccelInstanceId(i)).mode
+            r.decide(&snapshot(1024), ModeSet::all(), AccelInstanceId(i))
+                .mode
         };
         assert_eq!(d(&mut router, 0), CoherenceMode::NonCohDma);
         assert_eq!(d(&mut router, 1), CoherenceMode::NonCohDma);

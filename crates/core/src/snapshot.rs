@@ -265,8 +265,7 @@ impl SystemSnapshot {
     pub fn avg_needed_partition_footprint(&self) -> f64 {
         let target_share = self.target_footprint as f64 / self.target_partitions.len() as f64;
         if !self.agg.is_empty() {
-            return self
-                .avg_over_needed_partitions(|p| self.load_of(p).footprint + target_share);
+            return self.avg_over_needed_partitions(|p| self.load_of(p).footprint + target_share);
         }
         self.avg_over_needed_partitions(|p| {
             let others: f64 = self.active.iter().map(|a| a.footprint_on(p)).sum();
@@ -352,12 +351,7 @@ mod tests {
         // Target needs both partitions; avg over {2, 0} = 1.
         assert_eq!(s.avg_non_coh_per_needed_partition(), 1.0);
 
-        let s_only_p0 = SystemSnapshot::new(
-            s.arch,
-            s.active.clone(),
-            4096,
-            vec![PartitionId(0)],
-        );
+        let s_only_p0 = SystemSnapshot::new(s.arch, s.active.clone(), 4096, vec![PartitionId(0)]);
         assert_eq!(s_only_p0.avg_non_coh_per_needed_partition(), 2.0);
     }
 

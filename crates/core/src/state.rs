@@ -146,9 +146,7 @@ impl State {
             non_coh_acc_per_tile: CountBucket::from_average(
                 snapshot.avg_non_coh_per_needed_partition(),
             ),
-            to_llc_per_tile: CountBucket::from_average(
-                snapshot.avg_to_llc_per_needed_partition(),
-            ),
+            to_llc_per_tile: CountBucket::from_average(snapshot.avg_to_llc_per_needed_partition()),
             tile_footprint: FootprintClass::classify(
                 snapshot.avg_needed_partition_footprint(),
                 arch.l2_bytes,

@@ -21,10 +21,7 @@ fn arb_mode() -> impl Strategy<Value = CoherenceMode> {
 }
 
 fn arb_snapshot() -> impl Strategy<Value = SystemSnapshot> {
-    let active = proptest::collection::vec(
-        (0u16..32, arb_mode(), 1u64..(8 << 20), 0u16..4),
-        0..12,
-    );
+    let active = proptest::collection::vec((0u16..32, arb_mode(), 1u64..(8 << 20), 0u16..4), 0..12);
     (active, 1u64..(16 << 20), 0u16..4).prop_map(|(active, target, tp)| {
         let arch = ArchParams::new(32 * 1024, 256 * 1024, 4);
         let active = active
@@ -42,15 +39,20 @@ fn arb_snapshot() -> impl Strategy<Value = SystemSnapshot> {
 }
 
 fn arb_measurement() -> impl Strategy<Value = InvocationMeasurement> {
-    (1u64..1 << 40, 0u64..1 << 38, 0u64..1 << 36, 0.0f64..1e9, 1u64..1 << 30).prop_map(
-        |(total, active, comm, mem, fp)| InvocationMeasurement {
+    (
+        1u64..1 << 40,
+        0u64..1 << 38,
+        0u64..1 << 36,
+        0.0f64..1e9,
+        1u64..1 << 30,
+    )
+        .prop_map(|(total, active, comm, mem, fp)| InvocationMeasurement {
             total_cycles: total,
             accel_active_cycles: active.min(total),
             accel_comm_cycles: comm.min(active.min(total)),
             offchip_accesses: mem,
             footprint_bytes: fp,
-        },
-    )
+        })
 }
 
 /// A fresh per-kind router of paper agents.

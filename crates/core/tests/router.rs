@@ -66,13 +66,21 @@ fn paper_agent(iterations: usize, seed: u64) -> CohmeleonPolicy {
 
 /// Drives `policy` through `sequence` (3 training iterations split evenly,
 /// then frozen evaluation) and returns every decided mode in order.
-fn drive(policy: &mut dyn Policy, sequence: &[Invocation], iterations: usize) -> Vec<CoherenceMode> {
+fn drive(
+    policy: &mut dyn Policy,
+    sequence: &[Invocation],
+    iterations: usize,
+) -> Vec<CoherenceMode> {
     policy.bind_topology(&topology());
     let mut modes = Vec::with_capacity(sequence.len() * (iterations + 1));
     for i in 0..iterations {
         policy.begin_iteration(i);
         for inv in sequence {
-            let d = policy.decide(&snapshot(inv.footprint), ModeSet::all(), AccelInstanceId(inv.instance));
+            let d = policy.decide(
+                &snapshot(inv.footprint),
+                ModeSet::all(),
+                AccelInstanceId(inv.instance),
+            );
             modes.push(d.mode);
             policy.observe(
                 AccelInstanceId(inv.instance),
@@ -83,7 +91,11 @@ fn drive(policy: &mut dyn Policy, sequence: &[Invocation], iterations: usize) ->
     }
     policy.freeze();
     for inv in sequence {
-        let d = policy.decide(&snapshot(inv.footprint), ModeSet::all(), AccelInstanceId(inv.instance));
+        let d = policy.decide(
+            &snapshot(inv.footprint),
+            ModeSet::all(),
+            AccelInstanceId(inv.instance),
+        );
         modes.push(d.mode);
     }
     modes
@@ -225,10 +237,11 @@ fn namespaced_export_import_round_trips_per_scope() {
         );
         // A fresh, untrained router of the same shape imports the
         // document and re-exports it byte-identically.
-        let mut restored =
-            PolicyRouter::new(scope, 11, move |_, s| Box::new(paper_agent(4, s)));
+        let mut restored = PolicyRouter::new(scope, 11, move |_, s| Box::new(paper_agent(4, s)));
         restored.bind_topology(&topology());
-        restored.import_tables(&exported).unwrap_or_else(|e| panic!("{scope}: {e}"));
+        restored
+            .import_tables(&exported)
+            .unwrap_or_else(|e| panic!("{scope}: {e}"));
         assert_eq!(restored.export_tables(), exported, "{scope}");
 
         // And the restored tables drive identical frozen decisions.
@@ -253,7 +266,11 @@ fn import_replaces_warm_state_instead_of_overlaying() {
     let source = trained_router(AgentScope::PerKind, 11);
     let exported = source.export_tables();
     let mut warm = trained_router(AgentScope::PerKind, 99); // different training
-    assert_ne!(warm.export_tables(), exported, "training with another seed differs");
+    assert_ne!(
+        warm.export_tables(),
+        exported,
+        "training with another seed differs"
+    );
     warm.import_tables(&exported).unwrap();
     assert_eq!(warm.export_tables(), exported);
 }
@@ -271,7 +288,11 @@ fn failed_imports_leave_warm_state_untouched() {
     assert!(before.lines().count() > 1, "agent learned something");
     let err = agent.import_table("# cohmeleon q-table v1\n0\tnot-a-number\t0\t0\t0\n");
     assert!(err.is_err());
-    assert_eq!(agent.export_table().unwrap(), before, "failed import mutated the table");
+    assert_eq!(
+        agent.export_table().unwrap(),
+        before,
+        "failed import mutated the table"
+    );
 
     // Router level: a document whose *second* section is corrupt must
     // not leave the first section applied (mixed old/new state).
@@ -281,7 +302,11 @@ fn failed_imports_leave_warm_state_untouched() {
                    ## agent kind0\n# cohmeleon q-table v1\n0\t0.5\t0\t0\t0\n\
                    ## agent kind1\n# cohmeleon q-table v1\n0\tbad\t0\t0\t0\n";
     assert!(warm.import_tables(corrupt).is_err());
-    assert_eq!(warm.export_tables(), before, "failed import mutated the router");
+    assert_eq!(
+        warm.export_tables(),
+        before,
+        "failed import mutated the router"
+    );
 }
 
 #[test]
@@ -289,12 +314,11 @@ fn import_rejects_duplicate_agent_sections() {
     let source = trained_router(AgentScope::PerKind, 11);
     let exported = source.export_tables();
     let first_section = exported.find("## agent ").unwrap();
-    let second_section = exported[first_section + 1..].find("## agent ").unwrap() + first_section + 1;
+    let second_section =
+        exported[first_section + 1..].find("## agent ").unwrap() + first_section + 1;
     // Duplicate the first agent's section at the end of the document.
     let duplicated = format!("{exported}{}", &exported[first_section..second_section]);
-    let mut fresh = PolicyRouter::new(AgentScope::PerKind, 11, |_, s| {
-        Box::new(paper_agent(4, s))
-    });
+    let mut fresh = PolicyRouter::new(AgentScope::PerKind, 11, |_, s| Box::new(paper_agent(4, s)));
     let err = fresh.import_tables(&duplicated).unwrap_err();
     assert!(err.contains("duplicate"), "{err}");
 }
@@ -326,11 +350,10 @@ fn router_table_roundtrips_through_the_policy_trait() {
     let exported = boxed.export_table().expect("router exports");
     assert_eq!(exported, router.export_tables());
 
-    let mut fresh: Box<dyn Policy> = Box::new(PolicyRouter::new(
-        AgentScope::PerKind,
-        7,
-        move |_, s| Box::new(paper_agent(4, s)),
-    ));
+    let mut fresh: Box<dyn Policy> =
+        Box::new(PolicyRouter::new(AgentScope::PerKind, 7, move |_, s| {
+            Box::new(paper_agent(4, s))
+        }));
     fresh.import_table(&exported).expect("import");
     assert_eq!(fresh.export_table().unwrap(), exported);
 }
@@ -383,6 +406,8 @@ fn late_agents_join_at_the_current_schedule_position() {
     frozen_ref.freeze();
     assert_eq!(
         d.mode,
-        frozen_ref.decide(&snapshot(1024), ModeSet::all(), AccelInstanceId(4)).mode
+        frozen_ref
+            .decide(&snapshot(1024), ModeSet::all(), AccelInstanceId(4))
+            .mode
     );
 }

@@ -148,15 +148,15 @@ fn per_instance_routing_keeps_the_decide_path_allocation_free() {
     let bare_allocs = (0..3).map(|_| run(&mut agent(9), &snap)).min().unwrap();
     let routed_allocs = (0..3)
         .map(|_| {
-            let mut routed =
-                PolicyRouter::new(AgentScope::Global, 9, |_, s| Box::new(agent(s)));
+            let mut routed = PolicyRouter::new(AgentScope::Global, 9, |_, s| Box::new(agent(s)));
             routed.bind_topology(&topology);
             run(&mut routed, &snap)
         })
         .min()
         .unwrap();
     assert_eq!(
-        routed_allocs, bare_allocs,
+        routed_allocs,
+        bare_allocs,
         "routing added {} allocations over the bare agent",
         routed_allocs as i64 - bare_allocs as i64
     );

@@ -424,8 +424,7 @@ impl Checkpoint {
         let checkpoint = Checkpoint::load(path, grid)?;
         let mut writer = CheckpointWriter::open(path, checkpoint.valid_len)?;
         let mut report = ReuseReport::default();
-        let mut matched: std::collections::HashSet<ContentKey> =
-            std::collections::HashSet::new();
+        let mut matched: std::collections::HashSet<ContentKey> = std::collections::HashSet::new();
         for cell in grid.cells() {
             let coord = (cell.scenario, cell.policy, cell.seed);
             let key: ContentKey = (
@@ -433,7 +432,9 @@ impl Checkpoint {
                 grid.policies()[cell.policy].policy_label().to_string(),
                 grid.cell_seed(cell),
             );
-            let Some(old) = by_key.get(&key) else { continue };
+            let Some(old) = by_key.get(&key) else {
+                continue;
+            };
             matched.insert(key);
             if checkpoint.contains(coord) {
                 report.already += 1;
@@ -722,13 +723,7 @@ mod tests {
         let text = canonical_jsonl(&records);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert_eq!(
-            CellRecord::from_json(lines[0]).unwrap().coord(),
-            (0, 0, 0)
-        );
-        assert_eq!(
-            CellRecord::from_json(lines[2]).unwrap().coord(),
-            (0, 1, 1)
-        );
+        assert_eq!(CellRecord::from_json(lines[0]).unwrap().coord(), (0, 0, 0));
+        assert_eq!(CellRecord::from_json(lines[2]).unwrap().coord(), (0, 1, 1));
     }
 }

@@ -660,8 +660,22 @@ mod tests {
             .seed(7)
             .build()
             .unwrap();
-        assert_eq!(grid.cell_seed(CellId { scenario: 0, policy: 0, seed: 0 }), 7);
-        assert_eq!(grid.cell_seed(CellId { scenario: 1, policy: 0, seed: 0 }), 17);
+        assert_eq!(
+            grid.cell_seed(CellId {
+                scenario: 0,
+                policy: 0,
+                seed: 0
+            }),
+            7
+        );
+        assert_eq!(
+            grid.cell_seed(CellId {
+                scenario: 1,
+                policy: 0,
+                seed: 0
+            }),
+            17
+        );
     }
 
     #[test]

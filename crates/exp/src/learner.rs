@@ -218,10 +218,7 @@ impl LearnerSpec {
     /// The Cartesian product of scopes × weight presets over the paper's
     /// component composition, scope-major — the input to the scoped
     /// orchestration and weight-sensitivity sweeps.
-    pub fn scope_weight_grid(
-        scopes: &[AgentScope],
-        weights: &[WeightPreset],
-    ) -> Vec<LearnerSpec> {
+    pub fn scope_weight_grid(scopes: &[AgentScope], weights: &[WeightPreset]) -> Vec<LearnerSpec> {
         let mut specs = Vec::with_capacity(scopes.len() * weights.len());
         for &scope in scopes {
             for &preset in weights {
@@ -387,14 +384,9 @@ mod tests {
 
     #[test]
     fn grid_enumerates_the_cartesian_product() {
-        let specs = LearnerSpec::grid(
-            &StateSpace::ALL,
-            &ExplorationKind::ALL,
-            &UpdateKind::ALL,
-        );
+        let specs = LearnerSpec::grid(&StateSpace::ALL, &ExplorationKind::ALL, &UpdateKind::ALL);
         assert_eq!(specs.len(), 18);
-        let labels: std::collections::HashSet<String> =
-            specs.iter().map(|s| s.label()).collect();
+        let labels: std::collections::HashSet<String> = specs.iter().map(|s| s.label()).collect();
         assert_eq!(labels.len(), 18, "labels must be distinct");
         assert!(labels.contains("cohmeleon"), "paper cell keeps its name");
     }
@@ -405,11 +397,7 @@ mod tests {
         // so no two specs may print alike: 3 spaces × 3 strategies × 2
         // updates × 3 scopes × 5 weight presets.
         let mut labels = std::collections::HashSet::new();
-        for spec in LearnerSpec::grid(
-            &StateSpace::ALL,
-            &ExplorationKind::ALL,
-            &UpdateKind::ALL,
-        ) {
+        for spec in LearnerSpec::grid(&StateSpace::ALL, &ExplorationKind::ALL, &UpdateKind::ALL) {
             for scope in AgentScope::ALL {
                 for weights in WeightPreset::ALL {
                     let spec = spec.with_scope(scope).with_weights(weights);
@@ -458,7 +446,9 @@ mod tests {
             "ql[table3/eps-greedy/blend/per-kind/paper]"
         );
         assert_eq!(
-            LearnerSpec::paper().with_weights(WeightPreset::MemHeavy).label(),
+            LearnerSpec::paper()
+                .with_weights(WeightPreset::MemHeavy)
+                .label(),
             "ql[table3/eps-greedy/blend/global/mem-heavy]"
         );
     }
@@ -488,8 +478,7 @@ mod tests {
         assert_eq!(specs[0], LearnerSpec::paper());
         assert_eq!(specs[1].weights, WeightPreset::Mem);
         assert_eq!(specs[2].scope, AgentScope::PerKind);
-        let labels: std::collections::HashSet<String> =
-            specs.iter().map(|s| s.label()).collect();
+        let labels: std::collections::HashSet<String> = specs.iter().map(|s| s.label()).collect();
         assert_eq!(labels.len(), 4, "labels must be distinct grid coordinates");
     }
 }

@@ -107,12 +107,10 @@ pub use checkpoint::{
 };
 pub use executor::{Executor, Serial, WorkStealing};
 pub use grid::{
-    CellId, CellResult, Experiment, ExperimentError, GridResults, PolicySpec, Protocol,
-    Scenario, SweepGrid,
+    CellId, CellResult, Experiment, ExperimentError, GridResults, PolicySpec, Protocol, Scenario,
+    SweepGrid,
 };
-pub use learner::{
-    AgentScope, ExplorationKind, LearnerSpec, StateSpace, UpdateKind, WeightPreset,
-};
+pub use learner::{AgentScope, ExplorationKind, LearnerSpec, StateSpace, UpdateKind, WeightPreset};
 pub use policies::{build_policy, policy_suite, PolicyKind};
 pub use sink::{normalize_records, read_jsonl, CellRecord};
 pub use snapshot::{write_snapshot, SnapshotMeta};

@@ -245,7 +245,10 @@ impl<'a> JsonCursor<'a> {
             self.rest = stripped;
             Ok(())
         } else {
-            Err(format!("expected key `{name}` at `{}`", truncated(self.rest)))
+            Err(format!(
+                "expected key `{name}` at `{}`",
+                truncated(self.rest)
+            ))
         }
     }
 
@@ -355,7 +358,10 @@ mod tests {
             total_offchip: 11099,
             invocations: 27,
             structural_hash: 0x49cb7da5f2419441,
-            phases: vec![("phase-0".into(), 2000, 500), ("phase-1".into(), 2022452, 10599)],
+            phases: vec![
+                ("phase-0".into(), 2000, 500),
+                ("phase-1".into(), 2022452, 10599),
+            ],
         }
     }
 

@@ -133,7 +133,10 @@ mod tests {
     #[test]
     fn comment_round_trips() {
         let m = meta();
-        let text = format!("{}\n# cohmeleon q-table v1\n0\t0\t0\t0\t0\n", m.to_comment());
+        let text = format!(
+            "{}\n# cohmeleon q-table v1\n0\t0\t0\t0\t0\n",
+            m.to_comment()
+        );
         assert_eq!(SnapshotMeta::parse(&text).unwrap().unwrap(), m);
     }
 
@@ -155,10 +158,8 @@ mod tests {
     #[test]
     fn written_file_parses_as_frozen_snapshot() {
         let tables = "# cohmeleon q-table v1\n0\t1\t0\t0\t0\n1\t0\t2\t0\t0\n";
-        let dir = std::env::temp_dir().join(format!(
-            "cohmeleon-exp-snapshot-{}.tsv",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("cohmeleon-exp-snapshot-{}.tsv", std::process::id()));
         write_snapshot(&dir, &meta(), tables).unwrap();
         let text = std::fs::read_to_string(&dir).unwrap();
         let snap = cohmeleon_core::FrozenSnapshot::parse(&text, 2).unwrap();

@@ -32,7 +32,10 @@ fn clean_records(grid: &SweepGrid) -> Vec<CellRecord> {
 }
 
 fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("cohmeleon-resume-{name}-{}.jsonl", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "cohmeleon-resume-{name}-{}.jsonl",
+        std::process::id()
+    ))
 }
 
 #[test]
@@ -49,9 +52,17 @@ fn any_prefix_resumed_reproduces_the_serial_run_bit_identically() {
         std::fs::write(&path, &prefix).unwrap();
         let outcome = grid.run_resumable(&path, &Serial).unwrap();
         assert!(outcome.complete);
-        assert_eq!((outcome.reused, outcome.ran), (k, lines.len() - k), "prefix {k}");
+        assert_eq!(
+            (outcome.reused, outcome.ran),
+            (k, lines.len() - k),
+            "prefix {k}"
+        );
         assert_eq!(outcome.records, clean, "prefix {k}");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), clean_text, "prefix {k}");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            clean_text,
+            "prefix {k}"
+        );
     }
     std::fs::remove_file(&path).unwrap();
 }
@@ -72,9 +83,17 @@ fn truncated_mid_line_tails_are_dropped_and_rerun() {
         std::fs::write(&path, &text).unwrap();
         let outcome = grid.run_resumable(&path, &Serial).unwrap();
         assert!(outcome.dropped_tail, "torn after {k}");
-        assert_eq!((outcome.reused, outcome.ran), (k, lines.len() - k), "torn after {k}");
+        assert_eq!(
+            (outcome.reused, outcome.ran),
+            (k, lines.len() - k),
+            "torn after {k}"
+        );
         assert_eq!(outcome.records, clean, "torn after {k}");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), clean_text, "torn after {k}");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            clean_text,
+            "torn after {k}"
+        );
     }
     std::fs::remove_file(&path).unwrap();
 }

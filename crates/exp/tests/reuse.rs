@@ -5,9 +5,7 @@
 
 use std::path::PathBuf;
 
-use cohmeleon_exp::{
-    Checkpoint, Experiment, PolicyKind, ReuseReport, Serial, SweepGrid,
-};
+use cohmeleon_exp::{Checkpoint, Experiment, PolicyKind, ReuseReport, Serial, SweepGrid};
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 

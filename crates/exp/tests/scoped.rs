@@ -37,7 +37,10 @@ fn grid() -> SweepGrid {
 }
 
 fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("cohmeleon-scoped-{name}-{}.jsonl", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "cohmeleon-scoped-{name}-{}.jsonl",
+        std::process::id()
+    ))
 }
 
 #[test]
@@ -50,8 +53,7 @@ fn scoped_cells_are_deterministic_across_executors() {
     // cell and the per-instance reweighted cell must not collapse to one
     // behaviour.
     assert_eq!(serial.len(), 6);
-    let hashes: std::collections::HashSet<u64> =
-        serial.iter().map(|r| r.structural_hash).collect();
+    let hashes: std::collections::HashSet<u64> = serial.iter().map(|r| r.structural_hash).collect();
     assert!(
         hashes.len() > 1,
         "every scoped cell produced the same hash — scope/weights had no effect"
@@ -72,9 +74,17 @@ fn scoped_cells_survive_kill_and_resume_bit_identically() {
         std::fs::write(&path, &prefix).unwrap();
         let outcome = grid.run_resumable(&path, &Serial).unwrap();
         assert!(outcome.complete);
-        assert_eq!((outcome.reused, outcome.ran), (k, lines.len() - k), "prefix {k}");
+        assert_eq!(
+            (outcome.reused, outcome.ran),
+            (k, lines.len() - k),
+            "prefix {k}"
+        );
         assert_eq!(outcome.records, clean, "prefix {k}");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), clean_text, "prefix {k}");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            clean_text,
+            "prefix {k}"
+        );
     }
     std::fs::remove_file(&path).unwrap();
 }

@@ -45,7 +45,11 @@ fn canonical_jsonl_round_trips_every_cell() {
     // of the same grid.
     let results = grid.collect(&Serial);
     for record in &records {
-        let cell = results.cell(record.scenario_index, record.policy_index, record.seed_index);
+        let cell = results.cell(
+            record.scenario_index,
+            record.policy_index,
+            record.seed_index,
+        );
         let expected = CellRecord::from_cell(cell);
         assert_eq!(record, &expected);
         assert_eq!(record.structural_hash, cell.result.structural_hash());

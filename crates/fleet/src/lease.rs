@@ -103,7 +103,11 @@ pub struct LeaseTable {
 impl LeaseTable {
     /// Builds a table over the pending dense indices, granting at most
     /// `chunk` cells per lease with deadline `ttl` from grant time.
-    pub fn new(pending: impl IntoIterator<Item = usize>, chunk: usize, ttl: Duration) -> LeaseTable {
+    pub fn new(
+        pending: impl IntoIterator<Item = usize>,
+        chunk: usize,
+        ttl: Duration,
+    ) -> LeaseTable {
         let incomplete: BTreeSet<usize> = pending.into_iter().collect();
         LeaseTable {
             unleased: incomplete.clone(),
@@ -163,7 +167,10 @@ impl LeaseTable {
             .map(|l| l.id);
         if let Some(old_id) = overdue {
             let old = self.leases.get_mut(&old_id).expect("lease just found");
-            let chunk = self.chunk.min(old.outstanding.len().div_ceil(TAIL_PARALLELISM)).max(1);
+            let chunk = self
+                .chunk
+                .min(old.outstanding.len().div_ceil(TAIL_PARALLELISM))
+                .max(1);
             let (start, len) = carve(&old.outstanding, chunk).expect("non-empty outstanding");
             old.deadline = now + self.ttl;
             self.speculative += 1;
@@ -279,10 +286,7 @@ impl LeaseTable {
             return;
         };
         for index in lease.outstanding {
-            let covered = self
-                .leases
-                .values()
-                .any(|l| l.outstanding.contains(&index));
+            let covered = self.leases.values().any(|l| l.outstanding.contains(&index));
             if self.incomplete.contains(&index) && !covered {
                 self.unleased.insert(index);
             }
@@ -416,7 +420,10 @@ mod tests {
         assert_eq!(table.speculative(), 1);
 
         // The original's deadline was pushed out: no third dispatch yet.
-        assert_eq!(table.grant("third", t1 + Duration::from_millis(1)), Grant::Wait);
+        assert_eq!(
+            table.grant("third", t1 + Duration::from_millis(1)),
+            Grant::Wait
+        );
 
         // First completion wins, whichever lease reports it; duplicates
         // from the twin are recognised as such.
@@ -435,7 +442,10 @@ mod tests {
         let (id, _, _) = lease(table.grant("a", t0));
         assert!(table.heartbeat(id, t0 + TTL));
         // Would have expired at t0 + TTL without the heartbeat.
-        assert_eq!(table.grant("b", t0 + TTL + Duration::from_millis(1)), Grant::Wait);
+        assert_eq!(
+            table.grant("b", t0 + TTL + Duration::from_millis(1)),
+            Grant::Wait
+        );
         assert!(!table.heartbeat(999, t0));
     }
 

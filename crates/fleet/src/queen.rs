@@ -445,8 +445,7 @@ impl Queen<'_> {
 fn serve_worker(stream: TcpStream, queen: &Queen) {
     let (grid, options) = (queen.grid, queen.options);
     let _ = stream.set_nodelay(true);
-    let Ok(stream) = FaultyTransport::from_plan(stream, options.chaos.as_ref(), Role::Queen)
-    else {
+    let Ok(stream) = FaultyTransport::from_plan(stream, options.chaos.as_ref(), Role::Queen) else {
         return;
     };
     if stream
@@ -469,8 +468,7 @@ fn serve_worker(stream: TcpStream, queen: &Queen) {
             Ok(Some(line)) => line,
             Ok(None) => break,
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 if queen.lock().finished() {
                     let since = *finish_seen.get_or_insert_with(Instant::now);
@@ -606,7 +604,11 @@ fn status_line(
         let workers: Vec<String> = delivered
             .iter()
             .map(|(name, cells)| {
-                let rate = if secs > 0.0 { *cells as f64 / secs } else { 0.0 };
+                let rate = if secs > 0.0 {
+                    *cells as f64 / secs
+                } else {
+                    0.0
+                };
                 format!("{name} {cells} ({rate:.1}/s)")
             })
             .collect();
@@ -663,14 +665,7 @@ mod tests {
                 expired: true,
             },
         ];
-        let line = status_line(
-            12,
-            40,
-            Duration::from_secs(6),
-            &delivered,
-            &leases,
-            1,
-        );
+        let line = status_line(12, 40, Duration::from_secs(6), &delivered, &leases, 1);
         assert_eq!(
             line,
             "queen: 12/40 cells in 6s | workers: alpha 8 (1.3/s), beta 4 (0.7/s) \

@@ -86,11 +86,7 @@ fn invalid(message: String) -> io::Error {
 /// failed `resolve`, or a cell-count mismatch. The queen closing the
 /// connection early (killed, or capped without a final `DONE`) is
 /// `UnexpectedEof`.
-pub fn run_worker<F>(
-    addr: &str,
-    resolve: F,
-    options: &WorkerOptions,
-) -> io::Result<WorkerReport>
+pub fn run_worker<F>(addr: &str, resolve: F, options: &WorkerOptions) -> io::Result<WorkerReport>
 where
     F: Fn(&str, bool) -> Result<SweepGrid, String>,
 {
@@ -110,7 +106,12 @@ where
             cells,
             ttl_ms,
         } => (grid, fast, cells, ttl_ms),
-        other => return Err(invalid(format!("expected HELLO, got `{}`", other.to_line()))),
+        other => {
+            return Err(invalid(format!(
+                "expected HELLO, got `{}`",
+                other.to_line()
+            )))
+        }
     };
     let grid = resolve(&grid_name, fast).map_err(invalid)?;
     if grid.num_cells() != cells {
@@ -208,9 +209,7 @@ fn work_loop(
                 report.leases += 1;
             }
             ToWorker::Complete => return Ok(()),
-            ToWorker::Hello { .. } => {
-                return Err(invalid("unexpected mid-session HELLO".into()))
-            }
+            ToWorker::Hello { .. } => return Err(invalid("unexpected mid-session HELLO".into())),
         }
     }
 }

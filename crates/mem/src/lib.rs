@@ -239,10 +239,7 @@ pub fn proportional_attribution(total: u64, footprints: &[f64]) -> Vec<f64> {
     if sum <= 0.0 {
         return vec![0.0; footprints.len()];
     }
-    footprints
-        .iter()
-        .map(|f| total as f64 * f / sum)
-        .collect()
+    footprints.iter().map(|f| total as f64 * f / sum).collect()
 }
 
 /// The single share `idx` would receive from

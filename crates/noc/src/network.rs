@@ -160,7 +160,14 @@ impl Noc {
     /// latency, and each link is occupied for the full flit count. A
     /// same-tile transfer (`src == dst`) models the tile-local crossbar and
     /// costs one router traversal.
-    pub fn transfer(&mut self, plane: Plane, src: Coord, dst: Coord, bytes: u64, at: Cycle) -> Cycle {
+    pub fn transfer(
+        &mut self,
+        plane: Plane,
+        src: Coord,
+        dst: Coord,
+        bytes: u64,
+        at: Cycle,
+    ) -> Cycle {
         let flits = self.flits_for(bytes);
         self.reserve_route(plane, src, dst, Cycle(flits), at)
     }
@@ -295,18 +302,42 @@ mod tests {
     #[test]
     fn longer_routes_take_longer() {
         let mut n = noc();
-        let near = n.transfer(Plane::DmaReq, Coord::new(0, 0), Coord::new(1, 0), 64, Cycle(0));
+        let near = n.transfer(
+            Plane::DmaReq,
+            Coord::new(0, 0),
+            Coord::new(1, 0),
+            64,
+            Cycle(0),
+        );
         let mut n2 = noc();
-        let far = n2.transfer(Plane::DmaReq, Coord::new(0, 0), Coord::new(3, 3), 64, Cycle(0));
+        let far = n2.transfer(
+            Plane::DmaReq,
+            Coord::new(0, 0),
+            Coord::new(3, 3),
+            64,
+            Cycle(0),
+        );
         assert!(far > near);
     }
 
     #[test]
     fn contending_transfers_queue_on_shared_links() {
         let mut n = noc();
-        let a = n.transfer(Plane::DmaReq, Coord::new(0, 0), Coord::new(3, 0), 1024, Cycle(0));
+        let a = n.transfer(
+            Plane::DmaReq,
+            Coord::new(0, 0),
+            Coord::new(3, 0),
+            1024,
+            Cycle(0),
+        );
         // Same route, same time: must serialize behind the first transfer.
-        let b = n.transfer(Plane::DmaReq, Coord::new(0, 0), Coord::new(3, 0), 1024, Cycle(0));
+        let b = n.transfer(
+            Plane::DmaReq,
+            Coord::new(0, 0),
+            Coord::new(3, 0),
+            1024,
+            Cycle(0),
+        );
         assert!(b > a);
         assert!(n.plane_stats(Plane::DmaReq).queued_cycles > 0);
     }
@@ -314,8 +345,20 @@ mod tests {
     #[test]
     fn different_planes_do_not_contend() {
         let mut n = noc();
-        let a = n.transfer(Plane::DmaReq, Coord::new(0, 0), Coord::new(3, 0), 1024, Cycle(0));
-        let b = n.transfer(Plane::CohReq, Coord::new(0, 0), Coord::new(3, 0), 1024, Cycle(0));
+        let a = n.transfer(
+            Plane::DmaReq,
+            Coord::new(0, 0),
+            Coord::new(3, 0),
+            1024,
+            Cycle(0),
+        );
+        let b = n.transfer(
+            Plane::CohReq,
+            Coord::new(0, 0),
+            Coord::new(3, 0),
+            1024,
+            Cycle(0),
+        );
         assert_eq!(a, b);
         assert_eq!(n.plane_stats(Plane::CohReq).queued_cycles, 0);
     }
@@ -323,8 +366,20 @@ mod tests {
     #[test]
     fn disjoint_routes_do_not_contend() {
         let mut n = noc();
-        let a = n.transfer(Plane::DmaReq, Coord::new(0, 0), Coord::new(3, 0), 1024, Cycle(0));
-        let b = n.transfer(Plane::DmaReq, Coord::new(0, 3), Coord::new(3, 3), 1024, Cycle(0));
+        let a = n.transfer(
+            Plane::DmaReq,
+            Coord::new(0, 0),
+            Coord::new(3, 0),
+            1024,
+            Cycle(0),
+        );
+        let b = n.transfer(
+            Plane::DmaReq,
+            Coord::new(0, 3),
+            Coord::new(3, 3),
+            1024,
+            Cycle(0),
+        );
         assert_eq!(a - Cycle(0), b - Cycle(0));
     }
 
@@ -339,8 +394,20 @@ mod tests {
     #[test]
     fn stats_accumulate_per_plane() {
         let mut n = noc();
-        n.transfer(Plane::DmaReq, Coord::new(0, 0), Coord::new(1, 0), 64, Cycle(0));
-        n.transfer(Plane::DmaReq, Coord::new(0, 0), Coord::new(1, 0), 64, Cycle(1000));
+        n.transfer(
+            Plane::DmaReq,
+            Coord::new(0, 0),
+            Coord::new(1, 0),
+            64,
+            Cycle(0),
+        );
+        n.transfer(
+            Plane::DmaReq,
+            Coord::new(0, 0),
+            Coord::new(1, 0),
+            64,
+            Cycle(1000),
+        );
         let s = n.plane_stats(Plane::DmaReq);
         assert_eq!(s.transfers, 2);
         assert_eq!(s.flits, 2 * 17);
@@ -351,11 +418,26 @@ mod tests {
     #[test]
     fn reset_restores_idle_network() {
         let mut n = noc();
-        n.transfer(Plane::DmaReq, Coord::new(0, 0), Coord::new(3, 0), 4096, Cycle(0));
+        n.transfer(
+            Plane::DmaReq,
+            Coord::new(0, 0),
+            Coord::new(3, 0),
+            4096,
+            Cycle(0),
+        );
         n.reset();
         assert_eq!(n.total_flits(), 0);
-        let arrival = n.transfer(Plane::DmaReq, Coord::new(0, 0), Coord::new(3, 0), 64, Cycle(0));
-        assert_eq!(arrival, n.ideal_latency(Coord::new(0, 0), Coord::new(3, 0), 64));
+        let arrival = n.transfer(
+            Plane::DmaReq,
+            Coord::new(0, 0),
+            Coord::new(3, 0),
+            64,
+            Cycle(0),
+        );
+        assert_eq!(
+            arrival,
+            n.ideal_latency(Coord::new(0, 0), Coord::new(3, 0), 64)
+        );
     }
 
     #[test]

@@ -15,11 +15,11 @@ use std::time::{Duration, Instant};
 
 use cohmeleon_chaos::{FaultPlan, FaultyTransport, Role};
 use cohmeleon_core::modes::{CoherenceMode, ModeSet};
+use cohmeleon_core::policy::PolicyComplexity;
+use cohmeleon_core::router::Topology;
 use cohmeleon_core::snapshot::SystemSnapshot;
 use cohmeleon_core::space::StateSpace;
 use cohmeleon_core::state::State;
-use cohmeleon_core::policy::PolicyComplexity;
-use cohmeleon_core::router::Topology;
 use cohmeleon_core::{AccelInstanceId, AccelKindId, AgentScope, Decision, Policy};
 
 use crate::protocol::{sanitize_name, LineReader, Query, ToClient, ToServer};
@@ -303,7 +303,9 @@ fn read_reply(reader: &mut LineReader<FaultyTransport>) -> io::Result<ToClient> 
         .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection"))?;
     let reply = ToClient::parse(&line).map_err(protocol_error)?;
     if let ToClient::Err { message } = reply {
-        return Err(protocol_error(format!("server rejected request: {message}")));
+        return Err(protocol_error(format!(
+            "server rejected request: {message}"
+        )));
     }
     Ok(reply)
 }

@@ -226,7 +226,14 @@ mod tests {
         let mut h = LogHistogram::new();
         h.record(1000);
         let line = h.to_json("serve");
-        for field in ["\"label\"", "\"count\"", "\"p50_ns\"", "\"p99_ns\"", "\"p999_ns\"", "\"max_ns\""] {
+        for field in [
+            "\"label\"",
+            "\"count\"",
+            "\"p50_ns\"",
+            "\"p99_ns\"",
+            "\"p999_ns\"",
+            "\"max_ns\"",
+        ] {
             assert!(line.contains(field), "{line}");
         }
     }

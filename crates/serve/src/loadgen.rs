@@ -203,8 +203,7 @@ fn verify_dup_replies(
         };
         report.dup_replies += 1;
         report.versions_seen.insert(version);
-        if modes.len() != queries.len()
-            || modes.iter().any(|&m| m as usize >= CoherenceMode::COUNT)
+        if modes.len() != queries.len() || modes.iter().any(|&m| m as usize >= CoherenceMode::COUNT)
         {
             report.mismatches += 1;
             continue;

@@ -94,7 +94,9 @@ impl Query {
     pub fn parse_token(token: &str) -> Result<Query, String> {
         let fields: Vec<&str> = token.split(':').collect();
         let [instance, kind, state, mask] = fields.as_slice() else {
-            return Err(format!("bad query `{token}`: expected inst:kind:state:mask"));
+            return Err(format!(
+                "bad query `{token}`: expected inst:kind:state:mask"
+            ));
         };
         let instance: u16 = instance
             .parse()

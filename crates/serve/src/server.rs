@@ -197,8 +197,7 @@ fn serve_client(stream: TcpStream, shared: &Shared, options: &ServeOptions) {
             Ok(Some(line)) => line,
             Ok(None) => return,
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
@@ -342,8 +341,8 @@ fn install_snapshot(
 ) -> Result<(u64, cohmeleon_core::AgentScope, usize), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("swap: cannot read `{path}`: {e}"))?;
-    let snapshot = FrozenSnapshot::parse(&text, shared.states)
-        .map_err(|e| format!("swap: `{path}`: {e}"))?;
+    let snapshot =
+        FrozenSnapshot::parse(&text, shared.states).map_err(|e| format!("swap: `{path}`: {e}"))?;
     let scope = snapshot.scope();
     let tables = snapshot.num_tables();
     let mut live = shared.live.write().unwrap_or_else(PoisonError::into_inner);

@@ -30,7 +30,10 @@ fn synthetic_snapshot_text(states: usize, salt: usize) -> String {
 
 fn spawn_server(
     snapshot: FrozenSnapshot,
-) -> (String, std::thread::JoinHandle<std::io::Result<ServerReport>>) {
+) -> (
+    String,
+    std::thread::JoinHandle<std::io::Result<ServerReport>>,
+) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
     let handle =
@@ -76,10 +79,7 @@ fn every_mid_session_rejection_leaves_the_connection_usable() {
     let rejections: &[(String, &str)] = &[
         // Oversized batch by claimed count: rejected before any queries
         // are even parsed, so no amount of payload can wedge the server.
-        (
-            format!("DECIDE {} 0:-:1:15", MAX_BATCH + 1),
-            "exceeds",
-        ),
+        (format!("DECIDE {} 0:-:1:15", MAX_BATCH + 1), "exceeds"),
         // Unknown verb mid-stream.
         ("EXPLODE now".to_string(), "unknown"),
         // Batch with an out-of-range query: the batch is rejected, the
@@ -105,7 +105,10 @@ fn every_mid_session_rejection_leaves_the_connection_usable() {
         expected_errors += 1;
         // The connection answers real work immediately after each ERR.
         let after = exchange(&mut stream, &mut reader, "DECIDE 1 0:-:1:15");
-        assert!(after.starts_with("MODES 1 "), "after `{line}` got `{after}`");
+        assert!(
+            after.starts_with("MODES 1 "),
+            "after `{line}` got `{after}`"
+        );
     }
 
     // The failed swaps must not have bumped the version.

@@ -26,13 +26,7 @@ fn synthetic_snapshot_text(states: usize, salt: usize) -> String {
     let mut text = String::from("# synthetic serve-test table\n# cohmeleon q-table v1\n");
     for s in 0..states {
         let v = |a: usize| ((s * 31 + a * 7 + salt) % 13) as f64 - 6.0;
-        text.push_str(&format!(
-            "{s}\t{}\t{}\t{}\t{}\n",
-            v(0),
-            v(1),
-            v(2),
-            v(3)
-        ));
+        text.push_str(&format!("{s}\t{}\t{}\t{}\t{}\n", v(0), v(1), v(2), v(3)));
     }
     text
 }
@@ -50,7 +44,10 @@ fn temp_snapshot(tag: &str, salt: usize) -> (PathBuf, FrozenSnapshot) {
 
 fn spawn_server(
     snapshot: FrozenSnapshot,
-) -> (String, std::thread::JoinHandle<std::io::Result<ServerReport>>) {
+) -> (
+    String,
+    std::thread::JoinHandle<std::io::Result<ServerReport>>,
+) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
     let handle =

@@ -19,9 +19,7 @@ use cohmeleon_core::update::BlendUpdate;
 use cohmeleon_core::{
     AgentScope, FrozenPolicy, FrozenSnapshot, LearnedPolicy, Policy, PolicyRouter, StateSpace,
 };
-use cohmeleon_serve::{
-    run_server, Query, RemotePolicy, ServeClient, ServeOptions, ServerReport,
-};
+use cohmeleon_serve::{run_server, Query, RemotePolicy, ServeClient, ServeOptions, ServerReport};
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::{evaluate_policy, generate_app, run_protocol, GeneratorParams};
 
@@ -65,7 +63,10 @@ fn trained_snapshot() -> FrozenSnapshot {
 /// and the join handle.
 fn spawn_server(
     snapshot: FrozenSnapshot,
-) -> (String, std::thread::JoinHandle<std::io::Result<ServerReport>>) {
+) -> (
+    String,
+    std::thread::JoinHandle<std::io::Result<ServerReport>>,
+) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
     let handle =
@@ -113,7 +114,11 @@ fn batched_queries_equal_single_queries() {
     for i in 0..64u64 {
         queries.push(Query {
             instance: (i % 5) as u16,
-            kind: if i % 4 == 0 { None } else { Some((i % 3) as u16) },
+            kind: if i % 4 == 0 {
+                None
+            } else {
+                Some((i % 3) as u16)
+            },
             state: (i.wrapping_mul(97) % states as u64) as u32,
             mask: 1 + (i % 15) as u8,
         });

@@ -73,7 +73,11 @@ impl SeedStream {
     /// own independent universe of streams.
     pub fn child(&self, n: u64) -> SeedStream {
         SeedStream {
-            master: splitmix64(self.master.wrapping_add(0x9e37_79b9_7f4a_7c15).wrapping_mul(n | 1)),
+            master: splitmix64(
+                self.master
+                    .wrapping_add(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_mul(n | 1),
+            ),
         }
     }
 }
@@ -119,8 +123,16 @@ mod tests {
     #[test]
     fn same_tag_same_stream() {
         let s = SeedStream::new(7);
-        let a: Vec<u64> = (0..8).map(|_| 0u64).zip(s.stream("x").sample_iter(rand::distributions::Standard)).map(|(_, v)| v).collect();
-        let b: Vec<u64> = (0..8).map(|_| 0u64).zip(s.stream("x").sample_iter(rand::distributions::Standard)).map(|(_, v)| v).collect();
+        let a: Vec<u64> = (0..8)
+            .map(|_| 0u64)
+            .zip(s.stream("x").sample_iter(rand::distributions::Standard))
+            .map(|(_, v)| v)
+            .collect();
+        let b: Vec<u64> = (0..8)
+            .map(|_| 0u64)
+            .zip(s.stream("x").sample_iter(rand::distributions::Standard))
+            .map(|(_, v)| v)
+            .collect();
         assert_eq!(a, b);
     }
 

@@ -33,7 +33,11 @@ impl Dataset {
     ///
     /// Panics if `offset` is out of range.
     pub fn line(&self, offset: u64) -> LineAddr {
-        assert!(offset < self.lines, "offset {offset} beyond dataset of {} lines", self.lines);
+        assert!(
+            offset < self.lines,
+            "offset {offset} beyond dataset of {} lines",
+            self.lines
+        );
         self.base.offset(offset)
     }
 

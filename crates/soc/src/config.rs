@@ -511,11 +511,19 @@ mod tests {
     #[test]
     fn case_study_socs_have_domain_accelerators() {
         let soc5 = soc5();
-        let names: Vec<&str> = soc5.accels.iter().map(|a| a.spec.profile.name.as_str()).collect();
+        let names: Vec<&str> = soc5
+            .accels
+            .iter()
+            .map(|a| a.spec.profile.name.as_str())
+            .collect();
         assert_eq!(names.iter().filter(|n| **n == "fft").count(), 2);
         assert_eq!(names.iter().filter(|n| **n == "gemm").count(), 2);
         let soc6 = soc6();
-        let names6: Vec<&str> = soc6.accels.iter().map(|a| a.spec.profile.name.as_str()).collect();
+        let names6: Vec<&str> = soc6
+            .accels
+            .iter()
+            .map(|a| a.spec.profile.name.as_str())
+            .collect();
         assert_eq!(names6.iter().filter(|n| **n == "night-vision").count(), 3);
         assert_eq!(names6.iter().filter(|n| **n == "mlp").count(), 3);
     }

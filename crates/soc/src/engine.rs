@@ -229,7 +229,12 @@ pub fn run_app_with_options(
     // flight, so the widest phase bounds the queue. Pre-size it once; the
     // buffer is reused across phases, so no phase pays a mid-simulation
     // buffer growth.
-    let max_threads = app.phases.iter().map(|p| p.threads.len()).max().unwrap_or(0);
+    let max_threads = app
+        .phases
+        .iter()
+        .map(|p| p.threads.len())
+        .max()
+        .unwrap_or(0);
     engine.queue.reserve(max_threads);
     let phases = app
         .phases
@@ -341,7 +346,11 @@ impl<'a> Engine<'a> {
     }
 
     fn run_phase(&mut self, phase: &PhaseSpec) -> PhaseResult {
-        assert!(!phase.threads.is_empty(), "phase {} has no threads", phase.name);
+        assert!(
+            !phase.threads.is_empty(),
+            "phase {} has no threads",
+            phase.name
+        );
         let phase_start = self.queue.now();
         let dram_before: u64 = self.soc.dram_totals().iter().sum();
 
@@ -456,18 +465,18 @@ impl<'a> Engine<'a> {
         let t1 = self
             .soc
             .cpu_work(cpu, decision_cycles + params.driver_base_cycles, t);
-        Self::collect_busy_caches(&self.accel_busy, self.soc.accel_infos(), &mut self.busy_scratch);
-        let (t2, flush_dram) =
-            self.soc
-                .flush_for_mode(cpu, decision.mode, &self.busy_scratch, t1);
+        Self::collect_busy_caches(
+            &self.accel_busy,
+            self.soc.accel_infos(),
+            &mut self.busy_scratch,
+        );
+        let (t2, flush_dram) = self
+            .soc
+            .flush_for_mode(cpu, decision.mode, &self.busy_scratch, t1);
         let t3 = self.soc.cpu_work(cpu, params.tlb_cycles(footprint), t2);
 
-        self.tracker.begin(
-            instance,
-            decision.mode,
-            footprint,
-            dataset.partitions(),
-        );
+        self.tracker
+            .begin(instance, decision.mode, footprint, dataset.partitions());
 
         let sched_seed = self.sched_seeds.nth(self.invocation_counter).next_u64();
         let profile = &self.soc.config().accels[a].spec.profile;
@@ -564,7 +573,8 @@ impl<'a> Engine<'a> {
             footprint_bytes: footprint,
         };
         self.tracker.end(ctx.instance);
-        self.policy.observe(ctx.instance, &ctx.decision, &measurement);
+        self.policy
+            .observe(ctx.instance, &ctx.decision, &measurement);
         self.records.push(InvocationRecord {
             accel: ctx.instance,
             kind: self.soc.accel(ctx.instance).kind,
@@ -613,7 +623,8 @@ impl<'a> Engine<'a> {
 
     fn step_check(&mut self, i: usize, t: Cycle, next: u64) {
         let (cpu, dataset) = (self.threads[i].cpu, self.threads[i].dataset);
-        let check_lines = (dataset.lines * self.soc.params().check_fraction_per_mille / 1000).max(1);
+        let check_lines =
+            (dataset.lines * self.soc.params().check_fraction_per_mille / 1000).max(1);
         if next >= check_lines {
             // The final chunk's read-back completed at `t`: the thread (and
             // therefore the phase) ends now, not at the chunk's issue time.
@@ -680,7 +691,10 @@ impl<'a> Engine<'a> {
             }
             total += cohmeleon_mem::proportional_share(
                 delta,
-                snapshot.active.iter().map(|acc| acc.footprint_on(partition)),
+                snapshot
+                    .active
+                    .iter()
+                    .map(|acc| acc.footprint_on(partition)),
                 self_idx,
             );
         }
@@ -737,11 +751,7 @@ mod tests {
                 name: "p".into(),
                 threads: vec![ThreadSpec {
                     dataset_bytes: 8 * 1024,
-                    chain: vec![
-                        AccelInstanceId(0),
-                        AccelInstanceId(1),
-                        AccelInstanceId(2),
-                    ],
+                    chain: vec![AccelInstanceId(0), AccelInstanceId(1), AccelInstanceId(2)],
                     loops: 2,
                     check_output: true,
                 }],
@@ -777,9 +787,10 @@ mod tests {
         let res = run(&app, CoherenceMode::NonCohDma);
         let invs = &res.phases[0].invocations;
         assert_eq!(invs.len(), 4);
-        let overlap = invs
-            .iter()
-            .any(|a| invs.iter().any(|b| a.accel != b.accel && a.start < b.end && b.start < a.end));
+        let overlap = invs.iter().any(|a| {
+            invs.iter()
+                .any(|b| a.accel != b.accel && a.start < b.end && b.start < a.end)
+        });
         assert!(overlap, "distinct accelerators should run concurrently");
     }
 

@@ -400,7 +400,8 @@ impl Soc {
         let fx = if coherent {
             self.caches.coh_dma_access_range(first, op.lines, op.write)
         } else {
-            self.caches.llc_coh_dma_access_range(first, op.lines, op.write)
+            self.caches
+                .llc_coh_dma_access_range(first, op.lines, op.write)
         };
 
         // Directory/port reservation. Coherent DMA *occupies* the
@@ -461,7 +462,9 @@ impl Soc {
         } else {
             bytes
         };
-        let t3 = self.noc.transfer(Plane::DmaRsp, dst, src, resp_bytes, t_data);
+        let t3 = self
+            .noc
+            .transfer(Plane::DmaRsp, dst, src, resp_bytes, t_data);
         // Coherent DMA is blocking at the bridge: a burst's coherence
         // actions (directory check, recalls) must resolve before the next
         // burst may issue, so directory queueing delays are paid serially —
@@ -494,7 +497,9 @@ impl Soc {
         let dst = self.mem_coords[p];
 
         let first = dataset.line_range(op.line_offset, op.lines);
-        let (fx, hits) = self.caches.l2_access_range(cache, first, op.lines, op.write);
+        let (fx, hits) = self
+            .caches
+            .l2_access_range(cache, first, op.lines, op.write);
         let misses = op.lines - hits;
 
         // Hits are a serial prefix of local pipelined accesses.
@@ -595,7 +600,9 @@ impl Soc {
     ) -> Cycle {
         let p = partition.0 as usize;
         let dst = self.mem_coords[p];
-        let t1 = self.noc.transfer(Plane::CohReq, src, dst, self.params.header_bytes, at);
+        let t1 = self
+            .noc
+            .transfer(Plane::CohReq, src, dst, self.params.header_bytes, at);
         let service = (fx.dram_fetches + 1) * self.params.llc_service_cycles
             + fx.recalls * self.params.recall_service_cycles
             + fx.invalidations * self.params.inval_service_cycles;
@@ -717,7 +724,10 @@ mod tests {
             CoherenceMode::CohDma,
             Cycle(1_000_000),
         );
-        assert_eq!(out.true_dram, 0, "recalled data comes from the L2, not DRAM");
+        assert_eq!(
+            out.true_dram, 0,
+            "recalled data comes from the L2, not DRAM"
+        );
         s.caches().validate_coherence().unwrap();
     }
 
@@ -813,7 +823,12 @@ mod tests {
         let accel_cache = s.accel(AccelInstanceId(0)).cache.unwrap();
         let dirty_before = s.caches().l2(accel_cache).dirty_lines();
         assert!(dirty_before > 0);
-        s.flush_for_mode(0, CoherenceMode::LlcCohDma, &[accel_cache], Cycle(1_000_000));
+        s.flush_for_mode(
+            0,
+            CoherenceMode::LlcCohDma,
+            &[accel_cache],
+            Cycle(1_000_000),
+        );
         assert_eq!(s.caches().l2(accel_cache).dirty_lines(), dirty_before);
         s.caches().validate_coherence().unwrap();
     }

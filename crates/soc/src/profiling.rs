@@ -82,10 +82,7 @@ pub fn profile_heterogeneous(
         .enumerate()
         .filter_map(|(k, m)| m.map(|mode| (AccelKindId(k as u16), mode)))
         .collect();
-    let kind_of: HashMap<AccelInstanceId, AccelKindId> = topology
-        .pairs()
-        .into_iter()
-        .collect();
+    let kind_of: HashMap<AccelInstanceId, AccelKindId> = topology.pairs().into_iter().collect();
     FixedHeterogeneousPolicy::new(assignment, kind_of, CoherenceMode::NonCohDma)
 }
 

@@ -5,8 +5,7 @@ use cohmeleon_core::policy::{FixedPolicy, RandomPolicy};
 use cohmeleon_core::{AccelInstanceId, CoherenceMode};
 use cohmeleon_soc::config::{soc2, soc3, soc5, SocConfig};
 use cohmeleon_soc::{
-    run_app, run_app_with_options, AppSpec, Attribution, EngineOptions, PhaseSpec, Soc,
-    ThreadSpec,
+    run_app, run_app_with_options, AppSpec, Attribution, EngineOptions, PhaseSpec, Soc, ThreadSpec,
 };
 
 fn one_thread(bytes: u64, accel: u16, loops: u32) -> AppSpec {
@@ -171,7 +170,12 @@ fn soc3_fallback_modes_are_recorded_faithfully() {
     assert!(!cacheless.is_empty());
     let mut soc = Soc::new(config);
     let mut policy = FixedPolicy::new(CoherenceMode::FullCoh);
-    let result = run_app(&mut soc, &one_thread(16 * 1024, cacheless[0], 1), &mut policy, 1);
+    let result = run_app(
+        &mut soc,
+        &one_thread(16 * 1024, cacheless[0], 1),
+        &mut policy,
+        1,
+    );
     assert_ne!(result.phases[0].invocations[0].mode, CoherenceMode::FullCoh);
 }
 

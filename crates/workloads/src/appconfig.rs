@@ -222,7 +222,8 @@ phase "big"
 
     #[test]
     fn comments_and_blanks_ignored() {
-        let app = parse_app("app x\n# nothing\n\nphase \"p\"\n  thread bytes=64 chain=0\n").unwrap();
+        let app =
+            parse_app("app x\n# nothing\n\nphase \"p\"\n  thread bytes=64 chain=0\n").unwrap();
         assert_eq!(app.phases[0].threads.len(), 1);
     }
 

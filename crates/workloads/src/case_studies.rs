@@ -36,11 +36,11 @@ pub fn soc4_app(config: &SocConfig, seed: u64) -> AppSpec {
     let mut rng = SmallRng::seed_from_u64(seed);
     let one = |name: &str| instances_of(config, name)[0];
     let groups: Vec<Vec<AccelInstanceId>> = vec![
-        vec![one("conv2d"), one("gemm")],          // vision inference
-        vec![one("fft"), one("viterbi")],          // signal processing
+        vec![one("conv2d"), one("gemm")], // vision inference
+        vec![one("fft"), one("viterbi")], // signal processing
         vec![one("night-vision"), one("autoencoder"), one("mlp")], // imaging
-        vec![one("sort"), one("spmv")],            // data analytics
-        vec![one("cholesky"), one("mri-q")],       // scientific
+        vec![one("sort"), one("spmv")],   // data analytics
+        vec![one("cholesky"), one("mri-q")], // scientific
     ];
     let phases = [SizeClass::Small, SizeClass::Medium, SizeClass::Large]
         .into_iter()

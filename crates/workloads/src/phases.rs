@@ -95,7 +95,10 @@ mod tests {
         let cfg = soc0();
         let app = figure5_app(&cfg, 1);
         for t in &app.phases[2].threads {
-            assert!(t.dataset_bytes <= cfg.l2_bytes + cfg.line_bytes, "Small phase");
+            assert!(
+                t.dataset_bytes <= cfg.l2_bytes + cfg.line_bytes,
+                "Small phase"
+            );
         }
         for t in &app.phases[0].threads {
             assert!(t.dataset_bytes > cfg.llc_slice_bytes, "Large phase");

@@ -165,7 +165,10 @@ mod tests {
         let result = run_protocol(&config, &train, &test, &mut policy, 2, 9);
         assert!(policy.epsilon() == 0.0, "frozen after protocol");
         assert!(result.total_duration() > 0);
-        assert!(policy.table().populated_entries() > 0, "training updated the table");
+        assert!(
+            policy.table().populated_entries() > 0,
+            "training updated the table"
+        );
     }
 
     #[test]

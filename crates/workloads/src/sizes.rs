@@ -110,7 +110,10 @@ mod tests {
         assert_eq!(SizeClass::classify(33 * 1024, &cfg), SizeClass::Medium);
         assert_eq!(SizeClass::classify(256 * 1024, &cfg), SizeClass::Medium);
         assert_eq!(SizeClass::classify(512 * 1024, &cfg), SizeClass::Large);
-        assert_eq!(SizeClass::classify(2 * 1024 * 1024, &cfg), SizeClass::ExtraLarge);
+        assert_eq!(
+            SizeClass::classify(2 * 1024 * 1024, &cfg),
+            SizeClass::ExtraLarge
+        );
     }
 
     #[test]
@@ -132,8 +135,7 @@ mod tests {
                 // Rounding up to a line can push a boundary sample over the
                 // class limit by at most one line.
                 let classified = SizeClass::classify(bytes, &cfg);
-                let ok = classified == class
-                    || bytes <= class.byte_range(&cfg).1 + cfg.line_bytes;
+                let ok = classified == class || bytes <= class.byte_range(&cfg).1 + cfg.line_bytes;
                 assert!(ok, "{class}: sampled {bytes} classified {classified}");
             }
         }

@@ -9,16 +9,27 @@ use cohmeleon_workloads::sizes::SizeClass;
 use proptest::prelude::*;
 
 fn arb_app() -> impl Strategy<Value = AppSpec> {
-    let thread = (1u64..(8 << 20), proptest::collection::vec(0u16..32, 1..5), 1u32..6, any::<bool>())
+    let thread = (
+        1u64..(8 << 20),
+        proptest::collection::vec(0u16..32, 1..5),
+        1u32..6,
+        any::<bool>(),
+    )
         .prop_map(|(bytes, chain, loops, check)| ThreadSpec {
             dataset_bytes: bytes,
             chain: chain.into_iter().map(AccelInstanceId).collect(),
             loops,
             check_output: check,
         });
-    let phase = ("[a-zA-Z][a-zA-Z0-9 _:-]{0,24}", proptest::collection::vec(thread, 1..6))
+    let phase = (
+        "[a-zA-Z][a-zA-Z0-9 _:-]{0,24}",
+        proptest::collection::vec(thread, 1..6),
+    )
         .prop_map(|(name, threads)| PhaseSpec { name, threads });
-    ("[a-zA-Z][a-zA-Z0-9_-]{0,16}", proptest::collection::vec(phase, 0..5))
+    (
+        "[a-zA-Z][a-zA-Z0-9_-]{0,16}",
+        proptest::collection::vec(phase, 0..5),
+    )
         .prop_map(|(name, phases)| AppSpec { name, phases })
 }
 

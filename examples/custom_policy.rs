@@ -13,9 +13,7 @@
 //! Run with: `cargo run --release --example custom_policy`
 
 use cohmeleon_repro::core::policy::{Decision, Policy};
-use cohmeleon_repro::core::{
-    AccelInstanceId, CoherenceMode, ModeSet, State, SystemSnapshot,
-};
+use cohmeleon_repro::core::{AccelInstanceId, CoherenceMode, ModeSet, State, SystemSnapshot};
 use cohmeleon_repro::exp::{
     normalize_records, Experiment, ExplorationKind, LearnerSpec, PolicyKind, PolicySpec,
     StateSpace, WorkStealing,

@@ -12,7 +12,11 @@ fn main() {
     // 1. Pick a SoC from Table 4 of the paper: SoC1 has 7 accelerators,
     //    2 CPUs, 4 memory tiles with 256 KiB LLC partitions.
     let config = soc1();
-    println!("SoC: {} ({} accelerators)", config.name, config.accels.len());
+    println!(
+        "SoC: {} ({} accelerators)",
+        config.name,
+        config.accels.len()
+    );
 
     // 2. Generate a training and a test instance of the evaluation
     //    application (different seeds = different instances).
@@ -51,8 +55,7 @@ fn main() {
     let fixed = &results.cell(0, 0, 0).result;
     let cohmeleon = &results.cell(0, 2, 0).result;
     let speedup = fixed.total_duration() as f64 / cohmeleon.total_duration() as f64;
-    let mem_saving =
-        1.0 - cohmeleon.total_offchip() as f64 / fixed.total_offchip().max(1) as f64;
+    let mem_saving = 1.0 - cohmeleon.total_offchip() as f64 / fixed.total_offchip().max(1) as f64;
     println!(
         "\ncohmeleon vs fixed non-coherent DMA: {speedup:.2}x speedup, {:.0}% fewer off-chip accesses",
         mem_saving * 100.0

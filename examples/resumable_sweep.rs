@@ -21,7 +21,11 @@ fn build_grid() -> SweepGrid {
     let config = soc1();
     let app = generate_app(&config, &GeneratorParams::quick(), 31);
     Experiment::evaluate(config, app)
-        .policy_kinds([PolicyKind::FixedNonCoh, PolicyKind::Manual, PolicyKind::Cohmeleon])
+        .policy_kinds([
+            PolicyKind::FixedNonCoh,
+            PolicyKind::Manual,
+            PolicyKind::Cohmeleon,
+        ])
         .seeds([1, 2])
         .build()
         .expect("experiment axes are non-empty")

@@ -19,8 +19,7 @@ use cohmeleon_repro::soc::{AppSpec, PhaseSpec, ThreadSpec};
 fn main() {
     // A hypothetical sparse-graph accelerator: short irregular bursts over
     // 30% of the dataset, some reuse, few writes, moderate compute.
-    let profile = AccelProfile::streaming("my-graph-accel", 4, 28, 1.8, 0.4)
-        .with_irregular(0.3);
+    let profile = AccelProfile::streaming("my-graph-accel", 4, 28, 1.8, 0.4).with_irregular(0.3);
     println!("profile: {profile:#?}\n");
 
     // Drop it into the motivation SoC in place of accelerator tile 0.
@@ -72,11 +71,8 @@ fn main() {
         let mut base = None;
         for (p, mode) in CoherenceMode::ALL.into_iter().enumerate() {
             let invs = &results.cell(s, p, 0).result.phases[0].invocations;
-            let mean: u64 = invs
-                .iter()
-                .map(|r| r.measurement.total_cycles)
-                .sum::<u64>()
-                / invs.len() as u64;
+            let mean: u64 =
+                invs.iter().map(|r| r.measurement.total_cycles).sum::<u64>() / invs.len() as u64;
             let mem: f64 = invs
                 .iter()
                 .map(|r| r.measurement.offchip_accesses)

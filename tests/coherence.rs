@@ -79,8 +79,7 @@ fn mode_switching_on_shared_dataset_stays_coherent() {
     let result = run_app(&mut soc, &app, &mut policy, 3);
     assert_eq!(result.phases[0].invocations.len(), 12);
     // All four modes were actually exercised on the same dataset.
-    let distinct: std::collections::HashSet<_> =
-        result.invocations().map(|r| r.mode).collect();
+    let distinct: std::collections::HashSet<_> = result.invocations().map(|r| r.mode).collect();
     assert_eq!(distinct.len(), 4);
     soc.caches().validate_coherence().expect("SWMR + inclusion");
 }

@@ -28,7 +28,10 @@ fn different_policy_seeds_change_random_decisions() {
     let rb = evaluate_policy(&config, &app, &mut b, 99);
     let modes_a: Vec<_> = ra.invocations().map(|r| r.mode).collect();
     let modes_b: Vec<_> = rb.invocations().map(|r| r.mode).collect();
-    assert_ne!(modes_a, modes_b, "different seeds should explore differently");
+    assert_ne!(
+        modes_a, modes_b,
+        "different seeds should explore differently"
+    );
 }
 
 #[test]
@@ -67,8 +70,8 @@ fn different_app_seeds_generate_different_work() {
 /// `crates/bench/src/bin/hashdump.rs` for regenerating them).
 #[test]
 fn golden_structural_hashes_on_soc1() {
-    use cohmeleon_repro::core::CoherenceMode;
     use cohmeleon_repro::core::policy::FixedPolicy;
+    use cohmeleon_repro::core::CoherenceMode;
 
     let config = soc1();
     let app = generate_app(&config, &GeneratorParams::quick(), 5);

@@ -2,9 +2,7 @@
 //! crates (config → machine → engine → policies → measurements).
 
 use cohmeleon_repro::core::manual::ManualThresholds;
-use cohmeleon_repro::core::policy::{
-    CohmeleonPolicy, FixedPolicy, ManualPolicy, RandomPolicy,
-};
+use cohmeleon_repro::core::policy::{CohmeleonPolicy, FixedPolicy, ManualPolicy, RandomPolicy};
 use cohmeleon_repro::core::qlearn::LearningSchedule;
 use cohmeleon_repro::core::reward::RewardWeights;
 use cohmeleon_repro::core::CoherenceMode;

@@ -114,8 +114,7 @@ fn per_kind_router_trains_one_agent_per_kind() {
     assert!(result.total_duration() > 0);
     // The engine bound the SoC topology: one sub-agent per accelerator
     // kind exists (not one per instance, not a single global one).
-    let kinds: std::collections::HashSet<_> =
-        config.accels.iter().map(|t| t.spec.kind).collect();
+    let kinds: std::collections::HashSet<_> = config.accels.iter().map(|t| t.spec.kind).collect();
     assert_eq!(router.num_agents(), kinds.len());
     let tables = router.export_tables();
     assert_eq!(
@@ -141,12 +140,7 @@ fn frozen_model_is_exploitation_only() {
     // drift between runs) on states with distinct Q maxima.
     let before = policy.table().clone();
     let mut soc = Soc::new(config.clone());
-    cohmeleon_repro::soc::run_app(
-        &mut soc,
-        &test,
-        &mut policy,
-        99,
-    );
+    cohmeleon_repro::soc::run_app(&mut soc, &test, &mut policy, 99);
     assert_eq!(&before, policy.table(), "frozen table must not change");
 }
 
