@@ -15,7 +15,7 @@
 //!   --seed     RNG seed (default 7)
 //!   --train    Cohmeleon training iterations (default 10; 0 with --load-qtable)
 //!   --save-qtable / --load-qtable
-//!              persist or restore a trained Q-table (TSV)
+//!              persist or restore a trained Q-table (TSV; cohmeleon only)
 //! ```
 
 use std::process::ExitCode;
@@ -126,6 +126,17 @@ fn main() -> ExitCode {
         eprintln!("error: unknown policy `{}`", args.policy);
         return ExitCode::from(2);
     };
+    if kind != PolicyKind::Cohmeleon {
+        for (flag, path) in [
+            ("--load-qtable", &args.load_qtable),
+            ("--save-qtable", &args.save_qtable),
+        ] {
+            if path.is_some() {
+                eprintln!("error: {flag} only applies to --policy cohmeleon");
+                return ExitCode::from(2);
+            }
+        }
+    }
 
     let test_app = match &args.app {
         Some(path) => {
@@ -152,7 +163,7 @@ fn main() -> ExitCode {
     // then evaluated without a training loop.
     let mut policy = build_policy(kind, &config, args.train.max(1), args.seed);
     let mut train_iterations = args.train;
-    if let (PolicyKind::Cohmeleon, Some(path)) = (kind, &args.load_qtable) {
+    if let Some(path) = &args.load_qtable {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
@@ -205,20 +216,15 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = &args.save_qtable {
-        // Only meaningful for cohmeleon, but harmless otherwise.
-        if kind == PolicyKind::Cohmeleon {
-            // The table the run above trained (or loaded) and evaluated.
-            let table = policy
-                .export_table()
-                .expect("the cohmeleon agent has a Q-table");
-            if let Err(e) = std::fs::write(path, table) {
-                eprintln!("error: cannot write {path}: {e}");
-                return ExitCode::from(2);
-            }
-            println!("saved trained Q-table to {path}");
-        } else {
-            eprintln!("note: --save-qtable only applies to --policy cohmeleon");
+        // The table the run above trained (or loaded) and evaluated.
+        let table = policy
+            .export_table()
+            .expect("the cohmeleon agent has a Q-table");
+        if let Err(e) = std::fs::write(path, table) {
+            eprintln!("error: cannot write {path}: {e}");
+            return ExitCode::from(2);
         }
+        println!("saved trained Q-table to {path}");
     }
     ExitCode::SUCCESS
 }

@@ -29,8 +29,8 @@
 //!   deletes the checkpoint first.
 //! * `resume` is `run` spelled for humans reading a script.
 //! * A complete `run`, `resume`, `shard` or `queen` of a grid that is a
-//!   figure (`learners`, `weights`, `paper`) prints that figure, rendered
-//!   from the finished records.
+//!   figure (`paper`, `fig5`, `fig6`, `ablation`, `learners`, `weights`)
+//!   prints that figure, rendered from the finished records.
 //! * `shard` is a fleet on this machine: a queen on a loopback port and
 //!   N `worker` processes of this binary. Like `run`, it resumes the
 //!   checkpoint at `--out` and finalises it byte-identical to a serial
@@ -74,7 +74,7 @@
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
-use cohmeleon_bench::sweeps::{named_experiment, print_figure, GRID_NAMES};
+use cohmeleon_bench::sweeps::{named_experiment, print_figure, GRIDS};
 use cohmeleon_bench::Scale;
 use cohmeleon_chaos::FaultPlan;
 use cohmeleon_core::FrozenSnapshot;
@@ -87,8 +87,8 @@ fn usage() -> String {
     let mut out = String::from(
         "usage:\n  sweep run    --grid NAME [--out PATH] [--max-cells N] [--fresh]\n               [--reuse OLD.jsonl]\n  sweep resume --grid NAME [--out PATH]\n  sweep shard  --grid NAME --shards N [--out PATH]\n               (a local queen + N worker processes; resumes --out like run)\n  sweep queen  --grid NAME --listen ADDR [--resume PATH] [--chunk N]\n               [--ttl-ms MS] [--max-cells N] [--fresh] [--status-ms MS]\n               [--chaos-seed N]\n  sweep worker --connect ADDR [--name LABEL] [--retry-ms MS] [--chaos-seed N]\n  sweep freeze --grid NAME --out SNAP.tsv\n               [--cell I | --scenario LABEL --policy LABEL --seed N]\n  sweep serve  --table SNAP.tsv --listen ADDR [--states N] [--chaos-seed N]\n  sweep clients --connect ADDR [-n N] [--batches N] [--batch N] [--seed N]\n               [--verify FILE,FILE] [--swap PATH [--swap-after J]]\n               [--hist OUT.jsonl] [--shutdown] [--chaos-seed N]\n\ngrids (COHMELEON_FAST=1 for reduced scale):\n",
     );
-    for (name, what) in GRID_NAMES {
-        out.push_str(&format!("  {name:<10} {what}\n"));
+    for grid in GRIDS {
+        out.push_str(&format!("  {:<10} {}\n", grid.name, grid.description));
     }
     out
 }
@@ -575,8 +575,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     let text = std::fs::read_to_string(&table)
         .map_err(|e| format!("cannot read {}: {e}", table.display()))?;
-    if let Ok(Some(meta)) = SnapshotMeta::parse(&text) {
-        println!("sweep: snapshot provenance: {meta}");
+    match SnapshotMeta::parse(&text) {
+        Ok(Some(meta)) => println!("sweep: snapshot provenance: {meta}"),
+        Ok(None) => {}
+        Err(e) => eprintln!("sweep: ignoring malformed provenance: {e}"),
     }
     let snapshot =
         FrozenSnapshot::parse(&text, states).map_err(|e| format!("{}: {e}", table.display()))?;

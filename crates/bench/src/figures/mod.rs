@@ -23,8 +23,9 @@
 //! `from_records(&[CellRecord])` (the figure), and `run(scale)` renders
 //! the records of an in-process run. A finished `sweep` checkpoint of
 //! the same grid renders the same figure without re-simulating, which is
-//! how `sweep` prints the `learners`, `weights` and `paper` grids. The
-//! other figures read per-invocation data that a record does not carry.
+//! how `sweep` prints them: as the `fig5`, `fig6`, `paper`, `ablation`,
+//! `learners` and `weights` grids. The other figures read per-invocation
+//! data that a record does not carry.
 
 pub mod ablation;
 pub mod fig2;

@@ -10,9 +10,13 @@
 //! disk belongs to the grid being resumed (the checkpoint layer verifies
 //! labels and seeds against the rebuilt grid).
 //!
-//! Three grids are [`figures`](crate::figures): `learners`, `weights`
-//! and `paper` (Figure 9). Once one of their sweeps is complete, `sweep`
-//! renders the figure from the records ([`print_figure`]).
+//! Six grids are [`figures`](crate::figures): `paper` (Figure 9),
+//! `fig5`, `fig6`, `ablation`, `learners` and `weights`. Once one of
+//! their sweeps is complete, `sweep` renders the figure from the records
+//! ([`print_figure`]).
+//!
+//! [`GRIDS`] is the one name table: `named_experiment`, `print_figure`
+//! and the `sweep` usage text all read it.
 
 use cohmeleon_core::agent::LearnedPolicy;
 use cohmeleon_core::explore::{Exploration, Softmax, Ucb1};
@@ -25,37 +29,90 @@ use cohmeleon_exp::{
 use cohmeleon_soc::config::soc1;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 
-use crate::figures::{fig9, learner_ablation, weight_sensitivity};
+use crate::figures::{ablation, fig5, fig6, fig9, learner_ablation, weight_sensitivity};
 use crate::Scale;
 
-/// The available grid names with one-line descriptions (for `--help` and
-/// error messages).
-pub const GRID_NAMES: &[(&str, &str)] = &[
-    (
-        "suite",
-        "soc1 quick suite: fixed-non-coh-dma/manual/cohmeleon x 4 seeds (train/test)",
-    ),
-    (
-        "learners",
-        "the 18-composition learner design space on soc1 (state x explore x update)",
-    ),
-    (
-        "paper",
-        "Figure 9: eight SoCs x the eight paper policies (train/test, seed 7)",
-    ),
-    (
-        "scoped",
-        "agent orchestration: scope (global/per-kind/per-instance) x weights (paper/balanced)",
-    ),
-    (
-        "weights",
-        "Figure-6-style weight sensitivity: (global/per-kind) x all weight presets",
-    ),
-    (
-        "calibration",
-        "softmax tau0 {0.05,0.1,0.2,0.4} + ucb1 c {0.5,sqrt2,2} vs the eps-greedy baseline",
-    ),
+/// One named grid.
+#[derive(Debug, Clone, Copy)]
+pub struct NamedGrid {
+    /// The name `--grid` takes.
+    pub name: &'static str,
+    /// One line for `--help` and error messages.
+    pub description: &'static str,
+    /// Builds the grid at a scale.
+    pub experiment: fn(Scale) -> Experiment,
+    /// Prints the figure rendered from the grid's complete records, for
+    /// the grids that are figures.
+    pub figure: Option<fn(&[CellRecord])>,
+}
+
+/// Every named grid, in `--help` order.
+pub const GRIDS: &[NamedGrid] = &[
+    NamedGrid {
+        name: "suite",
+        description: "soc1 quick suite: fixed-non-coh-dma/manual/cohmeleon x 4 seeds (train/test)",
+        experiment: suite,
+        figure: None,
+    },
+    NamedGrid {
+        name: "learners",
+        description:
+            "the 18-composition learner design space on soc1 (state x explore x update)",
+        experiment: learner_ablation::experiment,
+        figure: Some(|records| learner_ablation::print(&learner_ablation::from_records(records))),
+    },
+    NamedGrid {
+        name: "paper",
+        description: "Figure 9: eight SoCs x the eight paper policies (train/test, seed 7)",
+        experiment: fig9::experiment,
+        figure: Some(|records| fig9::print(&fig9::from_records(records))),
+    },
+    NamedGrid {
+        name: "scoped",
+        description:
+            "agent orchestration: scope (global/per-kind/per-instance) x weights (paper/balanced)",
+        experiment: scoped,
+        figure: None,
+    },
+    NamedGrid {
+        name: "weights",
+        description: "Figure-6-style weight sensitivity: (global/per-kind) x all weight presets",
+        experiment: weight_sensitivity::experiment,
+        figure: Some(|records| {
+            weight_sensitivity::print(&weight_sensitivity::from_records(records))
+        }),
+    },
+    NamedGrid {
+        name: "calibration",
+        description:
+            "softmax tau0 {0.05,0.1,0.2,0.4} + ucb1 c {0.5,sqrt2,2} vs the eps-greedy baseline",
+        experiment: calibration,
+        figure: None,
+    },
+    NamedGrid {
+        name: "fig5",
+        description: "Figure 5: the four phases of the SoC0 test app x the eight paper policies",
+        experiment: fig5::experiment,
+        figure: Some(|records| fig5::print(&fig5::from_records(records))),
+    },
+    NamedGrid {
+        name: "fig6",
+        description: "Figure 6: SoC0 reward-weight variants of cohmeleon x the seven baselines",
+        experiment: fig6::experiment,
+        figure: Some(|records| fig6::print(&fig6::from_records(records))),
+    },
+    NamedGrid {
+        name: "ablation",
+        description:
+            "SoC0 ablations: no coherent DMA, oracle attribution, greedy training vs the full system",
+        experiment: ablation::experiment,
+        figure: Some(|records| ablation::print(&ablation::from_records(records))),
+    },
 ];
+
+fn find(name: &str) -> Option<&'static NamedGrid> {
+    GRIDS.iter().find(|grid| grid.name == name)
+}
 
 /// Builds the named experiment at `scale`.
 ///
@@ -63,33 +120,18 @@ pub const GRID_NAMES: &[(&str, &str)] = &[
 ///
 /// Returns a message listing the known names for an unknown `name`.
 pub fn named_experiment(name: &str, scale: Scale) -> Result<Experiment, String> {
-    Ok(match name {
-        "suite" => suite(scale),
-        "learners" => learner_ablation::experiment(scale),
-        "paper" => fig9::experiment(scale),
-        "scoped" => scoped(scale),
-        "weights" => weight_sensitivity::experiment(scale),
-        "calibration" => calibration(scale),
-        other => {
-            let known: Vec<&str> = GRID_NAMES.iter().map(|(n, _)| *n).collect();
-            return Err(format!(
-                "unknown grid `{other}` (available: {})",
-                known.join(", ")
-            ));
-        }
-    })
+    let grid = find(name).ok_or_else(|| {
+        let known: Vec<&str> = GRIDS.iter().map(|grid| grid.name).collect();
+        format!("unknown grid `{name}` (available: {})", known.join(", "))
+    })?;
+    Ok((grid.experiment)(scale))
 }
 
 /// Prints the figure of the named grid, rendered from its complete
-/// records: the learner-ablation table for `learners`, the
-/// weight-sensitivity table for `weights` and Figure 9 for `paper`. The
-/// other grids have no figure and print nothing.
+/// records. Grids that are not figures print nothing.
 pub fn print_figure(name: &str, records: &[CellRecord]) {
-    match name {
-        "learners" => learner_ablation::print(&learner_ablation::from_records(records)),
-        "weights" => weight_sensitivity::print(&weight_sensitivity::from_records(records)),
-        "paper" => fig9::print(&fig9::from_records(records)),
-        _ => {}
+    if let Some(figure) = find(name).and_then(|grid| grid.figure) {
+        figure(records);
     }
 }
 
@@ -210,7 +252,7 @@ mod tests {
 
     #[test]
     fn every_listed_grid_builds() {
-        for (name, _) in GRID_NAMES {
+        for NamedGrid { name, .. } in GRIDS {
             let grid = named_experiment(name, Scale::Fast)
                 .unwrap()
                 .build()

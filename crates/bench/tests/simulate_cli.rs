@@ -1,11 +1,13 @@
-//! `simulate --load-qtable` evaluates the loaded table and nothing else.
+//! `simulate`'s Q-table flags, through the real binary.
 //!
 //! A loaded Q-table is imported and frozen, so `--train N` must not run N
 //! training iterations on it: frozen ε-greedy draws tie-break numbers on
 //! every tied row it meets, and discarded training runs would shift the
-//! stream the test run draws from. This drives the real binary on soc6
-//! with an untrained (header-only) table, where every row ties, and
-//! asserts that the evaluation does not depend on `--train`.
+//! stream the test run draws from. This drives the binary on soc6 with
+//! an untrained (header-only) table, where every row ties, and asserts
+//! that the evaluation does not depend on `--train`. Both table flags
+//! exist only for `--policy cohmeleon`; any other policy refuses them
+//! before the run.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -38,4 +40,21 @@ fn loaded_table_is_evaluated_without_training() {
     let run =
         |train: &str| total_line(&["--soc", "soc6", "--load-qtable", table, "--train", train]);
     assert_eq!(run("0"), run("2"));
+}
+
+#[test]
+fn table_flags_are_refused_for_other_policies() {
+    for flag in ["--load-qtable", "--save-qtable"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .args(["--soc", "soc6", "--policy", "manual"])
+            .args([flag, "/nonexistent/table.tsv"])
+            .output()
+            .expect("simulate runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        let message = format!("{flag} only applies to --policy cohmeleon");
+        assert!(stderr.contains(&message), "{flag}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("total:"), "{flag} ran anyway:\n{stdout}");
+    }
 }

@@ -11,7 +11,8 @@
 //! and pins the same hashes, so both walk modes are anchored to the same
 //! recorded machine. The learner-ablation grid is pinned the same way, so
 //! every non-paper agent composition is anchored end to end too, and so
-//! is the `paper` grid, Figure 9.
+//! are the `paper` grid (Figure 9) and the `fig5`, `fig6` and `ablation`
+//! grids.
 
 use std::sync::OnceLock;
 
@@ -258,6 +259,66 @@ fn calibration_grid_hashes_are_golden() {
             0x33d7_5e52_4aec_b71f,
         ],
         "calibration grid moved — an exploration constant changed behaviour"
+    );
+}
+
+/// The `fig5` grid: the Figure 5 app on SoC0 under the eight paper
+/// policies. Recorded from `fig5::experiment` before the grid was named.
+#[test]
+fn fig5_grid_hashes_are_golden() {
+    assert_eq!(
+        named_hashes("fig5"),
+        vec![
+            0x44ab_7d88_f9e0_a3a7, // fixed-non-coh-dma
+            0x8b59_6346_00a1_eaad, // fixed-llc-coh-dma
+            0xdc07_e532_c9a2_fc0b, // fixed-coh-dma
+            0xb320_ebf5_cafd_f998, // fixed-full-coh
+            0x2314_164c_9432_c716, // rand
+            0x6b62_ecc0_d9ca_1d29, // fixed-hetero
+            0x3396_b19d_a6c4_c088, // manual
+            0x0296_b331_ea98_b581, // cohmeleon
+        ],
+        "fig5 grid moved — modeled behaviour changed"
+    );
+}
+
+/// The `fig6` grid: the seven baselines and, at fast scale, the first
+/// four reward-weight variants. Recorded from `fig6::experiment` before
+/// the grid was named.
+#[test]
+fn fig6_grid_hashes_are_golden() {
+    assert_eq!(
+        named_hashes("fig6"),
+        vec![
+            0x3d09_5967_d7e7_5792, // fixed-non-coh-dma
+            0x54e7_2cc9_a5c9_f305, // fixed-llc-coh-dma
+            0x9229_b1b7_fb17_56cb, // fixed-coh-dma
+            0xbc17_9f44_5250_ec66, // fixed-full-coh
+            0x7008_6e6a_00fe_c426, // rand
+            0x2854_b9c2_3e06_73c9, // fixed-hetero
+            0xde63_9f2a_af2c_1a1f, // manual
+            0x5268_ecdd_85ad_7ec6, // cohmeleon(67.5/7.5/25)
+            0x23f9_a6d5_9ddc_5b43, // cohmeleon(12.5/12.5/75)
+            0x38c0_2aa2_6d85_762f, // cohmeleon(100/0/0)
+            0x83f1_dddd_c0b5_3058, // cohmeleon(75/25/0)
+        ],
+        "fig6 grid moved — a reward-weight variant changed behaviour"
+    );
+}
+
+/// The `ablation` grid: the full system and its three ablated arms.
+/// Recorded from `ablation::experiment` before the grid was named.
+#[test]
+fn ablation_grid_hashes_are_golden() {
+    assert_eq!(
+        named_hashes("ablation"),
+        vec![
+            0x7fa0_463e_3ef7_3bae, // full system
+            0x110c_a5e2_b001_464b, // no coherent-DMA support
+            0x7fa0_463e_3ef7_3bae, // oracle off-chip attribution
+            0x63f1_59df_19dc_6770, // greedy training
+        ],
+        "ablation grid moved — an ablated arm changed behaviour"
     );
 }
 

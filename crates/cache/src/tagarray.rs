@@ -984,17 +984,20 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        /// The reciprocal agrees with `%` across the whole u64 numerator
-        /// range for every supported (non-power-of-two) divisor size.
-        #[test]
-        fn reciprocal_matches_modulo_across_u64(
-            d in 2u64..=(1u64 << 62),
-            n in proptest::prelude::any::<u64>(),
-        ) {
+    /// The reciprocal agrees with `%` across the whole u64 numerator
+    /// range for every supported (non-power-of-two) divisor size. Case
+    /// `c` draws from `SmallRng::seed_from_u64(c)`.
+    #[test]
+    fn reciprocal_matches_modulo_across_u64() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for case in 0..64 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            let d = rng.gen_range(2u64..=(1 << 62));
+            let n: u64 = rng.gen();
             if !d.is_power_of_two() {
                 let (m, l) = reciprocal(d);
-                proptest::prop_assert_eq!(rem_magic(n, m, l, d), n % d);
+                assert_eq!(rem_magic(n, m, l, d), n % d, "case {case}: n={n} d={d}");
             }
         }
     }

@@ -14,45 +14,54 @@ use cohmeleon_core::{
     AccelInstanceId, AccelKindId, CoherenceMode, FrozenSnapshot, ModeSet, PartitionId, QTable,
     State,
 };
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, RngCore, SeedableRng};
 
-fn arb_mode() -> impl Strategy<Value = CoherenceMode> {
-    (0usize..4).prop_map(CoherenceMode::from_index)
-}
+/// Cases per property; case `n` draws its inputs from `SmallRng::seed_from_u64(n)`.
+const CASES: u64 = 64;
+/// Cases per tables-parser property.
+const PARSER_CASES: u64 = 512;
 
-fn arb_snapshot() -> impl Strategy<Value = SystemSnapshot> {
-    let active = proptest::collection::vec((0u16..32, arb_mode(), 1u64..(8 << 20), 0u16..4), 0..12);
-    (active, 1u64..(16 << 20), 0u16..4).prop_map(|(active, target, tp)| {
-        let arch = ArchParams::new(32 * 1024, 256 * 1024, 4);
-        let active = active
-            .into_iter()
-            .enumerate()
-            .map(|(i, (_, mode, footprint, p))| ActiveAccel {
-                instance: AccelInstanceId(i as u16),
-                mode,
-                footprint_bytes: footprint,
-                partitions: vec![PartitionId(p)],
-            })
-            .collect();
-        SystemSnapshot::new(arch, active, target, vec![PartitionId(tp)])
-    })
-}
-
-fn arb_measurement() -> impl Strategy<Value = InvocationMeasurement> {
-    (
-        1u64..1 << 40,
-        0u64..1 << 38,
-        0u64..1 << 36,
-        0.0f64..1e9,
-        1u64..1 << 30,
-    )
-        .prop_map(|(total, active, comm, mem, fp)| InvocationMeasurement {
-            total_cycles: total,
-            accel_active_cycles: active.min(total),
-            accel_comm_cycles: comm.min(active.min(total)),
-            offchip_accesses: mem,
-            footprint_bytes: fp,
+fn arb_snapshot(rng: &mut SmallRng) -> SystemSnapshot {
+    let arch = ArchParams::new(32 * 1024, 256 * 1024, 4);
+    let active = (0..rng.gen_range(0..12))
+        .map(|i| ActiveAccel {
+            instance: AccelInstanceId(i),
+            mode: CoherenceMode::from_index(rng.gen_range(0..4)),
+            footprint_bytes: rng.gen_range(1..(8 << 20)),
+            partitions: vec![PartitionId(rng.gen_range(0..4))],
         })
+        .collect();
+    let target = rng.gen_range(1..(16 << 20));
+    SystemSnapshot::new(arch, active, target, vec![PartitionId(rng.gen_range(0..4))])
+}
+
+fn arb_snapshots(rng: &mut SmallRng, max: usize) -> Vec<SystemSnapshot> {
+    (0..rng.gen_range(1..max))
+        .map(|_| arb_snapshot(rng))
+        .collect()
+}
+
+fn arb_measurements(rng: &mut SmallRng, max: usize) -> Vec<InvocationMeasurement> {
+    (0..rng.gen_range(1..max))
+        .map(|_| {
+            let total = rng.gen_range(1..1 << 40);
+            let active = rng.gen_range(0..1u64 << 38).min(total);
+            InvocationMeasurement {
+                total_cycles: total,
+                accel_active_cycles: active,
+                accel_comm_cycles: rng.gen_range(0..1u64 << 36).min(active),
+                offchip_accesses: rng.gen_range(0.0..1e9),
+                footprint_bytes: rng.gen_range(1..1 << 30),
+            }
+        })
+        .collect()
+}
+
+/// A non-empty availability mask: 1..16 leaves at least one of the four
+/// mode bits set.
+fn arb_available(rng: &mut SmallRng) -> ModeSet {
+    ModeSet::from_bits(rng.gen_range(1..16))
 }
 
 /// A fresh per-kind router of paper agents.
@@ -118,90 +127,106 @@ fn tables_parsers_survive_every_truncation() {
     }
 }
 
-proptest! {
-    /// Every snapshot discretizes to a valid state, and the state index is
-    /// a bijection on its range.
-    #[test]
-    fn snapshot_discretization_is_total(snapshot in arb_snapshot()) {
-        let state = State::from_snapshot(&snapshot);
+/// Every snapshot discretizes to a valid state, and the state index is
+/// a bijection on its range.
+#[test]
+fn snapshot_discretization_is_total() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let state = State::from_snapshot(&arb_snapshot(&mut rng));
         let idx = state.index();
-        prop_assert!(idx < State::COUNT);
-        prop_assert_eq!(State::from_index(idx), state);
+        assert!(idx < State::COUNT, "case {case}: index {idx}");
+        assert_eq!(State::from_index(idx), state, "case {case}");
     }
+}
 
-    /// Reward components are always within [0, 1] for any measurement
-    /// sequence, and so is the combined reward for any valid weighting.
-    #[test]
-    fn rewards_are_bounded(
-        measurements in proptest::collection::vec(arb_measurement(), 1..40),
-        (x, y, z) in (0.0f64..10.0, 0.0f64..10.0, 0.0f64..10.0),
-    ) {
-        prop_assume!(x + y + z > 0.0);
-        let weights = RewardWeights::new(x, y, z).expect("validated above");
+/// Reward components are always within [0, 1] for any measurement
+/// sequence, and so is the combined reward for any valid weighting.
+#[test]
+fn rewards_are_bounded() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let measurements = arb_measurements(&mut rng, 40);
+        // Any weighting in [0, 10)³ but the all-zero one, the only draw
+        // `RewardWeights::new` rejects.
+        let weights = loop {
+            let [x, y, z] = std::array::from_fn(|_| rng.gen_range(0.0..10.0));
+            if let Ok(weights) = RewardWeights::new(x, y, z) {
+                break weights;
+            }
+        };
         let mut history = RewardHistory::new();
         for m in &measurements {
             let c = history.record(AccelInstanceId(0), m);
             for v in [c.r_exec, c.r_comm, c.r_mem] {
-                prop_assert!((0.0..=1.0).contains(&v), "component {v}");
+                assert!((0.0..=1.0).contains(&v), "case {case}: component {v}");
             }
             let r = weights.combine(c);
-            prop_assert!((0.0..=1.0).contains(&r), "reward {r}");
+            assert!((0.0..=1.0).contains(&r), "case {case}: reward {r}");
         }
     }
+}
 
-    /// Q-values remain within the reward bounds under arbitrary blend
-    /// updates.
-    #[test]
-    fn q_updates_stay_bounded(updates in proptest::collection::vec((0usize..243, 0usize..4, 0.0f64..1.0), 1..300)) {
+/// Q-values remain within the reward bounds under arbitrary blend
+/// updates.
+#[test]
+fn q_updates_stay_bounded() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
         let mut table = QTable::new();
         let rule = BlendUpdate::paper(10);
-        for (s, a, r) in updates {
-            rule.apply(&mut table, s, a, r);
+        for _ in 0..rng.gen_range(1..300usize) {
+            let (s, a) = (rng.gen_range(0..243), rng.gen_range(0..4));
+            rule.apply(&mut table, s, a, rng.gen_range(0.0..1.0));
         }
-        for (_, _, q) in table.iter() {
-            prop_assert!((0.0..=1.0).contains(&q));
+        for (s, a, q) in table.iter() {
+            assert!((0.0..=1.0).contains(&q), "case {case}: Q({s}, {a}) = {q}");
         }
     }
+}
 
-    /// ε-greedy selection always returns an available mode.
-    #[test]
-    fn choices_respect_availability(
-        mask in 1u8..16,
-        snapshots in proptest::collection::vec(arb_snapshot(), 1..50),
-        seed in any::<u64>(),
-    ) {
-        let available = ModeSet::from_bits(mask);
-        prop_assume!(!available.is_empty());
+/// ε-greedy selection always returns an available mode.
+#[test]
+fn choices_respect_availability() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let available = arb_available(&mut rng);
+        let snapshots = arb_snapshots(&mut rng, 50);
         let mut policy = CohmeleonPolicy::new(
             RewardWeights::paper_default(),
             LearningSchedule::paper_default(10),
-            seed,
+            rng.gen(),
         );
         for snapshot in &snapshots {
             let d = policy.decide(snapshot, available, AccelInstanceId(0));
-            prop_assert!(available.contains(d.mode));
+            assert!(available.contains(d.mode), "case {case}: {:?}", d.mode);
         }
     }
+}
 
-    /// Algorithm 1 always returns an available mode and is deterministic.
-    #[test]
-    fn manual_is_total_and_deterministic(snapshot in arb_snapshot(), mask in 1u8..16) {
-        let available = ModeSet::from_bits(mask);
-        prop_assume!(!available.is_empty());
+/// Algorithm 1 always returns an available mode and is deterministic.
+#[test]
+fn manual_is_total_and_deterministic() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let snapshot = arb_snapshot(&mut rng);
+        let available = arb_available(&mut rng);
         let thresholds = ManualThresholds::for_arch(&snapshot.arch);
         let a = algorithm1_restricted(&snapshot, &thresholds, available);
         let b = algorithm1_restricted(&snapshot, &thresholds, available);
-        prop_assert_eq!(a, b);
-        prop_assert!(available.contains(a));
+        assert_eq!(a, b, "case {case}");
+        assert!(available.contains(a), "case {case}: {a:?}");
     }
+}
 
-    /// The full Cohmeleon policy round trip (decide + observe) never
-    /// produces an unavailable mode or an out-of-range Q value.
-    #[test]
-    fn cohmeleon_roundtrip_is_sane(
-        snapshots in proptest::collection::vec(arb_snapshot(), 1..30),
-        measurements in proptest::collection::vec(arb_measurement(), 1..30),
-    ) {
+/// The full Cohmeleon policy round trip (decide + observe) never
+/// produces an unavailable mode or an out-of-range Q value.
+#[test]
+fn cohmeleon_roundtrip_is_sane() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let snapshots = arb_snapshots(&mut rng, 30);
+        let measurements = arb_measurements(&mut rng, 30);
         let mut policy = CohmeleonPolicy::new(
             RewardWeights::paper_default(),
             LearningSchedule::paper_default(5),
@@ -209,35 +234,43 @@ proptest! {
         );
         for (snapshot, m) in snapshots.iter().zip(&measurements) {
             let d = policy.decide(snapshot, ModeSet::all(), AccelInstanceId(1));
-            prop_assert!(ModeSet::all().contains(d.mode));
+            assert!(ModeSet::all().contains(d.mode), "case {case}");
             policy.observe(AccelInstanceId(1), &d, m);
         }
-        for (_, _, q) in policy.table().iter() {
-            prop_assert!((0.0..=1.0).contains(&q));
+        for (s, a, q) in policy.table().iter() {
+            assert!((0.0..=1.0).contains(&q), "case {case}: Q({s}, {a}) = {q}");
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// Arbitrary bytes, bare or after a valid document's header and first
-    /// section line, never panic either tables parser.
-    #[test]
-    fn tables_parsers_survive_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+/// Arbitrary bytes, bare or after a valid document's header and first
+/// section line, never panic either tables parser.
+#[test]
+fn tables_parsers_survive_arbitrary_bytes() {
+    let head: String = per_kind_document()
+        .lines()
+        .take(2)
+        .map(|l| format!("{l}\n"))
+        .collect();
+    for case in 0..PARSER_CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let mut bytes = vec![0u8; rng.gen_range(0..512)];
+        rng.fill_bytes(&mut bytes);
         let tail = String::from_utf8_lossy(&bytes);
         parse_both(&tail);
-        let head: String = per_kind_document().lines().take(2).map(|l| format!("{l}\n")).collect();
         parse_both(&format!("{head}{tail}"));
     }
+}
 
-    /// Single-byte mutations of a valid document never panic either
-    /// tables parser.
-    #[test]
-    fn tables_parsers_survive_single_byte_mutations(at in any::<u64>(), byte in any::<u8>()) {
+/// Single-byte mutations of a valid document never panic either
+/// tables parser.
+#[test]
+fn tables_parsers_survive_single_byte_mutations() {
+    for case in 0..PARSER_CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
         let mut bytes = per_kind_document().as_bytes().to_vec();
-        let at = (at % bytes.len() as u64) as usize;
-        bytes[at] = byte;
+        let at = rng.gen_range(0..bytes.len());
+        bytes[at] = rng.gen_range(0..=u8::MAX);
         parse_both(&String::from_utf8_lossy(&bytes));
     }
 }

@@ -10,14 +10,14 @@
 //!   invocation subsequence.
 //! * Namespaced table export/import round-trips for every scope.
 
-use proptest::prelude::*;
-
 use cohmeleon_core::policy::{CohmeleonPolicy, Policy};
 use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::{InvocationMeasurement, RewardWeights};
 use cohmeleon_core::router::{AgentScope, PolicyRouter, ScopeKey};
 use cohmeleon_core::snapshot::{ArchParams, SystemSnapshot};
 use cohmeleon_core::{AccelInstanceId, AccelKindId, CoherenceMode, ModeSet, PartitionId};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn snapshot(footprint: u64) -> SystemSnapshot {
     SystemSnapshot::new(
@@ -101,114 +101,106 @@ fn drive(
     modes
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Cases per property; case `n` draws its inputs from `SmallRng::seed_from_u64(n)`.
+const CASES: u64 = 24;
 
-    /// A `Global` router is invisible: identical decision stream to the
-    /// bare agent it wraps, invocation for invocation.
-    #[test]
-    fn global_router_is_bit_identical_to_the_bare_agent(
-        raw in proptest::collection::vec((0u16..5, 1u64..(1 << 22), 1_000u64..100_000), 1..40),
-        seed in 0u64..1_000,
-    ) {
-        let sequence: Vec<Invocation> = raw
-            .iter()
-            .map(|&(instance, footprint, total_cycles)| Invocation { instance, footprint, total_cycles })
-            .collect();
+/// Up to `max - 1` invocations over the five instances, with the
+/// router seed.
+fn arb_sequence(rng: &mut SmallRng, max: usize) -> (Vec<Invocation>, u64) {
+    let sequence = (0..rng.gen_range(1..max))
+        .map(|_| Invocation {
+            instance: rng.gen_range(0..5),
+            footprint: rng.gen_range(1..(1 << 22)),
+            total_cycles: rng.gen_range(1_000..100_000),
+        })
+        .collect();
+    (sequence, rng.gen_range(0..1_000))
+}
+
+/// A `Global` router is invisible: identical decision stream to the
+/// bare agent it wraps, invocation for invocation.
+#[test]
+fn global_router_is_bit_identical_to_the_bare_agent() {
+    for case in 0..CASES {
+        let (sequence, seed) = arb_sequence(&mut SmallRng::seed_from_u64(case), 40);
         let mut bare = paper_agent(3, seed);
         let mut routed = PolicyRouter::new(AgentScope::Global, seed, move |_, s| {
             Box::new(paper_agent(3, s))
         });
         let expected = drive(&mut bare, &sequence, 3);
         let actual = drive(&mut routed, &sequence, 3);
-        prop_assert_eq!(expected, actual);
+        assert_eq!(expected, actual, "case {case}");
     }
+}
 
-    /// `PerKind` with identical sub-agent seeds diverges from `Global`
-    /// only through state partitioning: for every kind, a fresh global
-    /// agent fed exactly that kind's invocation subsequence reproduces
-    /// the router's decisions for those invocations.
-    #[test]
-    fn per_kind_partitions_the_stream_and_nothing_else(
-        raw in proptest::collection::vec((0u16..5, 1u64..(1 << 22), 1_000u64..100_000), 1..40),
-        seed in 0u64..1_000,
-    ) {
-        let sequence: Vec<Invocation> = raw
+/// Checks that `routed_modes`, the stream of a router over `sequence`,
+/// agrees for every key with a fresh global agent fed exactly that
+/// key's invocation subsequence. `key_of` maps an instance to its key.
+fn assert_partitioned(
+    case: u64,
+    sequence: &[Invocation],
+    seed: u64,
+    routed_modes: &[CoherenceMode],
+    keys: std::ops::Range<u16>,
+    key_of: impl Fn(u16) -> u16,
+) {
+    for key in keys {
+        // The positions this key's decisions occupy in the full stream
+        // (3 training passes + 1 frozen evaluation pass).
+        let mut positions = Vec::new();
+        for pass in 0..4 {
+            for (j, inv) in sequence.iter().enumerate() {
+                if key_of(inv.instance) == key {
+                    positions.push(pass * sequence.len() + j);
+                }
+            }
+        }
+        let subsequence: Vec<Invocation> = sequence
             .iter()
-            .map(|&(instance, footprint, total_cycles)| Invocation { instance, footprint, total_cycles })
+            .copied()
+            .filter(|inv| key_of(inv.instance) == key)
             .collect();
+        if subsequence.is_empty() {
+            continue;
+        }
+        let solo_modes = drive(&mut paper_agent(3, seed), &subsequence, 3);
+        assert_eq!(solo_modes.len(), positions.len(), "case {case}: key {key}");
+        for (solo_mode, pos) in solo_modes.iter().zip(&positions) {
+            assert_eq!(
+                *solo_mode, routed_modes[*pos],
+                "case {case}: key {key} position {pos}"
+            );
+        }
+    }
+}
+
+/// `PerKind` with identical sub-agent seeds diverges from `Global`
+/// only through state partitioning: for every kind, a fresh global
+/// agent fed exactly that kind's invocation subsequence reproduces
+/// the router's decisions for those invocations.
+#[test]
+fn per_kind_partitions_the_stream_and_nothing_else() {
+    for case in 0..CASES {
+        let (sequence, seed) = arb_sequence(&mut SmallRng::seed_from_u64(case), 40);
         let mut routed = PolicyRouter::new(AgentScope::PerKind, seed, move |_, s| {
             Box::new(paper_agent(3, s))
         });
         let routed_modes = drive(&mut routed, &sequence, 3);
-
         let kind_of = |instance: u16| TOPOLOGY.iter().find(|&&(i, _)| i == instance).unwrap().1;
-        for kind in [0u16, 1, 2] {
-            // The positions this kind's decisions occupy in the full
-            // stream (3 training passes + 1 frozen evaluation pass).
-            let mut positions = Vec::new();
-            for pass in 0..4 {
-                for (j, inv) in sequence.iter().enumerate() {
-                    if kind_of(inv.instance) == kind {
-                        positions.push(pass * sequence.len() + j);
-                    }
-                }
-            }
-            let subsequence: Vec<Invocation> = sequence
-                .iter()
-                .copied()
-                .filter(|inv| kind_of(inv.instance) == kind)
-                .collect();
-            if subsequence.is_empty() {
-                continue;
-            }
-            let mut solo = paper_agent(3, seed);
-            let solo_modes = drive(&mut solo, &subsequence, 3);
-            prop_assert_eq!(solo_modes.len(), positions.len());
-            for (solo_mode, pos) in solo_modes.iter().zip(&positions) {
-                prop_assert_eq!(*solo_mode, routed_modes[*pos], "kind {} position {}", kind, pos);
-            }
-        }
+        assert_partitioned(case, &sequence, seed, &routed_modes, 0..3, kind_of);
     }
+}
 
-    /// The same partitioning property at instance granularity.
-    #[test]
-    fn per_instance_partitions_the_stream_and_nothing_else(
-        raw in proptest::collection::vec((0u16..5, 1u64..(1 << 22), 1_000u64..100_000), 1..30),
-        seed in 0u64..1_000,
-    ) {
-        let sequence: Vec<Invocation> = raw
-            .iter()
-            .map(|&(instance, footprint, total_cycles)| Invocation { instance, footprint, total_cycles })
-            .collect();
+/// The same partitioning property at instance granularity.
+#[test]
+fn per_instance_partitions_the_stream_and_nothing_else() {
+    for case in 0..CASES {
+        let (sequence, seed) = arb_sequence(&mut SmallRng::seed_from_u64(case), 30);
         let mut routed = PolicyRouter::new(AgentScope::PerInstance, seed, move |_, s| {
             Box::new(paper_agent(3, s))
         });
         let routed_modes = drive(&mut routed, &sequence, 3);
-
-        for instance in 0u16..5 {
-            let mut positions = Vec::new();
-            for pass in 0..4 {
-                for (j, inv) in sequence.iter().enumerate() {
-                    if inv.instance == instance {
-                        positions.push(pass * sequence.len() + j);
-                    }
-                }
-            }
-            let subsequence: Vec<Invocation> = sequence
-                .iter()
-                .copied()
-                .filter(|inv| inv.instance == instance)
-                .collect();
-            if subsequence.is_empty() {
-                continue;
-            }
-            let mut solo = paper_agent(3, seed);
-            let solo_modes = drive(&mut solo, &subsequence, 3);
-            for (solo_mode, pos) in solo_modes.iter().zip(&positions) {
-                prop_assert_eq!(*solo_mode, routed_modes[*pos], "acc{} position {}", instance, pos);
-            }
-        }
+        assert_partitioned(case, &sequence, seed, &routed_modes, 0..5, |i| i);
     }
 }
 

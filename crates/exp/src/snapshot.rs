@@ -9,6 +9,9 @@
 //! cell coordinates and the producing run's
 //! [`structural_hash`](cohmeleon_soc::AppResult::structural_hash) — enough
 //! to re-run the exact cell and verify it reproduces the same tables.
+//! Fields are separated by whitespace, so the three label values are
+//! percent-encoded: `%` and whitespace become `%XX` per UTF-8 byte, and
+//! every other character stands for itself.
 
 use std::fmt;
 use std::io;
@@ -34,11 +37,17 @@ pub struct SnapshotMeta {
 const SNAPSHOT_TAG: &str = "# snapshot v1";
 
 impl SnapshotMeta {
-    /// Renders the provenance comment line (no trailing newline).
+    /// Renders the provenance comment line (no trailing newline). The
+    /// grid, scenario and policy values are percent-encoded; a label
+    /// without `%` or whitespace is written as it is.
     pub fn to_comment(&self) -> String {
         format!(
             "{SNAPSHOT_TAG} grid={} scenario={} policy={} seed={} hash={:016x}",
-            self.grid, self.scenario, self.policy, self.seed, self.structural_hash
+            encode(&self.grid),
+            encode(&self.scenario),
+            encode(&self.policy),
+            self.seed,
+            self.structural_hash
         )
     }
 
@@ -63,10 +72,11 @@ impl SnapshotMeta {
             let (key, value) = field
                 .split_once('=')
                 .ok_or_else(|| format!("bad snapshot field `{field}` in `{line}`"))?;
+            let label = || decode(value).ok_or_else(|| format!("bad escape in `{field}`"));
             match key {
-                "grid" => grid = Some(value.to_owned()),
-                "scenario" => scenario = Some(value.to_owned()),
-                "policy" => policy = Some(value.to_owned()),
+                "grid" => grid = Some(label()?),
+                "scenario" => scenario = Some(label()?),
+                "policy" => policy = Some(label()?),
                 "seed" => {
                     seed = Some(
                         value
@@ -92,6 +102,42 @@ impl SnapshotMeta {
             structural_hash: hash.ok_or_else(|| missing("hash"))?,
         }))
     }
+}
+
+/// Percent-encodes `%` and whitespace in a label, byte by byte.
+fn encode(label: &str) -> String {
+    let mut out = String::with_capacity(label.len());
+    for c in label.chars() {
+        if c == '%' || c.is_whitespace() {
+            for byte in c.encode_utf8(&mut [0; 4]).bytes() {
+                out.push_str(&format!("%{byte:02X}"));
+            }
+        } else {
+            out.push(c);
+        }
+    }
+    out
+}
+
+/// The inverse of [`encode`]: `None` on a `%` not followed by two hex
+/// digits, or on escapes that do not decode to UTF-8.
+fn decode(value: &str) -> Option<String> {
+    let mut bytes = Vec::with_capacity(value.len());
+    let mut rest = value.as_bytes();
+    while let Some((&byte, tail)) = rest.split_first() {
+        rest = tail;
+        if byte != b'%' {
+            bytes.push(byte);
+            continue;
+        }
+        let [hi, lo, tail @ ..] = rest else {
+            return None;
+        };
+        let digit = |b: u8| char::from(b).to_digit(16);
+        bytes.push((digit(*hi)? * 16 + digit(*lo)?) as u8);
+        rest = tail;
+    }
+    String::from_utf8(bytes).ok()
 }
 
 impl fmt::Display for SnapshotMeta {
@@ -138,6 +184,31 @@ mod tests {
             m.to_comment()
         );
         assert_eq!(SnapshotMeta::parse(&text).unwrap().unwrap(), m);
+    }
+
+    #[test]
+    fn labels_with_whitespace_and_percent_round_trip() {
+        for policy in [
+            "full system (4 modes, approx attribution, ε₀=0.5)",
+            "100%\tcoherent %41",
+        ] {
+            let m = SnapshotMeta {
+                policy: policy.into(),
+                ..meta()
+            };
+            let line = m.to_comment();
+            assert_eq!(line.split_whitespace().count(), 8, "{line}");
+            assert_eq!(SnapshotMeta::parse(&line), Ok(Some(m)), "{line}");
+        }
+        assert!(meta().to_comment().contains(" policy=cohmeleon "));
+    }
+
+    #[test]
+    fn malformed_escapes_are_errors() {
+        for policy in ["%", "a%4", "%zz", "%+1", "%FF", "%E2%82"] {
+            let line = format!("# snapshot v1 grid=g scenario=s policy={policy} seed=1 hash=0");
+            assert!(SnapshotMeta::parse(&line).is_err(), "{line}");
+        }
     }
 
     #[test]

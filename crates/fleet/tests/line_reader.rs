@@ -11,7 +11,8 @@
 use std::io::{self, Read};
 
 use cohmeleon_fleet::LineReader;
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// A reader that yields pre-scripted results one at a time, then EOF.
 struct Scripted(Vec<io::Result<Vec<u8>>>);
@@ -97,23 +98,27 @@ fn every_uniform_chunk_size_yields_identical_lines() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Arbitrary multi-way splits with `WouldBlock` timeouts scattered
-    /// between (and inside) lines — exactly what a chaos split-write plus
-    /// a read stall produces — still frame identically.
-    #[test]
-    fn random_splits_with_timeouts_yield_identical_lines(
-        cuts in proptest::collection::vec(0usize..MESSAGE.len(), 0..8),
-        stall_mask in any::<u16>(),
-    ) {
-        let mut cuts = cuts;
+/// Arbitrary multi-way splits with `WouldBlock` timeouts scattered
+/// between (and inside) lines — exactly what a chaos split-write plus
+/// a read stall produces — still frame identically. Case `n` draws its
+/// cuts and stalls from `SmallRng::seed_from_u64(n)`.
+#[test]
+fn random_splits_with_timeouts_yield_identical_lines() {
+    for case in 0..256 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let mut cuts: Vec<usize> = (0..rng.gen_range(0..8usize))
+            .map(|_| rng.gen_range(0..MESSAGE.len()))
+            .collect();
+        let stall_mask: u16 = rng.gen_range(0..=u16::MAX);
         cuts.sort_unstable();
         cuts.dedup();
         let mut chunks: Vec<io::Result<Vec<u8>>> = Vec::new();
         let mut start = 0;
-        for (i, &cut) in cuts.iter().chain(std::iter::once(&MESSAGE.len())).enumerate() {
+        for (i, &cut) in cuts
+            .iter()
+            .chain(std::iter::once(&MESSAGE.len()))
+            .enumerate()
+        {
             if stall_mask & (1 << (i as u32 % 16)) != 0 {
                 chunks.push(Err(io::Error::new(io::ErrorKind::WouldBlock, "stall")));
             }
@@ -123,6 +128,10 @@ proptest! {
             start = cut;
         }
         let mut reader = LineReader::new(Scripted(chunks));
-        prop_assert_eq!(collect_lines(&mut reader), expected_lines());
+        assert_eq!(
+            collect_lines(&mut reader),
+            expected_lines(),
+            "case {case}: cuts {cuts:?}, stalls {stall_mask:#06x}"
+        );
     }
 }

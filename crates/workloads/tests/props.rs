@@ -6,45 +6,63 @@ use cohmeleon_soc::{AppSpec, PhaseSpec, ThreadSpec};
 use cohmeleon_workloads::appconfig::{parse_app, render_app};
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 use cohmeleon_workloads::sizes::SizeClass;
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
-fn arb_app() -> impl Strategy<Value = AppSpec> {
-    let thread = (
-        1u64..(8 << 20),
-        proptest::collection::vec(0u16..32, 1..5),
-        1u32..6,
-        any::<bool>(),
-    )
-        .prop_map(|(bytes, chain, loops, check)| ThreadSpec {
-            dataset_bytes: bytes,
-            chain: chain.into_iter().map(AccelInstanceId).collect(),
-            loops,
-            check_output: check,
-        });
-    let phase = (
-        "[a-zA-Z][a-zA-Z0-9 _:-]{0,24}",
-        proptest::collection::vec(thread, 1..6),
-    )
-        .prop_map(|(name, threads)| PhaseSpec { name, threads });
-    (
-        "[a-zA-Z][a-zA-Z0-9_-]{0,16}",
-        proptest::collection::vec(phase, 0..5),
-    )
-        .prop_map(|(name, phases)| AppSpec { name, phases })
+/// Cases per property; case `n` draws its inputs from `SmallRng::seed_from_u64(n)`.
+const CASES: u64 = 64;
+
+const LETTERS: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+
+/// A name matching the regex `[a-zA-Z][a-zA-Z0-9<extra>]{0,max_tail}`.
+fn arb_name(rng: &mut SmallRng, extra: &str, max_tail: usize) -> String {
+    let tail: Vec<char> = format!("{LETTERS}0123456789{extra}").chars().collect();
+    let first = LETTERS.as_bytes()[rng.gen_range(0..LETTERS.len())];
+    let mut name = String::from(char::from(first));
+    name.extend((0..rng.gen_range(0..=max_tail)).map(|_| tail[rng.gen_range(0..tail.len())]));
+    name
 }
 
-proptest! {
-    /// Any application spec survives a render → parse round trip.
-    #[test]
-    fn appconfig_roundtrips(app in arb_app()) {
-        let text = render_app(&app);
-        let parsed = parse_app(&text).expect("rendered config parses");
-        prop_assert_eq!(app, parsed);
-    }
+fn arb_app(rng: &mut SmallRng) -> AppSpec {
+    let thread = |rng: &mut SmallRng| ThreadSpec {
+        dataset_bytes: rng.gen_range(1..(8 << 20)),
+        chain: (0..rng.gen_range(1..5usize))
+            .map(|_| AccelInstanceId(rng.gen_range(0..32)))
+            .collect(),
+        loops: rng.gen_range(1..6),
+        check_output: rng.gen(),
+    };
+    let name = arb_name(rng, "_-", 16);
+    let phases = (0..rng.gen_range(0..5usize))
+        .map(|_| PhaseSpec {
+            name: arb_name(rng, " _:-", 24),
+            threads: (0..rng.gen_range(1..6usize)).map(|_| thread(rng)).collect(),
+        })
+        .collect();
+    AppSpec { name, phases }
+}
 
-    /// Generated applications respect their parameter bounds on any SoC.
-    #[test]
-    fn generator_respects_bounds(seed in any::<u64>(), phases in 1usize..5, tmin in 1usize..4, tspan in 0usize..6) {
+/// Any application spec survives a render → parse round trip.
+#[test]
+fn appconfig_roundtrips() {
+    for case in 0..CASES {
+        let app = arb_app(&mut SmallRng::seed_from_u64(case));
+        let text = render_app(&app);
+        let parsed = parse_app(&text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+        assert_eq!(app, parsed, "case {case}");
+    }
+}
+
+/// Generated applications respect their parameter bounds on any SoC.
+#[test]
+fn generator_respects_bounds() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let (phases, tmin, tspan) = (
+            rng.gen_range(1..5),
+            rng.gen_range(1..4),
+            rng.gen_range(0..6),
+        );
         let config = cohmeleon_soc::config::soc2();
         let params = GeneratorParams {
             phases,
@@ -54,37 +72,52 @@ proptest! {
             size_mix: vec![SizeClass::Small, SizeClass::Medium, SizeClass::Large],
             check_per_mille: 500,
         };
-        let app = generate_app(&config, &params, seed);
-        prop_assert_eq!(app.phases.len(), phases);
+        let app = generate_app(&config, &params, rng.gen());
+        assert_eq!(app.phases.len(), phases, "case {case}");
         for phase in &app.phases {
-            prop_assert!(phase.threads.len() >= tmin);
-            prop_assert!(phase.threads.len() <= tmin + tspan);
+            let threads = phase.threads.len();
+            assert!(
+                threads >= tmin && threads <= tmin + tspan,
+                "case {case}: {threads} threads"
+            );
             for t in &phase.threads {
-                prop_assert!(!t.chain.is_empty() && t.chain.len() <= 3);
-                prop_assert!((1..=4).contains(&t.loops));
+                assert!(
+                    !t.chain.is_empty() && t.chain.len() <= 3,
+                    "case {case}: {t:?}"
+                );
+                assert!((1..=4).contains(&t.loops), "case {case}: {t:?}");
                 for a in &t.chain {
-                    prop_assert!((a.0 as usize) < config.accels.len());
+                    assert!((a.0 as usize) < config.accels.len(), "case {case}: {t:?}");
                 }
                 // Sizes fall inside the drawn classes' envelope
                 // (Small..Large), give or take line rounding.
-                prop_assert!(t.dataset_bytes <= config.llc_total_bytes() + config.line_bytes);
+                assert!(
+                    t.dataset_bytes <= config.llc_total_bytes() + config.line_bytes,
+                    "case {case}: {t:?}"
+                );
             }
         }
     }
+}
 
-    /// Size classes partition the byte axis: every size classifies into
-    /// exactly the class whose range contains it.
-    #[test]
-    fn size_classification_is_consistent(bytes in 1u64..(16 << 20)) {
-        let config = cohmeleon_soc::config::soc1();
+/// Size classes partition the byte axis: every size classifies into
+/// exactly the class whose range contains it.
+#[test]
+fn size_classification_is_consistent() {
+    let config = cohmeleon_soc::config::soc1();
+    for case in 0..CASES {
+        let bytes = SmallRng::seed_from_u64(case).gen_range(1..(16 << 20));
         let class = SizeClass::classify(bytes, &config);
         let (lo, hi) = class.byte_range(&config);
         // Small's lower bound is clamped (4 KiB) but classification covers
         // everything below it too.
         if class == SizeClass::Small {
-            prop_assert!(bytes <= hi);
+            assert!(bytes <= hi, "case {case}: {bytes} in {class:?}");
         } else {
-            prop_assert!(bytes >= lo && bytes <= hi.max(bytes));
+            assert!(
+                bytes >= lo && bytes <= hi.max(bytes),
+                "case {case}: {bytes} in {class:?}"
+            );
         }
     }
 }

@@ -1,14 +1,15 @@
 //! Cross-crate coherence checks: the MESI/directory invariants must hold
 //! after arbitrary full-system activity, including mode switching mid-app.
 
-use cohmeleon_repro::cache::{AddressMap, CacheGeometry, CacheId, CoherenceController};
+use cohmeleon_repro::cache::{AddressMap, CacheGeometry, CacheId, CoherenceController, LineAddr};
 use cohmeleon_repro::core::policy::{Policy, RandomPolicy};
-use cohmeleon_repro::core::CoherenceMode;
+use cohmeleon_repro::core::{CoherenceMode, PartitionId};
 use cohmeleon_repro::soc::config::{motivation_isolation_soc, soc3};
 use cohmeleon_repro::soc::{run_app, Soc};
 use cohmeleon_repro::workloads::generator::{generate_app, GeneratorParams};
 
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn invariants_hold_after_random_policy_runs() {
@@ -84,33 +85,48 @@ fn mode_switching_on_shared_dataset_stays_coherent() {
     soc.caches().validate_coherence().expect("SWMR + inclusion");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Random interleavings of every protocol operation preserve SWMR,
-    /// inclusion and directory consistency.
-    #[test]
-    fn protocol_fuzz_preserves_invariants(ops in proptest::collection::vec((0u8..6, 0u16..3, 0u64..128, any::<bool>()), 1..300)) {
+/// Random interleavings of every protocol operation preserve SWMR,
+/// inclusion and directory consistency. Case `n` draws its operations
+/// from `SmallRng::seed_from_u64(n)`.
+#[test]
+fn protocol_fuzz_preserves_invariants() {
+    for case in 0..64 {
+        let mut rng = SmallRng::seed_from_u64(case);
         let l2 = CacheGeometry::new(4 * 1024, 4, 64);
         let llc = CacheGeometry::new(16 * 1024, 16, 64);
         let mut ctrl = CoherenceController::new(AddressMap::new(2), &[l2; 3], llc);
-        for (op, cache, line, write) in ops {
-            let line = cohmeleon_repro::cache::LineAddr(line);
+        for _ in 0..rng.gen_range(1..300usize) {
+            let op = rng.gen_range(0..6u8);
+            let cache = CacheId(rng.gen_range(0..3));
+            let line = LineAddr(rng.gen_range(0..128));
+            let write = rng.gen();
             match op {
-                0 => { ctrl.l2_access(CacheId(cache), line, write); }
-                1 => { ctrl.coh_dma_access(line, write); }
-                2 => { ctrl.llc_coh_dma_access(line, write); }
-                3 => { ctrl.flush_l2(CacheId(cache)); }
-                4 => { ctrl.l2_store_streaming(CacheId(cache), line); }
+                0 => {
+                    ctrl.l2_access(cache, line, write);
+                }
+                1 => {
+                    ctrl.coh_dma_access(line, write);
+                }
+                2 => {
+                    ctrl.llc_coh_dma_access(line, write);
+                }
+                3 => {
+                    ctrl.flush_l2(cache);
+                }
+                4 => {
+                    ctrl.l2_store_streaming(cache, line);
+                }
                 _ => {
                     if line.0.is_multiple_of(31) {
-                        ctrl.flush_llc(cohmeleon_repro::core::PartitionId(cache % 2));
+                        ctrl.flush_llc(PartitionId(cache.0 % 2));
                     } else {
-                        ctrl.l2_access(CacheId(cache), line, write);
+                        ctrl.l2_access(cache, line, write);
                     }
                 }
             }
         }
-        prop_assert!(ctrl.validate_coherence().is_ok());
+        if let Err(e) = ctrl.validate_coherence() {
+            panic!("case {case}: {e}");
+        }
     }
 }

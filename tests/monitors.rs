@@ -7,7 +7,8 @@ use cohmeleon_repro::mem::proportional_attribution;
 use cohmeleon_repro::soc::config::motivation_isolation_soc;
 use cohmeleon_repro::soc::{run_app, AppSpec, PhaseSpec, Soc, ThreadSpec};
 
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn one_thread_app(bytes: u64, accel: u16, loops: u32) -> AppSpec {
     AppSpec {
@@ -90,23 +91,30 @@ fn parallel_attribution_conserves_the_controller_delta() {
     assert!(attributed > 0.0);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The attribution formula conserves the total and is proportional.
-    #[test]
-    fn attribution_conserves_total(total in 0u64..1_000_000, footprints in proptest::collection::vec(0.0f64..1e9, 1..16)) {
+/// The attribution formula conserves the total and is proportional.
+/// Case `n` draws its total and footprints from
+/// `SmallRng::seed_from_u64(n)`.
+#[test]
+fn attribution_conserves_total() {
+    for case in 0..128 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let total = rng.gen_range(0..1_000_000);
+        let footprints: Vec<f64> = (0..rng.gen_range(1..16usize))
+            .map(|_| rng.gen_range(0.0..1e9))
+            .collect();
         let shares = proportional_attribution(total, &footprints);
-        prop_assert_eq!(shares.len(), footprints.len());
+        assert_eq!(shares.len(), footprints.len(), "case {case}");
         let sum: f64 = shares.iter().sum();
-        let fp_sum: f64 = footprints.iter().sum();
-        if fp_sum > 0.0 {
-            prop_assert!((sum - total as f64).abs() < 1e-6 * (total as f64 + 1.0));
+        if footprints.iter().sum::<f64>() > 0.0 {
+            assert!(
+                (sum - total as f64).abs() < 1e-6 * (total as f64 + 1.0),
+                "case {case}: {sum} != {total}"
+            );
         } else {
-            prop_assert_eq!(sum, 0.0);
+            assert_eq!(sum, 0.0, "case {case}");
         }
         for s in shares {
-            prop_assert!(s >= 0.0);
+            assert!(s >= 0.0, "case {case}: share {s}");
         }
     }
 }
