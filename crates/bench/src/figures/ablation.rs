@@ -120,11 +120,6 @@ pub fn from_records(records: &[CellRecord]) -> Data {
     Data { arms }
 }
 
-/// Runs the grid in-process and renders the table.
-pub fn run(scale: Scale) -> Data {
-    super::run_grid(experiment(scale), from_records)
-}
-
 /// Prints the ablation table.
 pub fn print(data: &Data) {
     let rows: Vec<Vec<String>> = data
@@ -151,7 +146,7 @@ mod tests {
 
     #[test]
     fn fast_ablation_produces_all_arms() {
-        let data = run(Scale::Fast);
+        let data = crate::figures::run_grid(experiment(Scale::Fast), from_records);
         assert_eq!(data.arms.len(), 4);
         assert_eq!(data.arms[0].norm_time, 1.0);
         for arm in &data.arms {

@@ -81,11 +81,6 @@ pub fn from_records(records: &[CellRecord]) -> Data {
     Data { entries }
 }
 
-/// Runs the grid in-process and renders the figure.
-pub fn run(scale: Scale) -> Data {
-    super::run_grid(experiment(scale), from_records)
-}
-
 /// Prints the figure.
 pub fn print(data: &Data) {
     let rows: Vec<Vec<String>> = data
@@ -128,7 +123,7 @@ mod tests {
 
     #[test]
     fn fast_run_has_four_phases_and_eight_policies() {
-        let data = run(Scale::Fast);
+        let data = crate::figures::run_grid(experiment(Scale::Fast), from_records);
         assert_eq!(data.phases().len(), 4);
         assert_eq!(data.entries.len(), 4 * 8);
         // The baseline policy normalizes to 1 in every phase.

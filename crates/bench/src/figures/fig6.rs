@@ -137,11 +137,6 @@ pub fn from_records(records: &[CellRecord]) -> Data {
     Data { points }
 }
 
-/// Runs the grid in-process and renders the scatter.
-pub fn run(scale: Scale) -> Data {
-    super::run_grid(experiment(scale), from_records)
-}
-
 /// Prints the scatter.
 pub fn print(data: &Data) {
     let rows: Vec<Vec<String>> = data
@@ -196,7 +191,7 @@ mod tests {
 
     #[test]
     fn fast_run_produces_baselines_and_cohmeleon_points() {
-        let data = run(Scale::Fast);
+        let data = crate::figures::run_grid(experiment(Scale::Fast), from_records);
         assert_eq!(data.points.iter().filter(|p| !p.is_cohmeleon).count(), 7);
         assert_eq!(data.cohmeleon_points().count(), 4);
         for p in &data.points {

@@ -20,12 +20,14 @@
 //! The grid figures ([`fig5`], [`fig6`], [`fig9`], [`ablation`],
 //! [`learner_ablation`], [`weight_sensitivity`]) are pure functions of
 //! their cell records: each exposes `experiment(scale)` (its grid) and
-//! `from_records(&[CellRecord])` (the figure), and `run(scale)` renders
-//! the records of an in-process run. A finished `sweep` checkpoint of
-//! the same grid renders the same figure without re-simulating, which is
-//! how `sweep` prints them: as the `fig5`, `fig6`, `paper`, `ablation`,
-//! `learners` and `weights` grids. The other figures read per-invocation
-//! data that a record does not carry.
+//! `from_records(&[CellRecord])` (the figure). A finished `sweep`
+//! checkpoint of the grid renders the figure without re-simulating,
+//! which is how `sweep` prints them: as the `fig5`, `fig6`, `paper`,
+//! `ablation`, `learners` and `weights` grids. [`fig9`],
+//! [`learner_ablation`] and [`weight_sensitivity`] also keep a
+//! `run(scale)` that renders the records of an in-process run for their
+//! binaries; `fig5`, `fig6` and `ablation` have no binary. The other
+//! figures read per-invocation data that a record does not carry.
 
 pub mod ablation;
 pub mod fig2;

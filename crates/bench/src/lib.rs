@@ -3,14 +3,16 @@
 //! The benchmark and figure-regeneration harness: one module per table and
 //! figure of the paper's evaluation (see the [`figures`] module table).
 //!
-//! Every figure module exposes `run(scale) -> Data` (structured results)
-//! and `print(&Data)` (the same rows/series the paper reports), built on
+//! Every figure module produces a `Data` (structured results) and
+//! `print(&Data)` (the same rows/series the paper reports), built on
 //! the `cohmeleon-exp` experiment grid — a figure is one `Experiment`
 //! (scenarios × policies × seeds) run on the work-stealing executor, so
 //! regeneration parallelises across cells while staying bit-identical to
 //! a serial run. The grid figures render from cell records
 //! (`from_records`), so a finished [`sweeps`] checkpoint renders the same
-//! figure. The `src/bin/` binaries are thin wrappers. Wall-clock
+//! figure; `fig5`, `fig6` and `ablation` are regenerated only that way.
+//! The other modules' `run(scale) -> Data` back the thin `src/bin/`
+//! binaries. Wall-clock
 //! measurement lives in the repository benchmark (`perfbench/`); the
 //! [`tracked`] suites are the deterministic grids the tests pin.
 //!

@@ -147,14 +147,11 @@ fn rewards_are_bounded() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(case);
         let measurements = arb_measurements(&mut rng, 40);
-        // Any weighting in [0, 10)³ but the all-zero one, the only draw
-        // `RewardWeights::new` rejects.
-        let weights = loop {
-            let [x, y, z] = std::array::from_fn(|_| rng.gen_range(0.0..10.0));
-            if let Ok(weights) = RewardWeights::new(x, y, z) {
-                break weights;
-            }
-        };
+        // A weighting in [0, 10)³; no seed in 0..CASES draws the all-zero
+        // one, so every draw is valid and `RewardWeights::new` must take it.
+        let [x, y, z] = std::array::from_fn(|_| rng.gen_range(0.0..10.0));
+        let weights = RewardWeights::new(x, y, z)
+            .unwrap_or_else(|e| panic!("case {case}: ({x}, {y}, {z}) rejected: {e:?}"));
         let mut history = RewardHistory::new();
         for m in &measurements {
             let c = history.record(AccelInstanceId(0), m);
