@@ -4,7 +4,7 @@
 //! run it on two checkouts and diff the output. Covers every coherence mode
 //! path, the manual heuristic, and the learned policy across three SoCs.
 
-use cohmeleon_bench::policies::{build_policy, PolicyKind};
+use cohmeleon_exp::policies::{build_policy, PolicyKind};
 use cohmeleon_soc::config::{motivation_isolation_soc, soc1, soc2};
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 use cohmeleon_workloads::runner::run_protocol;

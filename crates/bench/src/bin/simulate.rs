@@ -20,8 +20,8 @@
 
 use std::process::ExitCode;
 
-use cohmeleon_bench::policies::{build_policy, PolicyKind};
 use cohmeleon_bench::table;
+use cohmeleon_exp::policies::{build_policy, PolicyKind};
 use cohmeleon_soc::config::{
     motivation_isolation_soc, motivation_parallel_soc, soc0, soc0_irregular, soc0_streaming, soc1,
     soc2, soc3, soc4, soc5, soc6,
@@ -101,16 +101,16 @@ fn main() -> ExitCode {
             if e != "help" {
                 eprintln!("error: {e}\n");
             }
-            eprintln!(
-                "{}",
-                include_str!("simulate.rs")
-                    .lines()
-                    .skip(3)
-                    .take(16)
-                    .map(|l| l.trim_start_matches("//! "))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
+            // The usage is the fenced block of this file's module doc.
+            let usage: Vec<&str> = include_str!("simulate.rs")
+                .lines()
+                .skip_while(|l| *l != "//! ```text")
+                .skip(1)
+                .take_while(|l| *l != "//! ```")
+                .map(|l| l.strip_prefix("//!").unwrap_or(l))
+                .map(|l| l.strip_prefix(' ').unwrap_or(l))
+                .collect();
+            eprintln!("{}", usage.join("\n"));
             return ExitCode::from(2);
         }
     };

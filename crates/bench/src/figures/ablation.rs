@@ -12,9 +12,10 @@
 //! 3. **Exploration** — ε₀ = 0.5 versus purely greedy training (ε₀ = 0).
 
 use cohmeleon_core::policy::{CohmeleonPolicy, RestrictedPolicy};
-use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::RewardWeights;
-use cohmeleon_core::{CoherenceMode, ModeSet};
+use cohmeleon_core::{
+    BlendUpdate, CoherenceMode, EpsilonGreedy, Exploration, LearnedPolicy, ModeSet, StateSpace,
+};
 use cohmeleon_exp::{CellRecord, Experiment, PolicySpec};
 use cohmeleon_soc::config::soc0;
 use cohmeleon_soc::{Attribution, EngineOptions};
@@ -60,7 +61,7 @@ pub fn experiment(scale: Scale) -> Experiment {
     ) -> Box<dyn cohmeleon_core::Policy> {
         Box::new(CohmeleonPolicy::new(
             RewardWeights::paper_default(),
-            LearningSchedule::paper_default(iters),
+            iters,
             seed,
         ))
     }
@@ -72,8 +73,7 @@ pub fn experiment(scale: Scale) -> Experiment {
         .policy(PolicySpec::custom(
             "no coherent-DMA support",
             move |_, iters, seed| {
-                let inner =
-                    CohmeleonPolicy::new(weights, LearningSchedule::paper_default(iters), seed);
+                let inner = CohmeleonPolicy::new(weights, iters, seed);
                 Box::new(RestrictedPolicy::new(
                     inner,
                     ModeSet::all().without(CoherenceMode::CohDma),
@@ -90,13 +90,13 @@ pub fn experiment(scale: Scale) -> Experiment {
         .policy(PolicySpec::custom(
             "greedy training (ε₀=0)",
             move |_, iters, seed| {
-                Box::new(CohmeleonPolicy::new(
+                Box::new(LearnedPolicy::with_components(
+                    "cohmeleon",
+                    StateSpace::Table3,
+                    Exploration::EpsilonGreedy(EpsilonGreedy::new(0.0, iters)),
+                    BlendUpdate::paper(iters),
                     weights,
-                    LearningSchedule {
-                        epsilon0: 0.0,
-                        alpha0: 0.25,
-                        train_iterations: iters,
-                    },
+                    iters,
                     seed,
                 ))
             },

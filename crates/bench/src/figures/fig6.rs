@@ -8,7 +8,6 @@
 //! time against normalized off-chip accesses.
 
 use cohmeleon_core::policy::CohmeleonPolicy;
-use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::RewardWeights;
 use cohmeleon_exp::{normalize_records, CellRecord, Experiment, PolicyKind, PolicySpec};
 use cohmeleon_soc::config::soc0;
@@ -103,11 +102,7 @@ pub fn experiment(scale: Scale) -> Experiment {
             PolicySpec::custom(format!("cohmeleon({x}/{y}/{z})"), move |_, iters, _| {
                 let weights =
                     RewardWeights::new(x, y, z).expect("reward points are valid weightings");
-                Box::new(CohmeleonPolicy::new(
-                    weights,
-                    LearningSchedule::paper_default(iters),
-                    7 + i as u64,
-                ))
+                Box::new(CohmeleonPolicy::new(weights, iters, 7 + i as u64))
             })
         });
 

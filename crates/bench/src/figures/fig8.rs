@@ -8,7 +8,6 @@
 //! accesses versus fixed non-coherent DMA.
 
 use cohmeleon_core::policy::{CohmeleonPolicy, FixedPolicy, Policy};
-use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::RewardWeights;
 use cohmeleon_core::CoherenceMode;
 use cohmeleon_exp::{Executor, WorkStealing};
@@ -69,11 +68,7 @@ pub fn run(scale: Scale) -> Data {
 
     let curve = |c: usize| {
         let schedule = schedules[c];
-        let mut policy = CohmeleonPolicy::new(
-            RewardWeights::paper_default(),
-            LearningSchedule::paper_default(schedule),
-            7,
-        );
+        let mut policy = CohmeleonPolicy::new(RewardWeights::paper_default(), schedule, 7);
         let mut points = Vec::new();
         for iteration in 0..=schedule {
             // Evaluate the current model with exploration disabled,

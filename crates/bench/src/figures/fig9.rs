@@ -187,11 +187,6 @@ pub fn from_records(records: &[CellRecord]) -> Data {
     }
 }
 
-/// Runs the grid in-process and renders the figure.
-pub fn run(scale: Scale) -> Data {
-    super::run_grid(experiment(scale), from_records)
-}
-
 /// One point per record, normalized against policy 0 of its SoC.
 fn scatter(records: &[CellRecord]) -> Vec<Point> {
     records

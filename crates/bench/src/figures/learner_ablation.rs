@@ -77,11 +77,6 @@ pub fn from_records(records: &[CellRecord]) -> Data {
     Data { arms }
 }
 
-/// Runs the grid in-process and renders the table.
-pub fn run(scale: Scale) -> Data {
-    super::run_grid(experiment(scale), from_records)
-}
-
 /// Prints the ablation table, one row per learner composition.
 pub fn print(data: &Data) {
     let rows: Vec<Vec<String>> = data
@@ -131,7 +126,7 @@ mod tests {
 
     #[test]
     fn fast_sweep_runs_all_cells_deterministically() {
-        let a = run(Scale::Fast);
+        let a = crate::figures::run_grid(experiment(Scale::Fast), from_records);
         assert_eq!(a.arms.len(), 18);
         assert_eq!(a.arms[0].label, "cohmeleon");
         assert_eq!(a.arms[0].norm_time, 1.0);
@@ -141,7 +136,7 @@ mod tests {
         }
         // Bit-identical re-run: the whole sweep is a pure function of its
         // seeds.
-        let b = run(Scale::Fast);
+        let b = crate::figures::run_grid(experiment(Scale::Fast), from_records);
         assert_eq!(a, b);
     }
 }

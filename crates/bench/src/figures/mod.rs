@@ -21,13 +21,11 @@
 //! [`learner_ablation`], [`weight_sensitivity`]) are pure functions of
 //! their cell records: each exposes `experiment(scale)` (its grid) and
 //! `from_records(&[CellRecord])` (the figure). A finished `sweep`
-//! checkpoint of the grid renders the figure without re-simulating,
-//! which is how `sweep` prints them: as the `fig5`, `fig6`, `paper`,
-//! `ablation`, `learners` and `weights` grids. [`fig9`],
-//! [`learner_ablation`] and [`weight_sensitivity`] also keep a
-//! `run(scale)` that renders the records of an in-process run for their
-//! binaries; `fig5`, `fig6` and `ablation` have no binary. The other
-//! figures read per-invocation data that a record does not carry.
+//! checkpoint of the grid renders the figure without re-simulating.
+//! `sweep` is the one way to print them, as the `fig5`, `fig6`, `paper`,
+//! `ablation`, `learners` and `weights` grids; none has a binary of its
+//! own. The other figures read per-invocation data that a record does not
+//! carry.
 
 pub mod ablation;
 pub mod fig2;
@@ -44,13 +42,14 @@ pub mod table2;
 pub mod table4;
 pub mod weight_sensitivity;
 
-use cohmeleon_exp::{normalize_records, CellRecord, Experiment, WorkStealing};
+use cohmeleon_exp::{normalize_records, CellRecord};
 
 /// Runs a figure's grid on the work-stealing executor and renders the
-/// figure from its records.
-fn run_grid<D>(experiment: Experiment, from_records: fn(&[CellRecord]) -> D) -> D {
+/// figure from its records (the grid figures' unit tests).
+#[cfg(test)]
+fn run_grid<D>(experiment: cohmeleon_exp::Experiment, from_records: fn(&[CellRecord]) -> D) -> D {
     let grid = experiment.build().expect("figure grids have every axis");
-    from_records(&grid.collect_records(&WorkStealing::new()))
+    from_records(&grid.collect_records(&cohmeleon_exp::WorkStealing::new()))
 }
 
 /// Each record's `(norm_time, norm_mem)` against policy 0 of its scenario

@@ -4,7 +4,6 @@
 //! workloads, dropping below 0.1% for 4 MiB.
 
 use cohmeleon_core::policy::{CohmeleonPolicy, Policy};
-use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::RewardWeights;
 use cohmeleon_core::AccelInstanceId;
 use cohmeleon_exp::{Experiment, PolicySpec, Protocol, Scenario, WorkStealing};
@@ -71,11 +70,7 @@ pub fn run(scale: Scale) -> Data {
         .protocol(Protocol::EvaluateOnly)
         .scenarios(scenarios)
         .policy(PolicySpec::custom("cohmeleon-frozen", |_, _, seed| {
-            let mut policy = CohmeleonPolicy::new(
-                RewardWeights::paper_default(),
-                LearningSchedule::paper_default(10),
-                seed,
-            );
+            let mut policy = CohmeleonPolicy::new(RewardWeights::paper_default(), 10, seed);
             policy.freeze(); // steady state: decisions only, no exploration
             Box::new(policy)
         }))

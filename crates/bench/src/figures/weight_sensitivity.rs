@@ -81,11 +81,6 @@ pub fn from_records(records: &[CellRecord]) -> Data {
     Data { arms }
 }
 
-/// Runs the grid in-process and renders the table.
-pub fn run(scale: Scale) -> Data {
-    super::run_grid(experiment(scale), from_records)
-}
-
 /// Prints the weight-sensitivity table, one row per (scope, weights) cell.
 pub fn print(data: &Data) {
     let rows: Vec<Vec<String>> = data
@@ -127,7 +122,7 @@ mod tests {
 
     #[test]
     fn fast_sweep_runs_all_cells_deterministically() {
-        let a = run(Scale::Fast);
+        let a = crate::figures::run_grid(experiment(Scale::Fast), from_records);
         assert_eq!(a.arms.len(), specs().len());
         assert_eq!(a.arms[0].label, "cohmeleon");
         assert_eq!(a.arms[0].norm_time, 1.0);
@@ -135,7 +130,7 @@ mod tests {
             assert!(arm.norm_time > 0.0, "{}", arm.label);
             assert!(arm.norm_mem >= 0.0, "{}", arm.label);
         }
-        let b = run(Scale::Fast);
+        let b = crate::figures::run_grid(experiment(Scale::Fast), from_records);
         assert_eq!(a, b);
     }
 }

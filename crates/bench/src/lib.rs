@@ -9,10 +9,9 @@
 //! (scenarios × policies × seeds) run on the work-stealing executor, so
 //! regeneration parallelises across cells while staying bit-identical to
 //! a serial run. The grid figures render from cell records
-//! (`from_records`), so a finished [`sweeps`] checkpoint renders the same
-//! figure; `fig5`, `fig6` and `ablation` are regenerated only that way.
-//! The other modules' `run(scale) -> Data` back the thin `src/bin/`
-//! binaries. Wall-clock
+//! (`from_records`) and are regenerated only as [`sweeps`] grids, so a
+//! finished checkpoint renders the same figure. The other modules'
+//! `run(scale) -> Data` back the thin `src/bin/` binaries. Wall-clock
 //! measurement lives in the repository benchmark (`perfbench/`); the
 //! [`tracked`] suites are the deterministic grids the tests pin.
 //!
@@ -28,10 +27,4 @@ pub mod sweeps;
 pub mod table;
 pub mod tracked;
 
-/// The policy suite now lives in `cohmeleon-exp` (the experiment grid
-/// builds policies from [`PolicyKind`] values); re-exported here under its
-/// old path.
-pub use cohmeleon_exp::policies;
-
-pub use policies::{policy_suite, PolicyKind};
 pub use scale::Scale;

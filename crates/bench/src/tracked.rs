@@ -8,12 +8,10 @@
 //! modeled behaviour did not move by a single bit. Wall-clock time is
 //! measured by the repository benchmark (`perfbench/`), not here.
 
-use cohmeleon_exp::{Experiment, SweepGrid};
+use cohmeleon_exp::{Experiment, PolicyKind, SweepGrid};
 use cohmeleon_soc::SocConfig;
 use cohmeleon_workloads::generator::{generate_app, GeneratorParams};
 use cohmeleon_workloads::sizes::SizeClass;
-
-use crate::policies::PolicyKind;
 
 /// Policies in the fixed suites, in run order.
 pub const SUITE: [PolicyKind; 3] = [

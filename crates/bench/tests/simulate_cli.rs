@@ -1,4 +1,5 @@
-//! `simulate`'s Q-table flags, through the real binary.
+//! `simulate`'s Q-table flags and its usage text, through the real
+//! binary.
 //!
 //! A loaded Q-table is imported and frozen, so `--train N` must not run N
 //! training iterations on it: frozen ε-greedy draws tie-break numbers on
@@ -7,7 +8,8 @@
 //! an untrained (header-only) table, where every row ties, and asserts
 //! that the evaluation does not depend on `--train`. Both table flags
 //! exist only for `--policy cohmeleon`; any other policy refuses them
-//! before the run.
+//! before the run. `--help` prints the usage block of the binary's module
+//! doc without its doc-comment markup.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -56,5 +58,22 @@ fn table_flags_are_refused_for_other_policies() {
         assert!(stderr.contains(&message), "{flag}: {stderr}");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(!stdout.contains("total:"), "{flag} ran anyway:\n{stdout}");
+    }
+}
+
+#[test]
+fn help_prints_only_the_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .arg("--help")
+        .output()
+        .expect("simulate runs");
+    let usage = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{usage}");
+    assert!(usage.starts_with("simulate [--soc NAME]"), "{usage}");
+    for line in usage.lines() {
+        assert!(
+            !line.starts_with("```") && !line.starts_with("//!"),
+            "doc markup in the usage: `{line}`\n{usage}"
+        );
     }
 }

@@ -21,7 +21,6 @@ use cohmeleon_bench::sweeps::named_experiment;
 use cohmeleon_bench::tracked::{soc6_params, suite_grid, SEED, TRAIN_ITERATIONS};
 use cohmeleon_bench::Scale;
 use cohmeleon_core::policy::CohmeleonPolicy;
-use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::RewardWeights;
 use cohmeleon_core::router::{AgentScope, PolicyRouter};
 use cohmeleon_exp::{
@@ -108,7 +107,7 @@ fn global_routed_cohmeleon_matches_the_bare_golden() {
             let router = PolicyRouter::new(AgentScope::Global, seed, move |_, seed| {
                 Box::new(CohmeleonPolicy::new(
                     RewardWeights::paper_default(),
-                    LearningSchedule::paper_default(iters),
+                    iters,
                     seed,
                 ))
             });

@@ -985,20 +985,22 @@ mod tests {
     }
 
     /// The reciprocal agrees with `%` across the whole u64 numerator
-    /// range for every supported (non-power-of-two) divisor size. Case
-    /// `c` draws from `SmallRng::seed_from_u64(c)`.
+    /// range for every supported (non-power-of-two) divisor size. Each
+    /// case draws the divisor's bit length first, so small divisors, where
+    /// a round-down reciprocal would be off, are as likely as huge ones.
+    /// Case `c` draws from `SmallRng::seed_from_u64(c)`.
     #[test]
     fn reciprocal_matches_modulo_across_u64() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         for case in 0..64 {
             let mut rng = SmallRng::seed_from_u64(case);
-            let d = rng.gen_range(2u64..=(1 << 62));
+            let bits = rng.gen_range(2u32..=62);
+            // Strictly between the powers of two 2^(bits−1) and 2^bits.
+            let d = rng.gen_range((1u64 << (bits - 1)) + 1..1u64 << bits);
             let n: u64 = rng.gen();
-            if !d.is_power_of_two() {
-                let (m, l) = reciprocal(d);
-                assert_eq!(rem_magic(n, m, l, d), n % d, "case {case}: n={n} d={d}");
-            }
+            let (m, l) = reciprocal(d);
+            assert_eq!(rem_magic(n, m, l, d), n % d, "case {case}: n={n} d={d}");
         }
     }
 

@@ -36,9 +36,11 @@
 //! logging — the production path stays the production path.
 //!
 //! Every socket either protocol frames is a [`FaultyTransport`], so the
-//! rest of their shared wire layer lives here too: the timeout-safe
-//! [`LineReader`] both sides read lines with, and the [`AcceptWaker`]
-//! that ends the queen's and the server's blocking accept loops.
+//! rest of their shared wire layer lives here too: the worker's and the
+//! client's [`connect_with_retry`] and [`sanitize_name`], the
+//! timeout-safe [`LineReader`] both sides read lines with, and the
+//! [`AcceptWaker`] that ends the queen's and the server's blocking accept
+//! loops.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,4 +51,4 @@ mod wire;
 
 pub use plan::{ChaosConfig, FaultEvent, FaultKind, FaultPlan, Role};
 pub use transport::FaultyTransport;
-pub use wire::{AcceptWaker, LineReader};
+pub use wire::{connect_with_retry, sanitize_name, AcceptWaker, LineReader};

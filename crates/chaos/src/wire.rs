@@ -1,9 +1,45 @@
 //! What the fleet and serve wire protocols share besides the transport:
-//! line framing that survives read timeouts, and the wake-up call that
-//! ends a blocking accept loop.
+//! the connecting side's retried connect and one-token peer name, line
+//! framing that survives read timeouts, and the wake-up call that ends a
+//! blocking accept loop.
 
 use std::io::{self, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::time::{Duration, Instant};
+
+/// Connects to `addr`, retrying a failed connect for up to `window`: the
+/// queen or server may still be binding when a worker or client launches.
+/// Retries come in 20 ms slices capped at the remaining window, so the
+/// window bounds how long the caller lingers instead of overshooting it
+/// by a full retry period.
+///
+/// # Errors
+///
+/// The last connect error once the window has passed.
+pub fn connect_with_retry(addr: &str, window: Duration) -> io::Result<TcpStream> {
+    let deadline = Instant::now() + window;
+    let slice = Duration::from_millis(20);
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => {
+                let now = Instant::now();
+                if now >= deadline {
+                    return Err(e);
+                }
+                std::thread::sleep(slice.min(deadline - now));
+            }
+        }
+    }
+}
+
+/// Replaces whitespace in a worker or client name so it stays a single
+/// token on the wire.
+pub fn sanitize_name(name: &str) -> String {
+    name.chars()
+        .map(|c| if c.is_whitespace() { '-' } else { c })
+        .collect()
+}
 
 /// Timeout-safe line framing over any [`Read`].
 ///

@@ -42,7 +42,6 @@ use rand::SeedableRng;
 use crate::explore::{EpsilonGreedy, Exploration, SelectCtx};
 use crate::modes::ModeSet;
 use crate::policy::{Decision, Policy, PolicyComplexity};
-use crate::qlearn::LearningSchedule;
 use crate::reward::{InvocationMeasurement, RewardHistory, RewardWeights};
 use crate::snapshot::SystemSnapshot;
 use crate::space::StateSpace;
@@ -110,19 +109,17 @@ impl LearnedPolicy {
         }
     }
 
-    /// Creates an untrained paper-default agent — exactly the original
-    /// `CohmeleonPolicy` constructor.
-    pub fn new(weights: RewardWeights, schedule: LearningSchedule, seed: u64) -> CohmeleonPolicy {
+    /// Creates an untrained paper-default agent: ε₀ = 0.5 and α₀ = 0.25,
+    /// both decaying linearly to zero over `train_iterations` (clamped to
+    /// at least one) — the paper's schedule of Section 4.2.
+    pub fn new(weights: RewardWeights, train_iterations: usize, seed: u64) -> CohmeleonPolicy {
         LearnedPolicy::with_components(
             "cohmeleon",
             StateSpace::Table3,
-            Exploration::EpsilonGreedy(EpsilonGreedy::new(
-                schedule.epsilon0,
-                schedule.train_iterations,
-            )),
-            BlendUpdate::new(schedule.alpha0, schedule.train_iterations, 0.0),
+            Exploration::EpsilonGreedy(EpsilonGreedy::paper(train_iterations)),
+            BlendUpdate::paper(train_iterations),
             weights,
-            schedule.train_iterations,
+            train_iterations.max(1),
             seed,
         )
     }
@@ -298,11 +295,7 @@ mod tests {
     }
 
     fn paper_cohmeleon(seed: u64) -> CohmeleonPolicy {
-        CohmeleonPolicy::new(
-            RewardWeights::paper_default(),
-            LearningSchedule::paper_default(10),
-            seed,
-        )
+        CohmeleonPolicy::new(RewardWeights::paper_default(), 10, seed)
     }
 
     #[test]

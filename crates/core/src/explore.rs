@@ -25,8 +25,18 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::modes::{CoherenceMode, ModeSet};
-use crate::qlearn::decayed;
 use crate::value::QTable;
+
+/// Linear decay from `initial` to zero at `iteration == total`: the
+/// schedule of the paper's ε and α (Section 4.2), and of the softmax
+/// temperature.
+pub(crate) fn decayed(initial: f64, iteration: usize, total: usize) -> f64 {
+    if iteration >= total {
+        0.0
+    } else {
+        initial * (1.0 - iteration as f64 / total as f64)
+    }
+}
 
 /// Everything a strategy may consult when selecting an action.
 pub struct SelectCtx<'a> {
@@ -121,8 +131,7 @@ pub struct EpsilonGreedy {
 
 impl EpsilonGreedy {
     /// ε decaying linearly from `epsilon0` to zero over `horizon` training
-    /// iterations (a zero horizon starts — and stays — at zero, exactly as
-    /// `LearningSchedule::epsilon_at` behaves).
+    /// iterations (a zero horizon starts — and stays — at zero).
     pub fn new(epsilon0: f64, horizon: usize) -> EpsilonGreedy {
         EpsilonGreedy {
             epsilon0,
@@ -132,7 +141,8 @@ impl EpsilonGreedy {
     }
 
     /// The paper's schedule: ε₀ = 0.5 over `train_iterations` iterations
-    /// (clamped to at least one, like `LearningSchedule::paper_default`).
+    /// (clamped to at least one, as is α's in
+    /// [`BlendUpdate::paper`](crate::update::BlendUpdate::paper)).
     pub fn paper(train_iterations: usize) -> EpsilonGreedy {
         EpsilonGreedy::new(0.5, train_iterations.max(1))
     }
@@ -428,6 +438,8 @@ mod tests {
         e.begin_iteration(5);
         assert!((e.epsilon() - 0.25).abs() < 1e-12);
         e.begin_iteration(10);
+        assert_eq!(e.epsilon(), 0.0);
+        e.begin_iteration(11);
         assert_eq!(e.epsilon(), 0.0);
         let mut f = EpsilonGreedy::paper(10);
         f.freeze();

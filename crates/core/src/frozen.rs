@@ -265,7 +265,6 @@ mod tests {
     use super::*;
     use crate::agent::{CohmeleonPolicy, LearnedPolicy};
     use crate::explore::{EpsilonGreedy, Exploration, Softmax};
-    use crate::qlearn::LearningSchedule;
     use crate::reward::RewardWeights;
     use crate::router::PolicyRouter;
     use crate::snapshot::{ActiveAccel, ArchParams};
@@ -479,11 +478,7 @@ mod tests {
     /// lowest-index mode.
     #[test]
     fn untrained_agent_ties_at_random_but_its_snapshot_does_not() {
-        let mut agent = CohmeleonPolicy::new(
-            RewardWeights::paper_default(),
-            LearningSchedule::paper_default(3),
-            5,
-        );
+        let mut agent = CohmeleonPolicy::new(RewardWeights::paper_default(), 3, 5);
         agent.freeze();
         let snap = busy(2, 64 * 1024);
         let accel = AccelInstanceId(0);

@@ -45,11 +45,13 @@
 //!
 //! [`agent::LearnedPolicy::with_components`] composes one of each into a
 //! [`Policy`]. The type alias [`policy::CohmeleonPolicy`] names the
-//! paper-default composition, and its `new` constructor is bit-identical
-//! to the pre-redesign hardwired agent (golden structural-hash and
-//! Q-table TSV tests hold it to that). Sweeps name compositions as data
-//! through `cohmeleon_exp::LearnerSpec`, which builds every cell with
-//! `with_components`.
+//! paper-default composition. Its `new(weights, train_iterations, seed)`
+//! builds the paper's ε-greedy and blend components
+//! ([`explore::EpsilonGreedy::paper`], [`update::BlendUpdate::paper`]),
+//! bit-identical to the pre-redesign hardwired agent (golden
+//! structural-hash and Q-table TSV tests hold it to that). Sweeps name
+//! compositions as data through `cohmeleon_exp::LearnerSpec`, which
+//! builds every cell with `with_components`.
 //!
 //! On top of the component axes sits the orchestration layer
 //! ([`router`]): a [`router::PolicyRouter`] owns one or more agents
@@ -64,17 +66,13 @@
 //!
 //! ```
 //! use cohmeleon_core::policy::{CohmeleonPolicy, Policy};
-//! use cohmeleon_core::qlearn::LearningSchedule;
 //! use cohmeleon_core::reward::{InvocationMeasurement, RewardWeights};
 //! use cohmeleon_core::snapshot::{ArchParams, SystemSnapshot};
 //! use cohmeleon_core::{AccelInstanceId, ModeSet, PartitionId};
 //!
 //! let arch = ArchParams::new(32 * 1024, 256 * 1024, 2);
-//! let mut policy = CohmeleonPolicy::new(
-//!     RewardWeights::paper_default(),
-//!     LearningSchedule::paper_default(10),
-//!     7, // RNG seed
-//! );
+//! // The paper's agent, trained over 10 iterations; RNG seed 7.
+//! let mut policy = CohmeleonPolicy::new(RewardWeights::paper_default(), 10, 7);
 //!
 //! // Sense: nothing else is running; a 16 KiB invocation targets partition 0.
 //! let snapshot = SystemSnapshot::new(arch, vec![], 16 * 1024, vec![PartitionId(0)]);
@@ -100,7 +98,6 @@ pub mod frozen;
 pub mod manual;
 pub mod modes;
 pub mod policy;
-pub mod qlearn;
 pub mod reward;
 pub mod router;
 pub mod snapshot;

@@ -478,7 +478,6 @@ impl<P: Policy> Policy for RestrictedPolicy<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qlearn::LearningSchedule;
     use crate::reward::RewardWeights;
     use crate::snapshot::ArchParams;
     use crate::PartitionId;
@@ -519,11 +518,7 @@ mod tests {
             llc_bytes: 512 * 1024,
         });
         assert_eq!(manual.name(), "manual");
-        let coh = CohmeleonPolicy::new(
-            RewardWeights::paper_default(),
-            LearningSchedule::paper_default(10),
-            0,
-        );
+        let coh = CohmeleonPolicy::new(RewardWeights::paper_default(), 10, 0);
         assert_eq!(coh.name(), "cohmeleon");
     }
 
@@ -621,11 +616,7 @@ mod tests {
 
     #[test]
     fn cohmeleon_learns_from_observations() {
-        let mut p = CohmeleonPolicy::new(
-            RewardWeights::paper_default(),
-            LearningSchedule::paper_default(20),
-            42,
-        );
+        let mut p = CohmeleonPolicy::new(RewardWeights::paper_default(), 20, 42);
         // Teach it that CohDma is fast and everything else is slow.
         for i in 0..20 {
             p.begin_iteration(i);
@@ -646,11 +637,7 @@ mod tests {
 
     #[test]
     fn frozen_cohmeleon_stops_updating() {
-        let mut p = CohmeleonPolicy::new(
-            RewardWeights::paper_default(),
-            LearningSchedule::paper_default(10),
-            42,
-        );
+        let mut p = CohmeleonPolicy::new(RewardWeights::paper_default(), 10, 42);
         p.freeze();
         let d = p.decide(&snapshot(1024), ModeSet::all(), AccelInstanceId(0));
         let before = p.table().clone();
@@ -683,11 +670,7 @@ mod tests {
 
     #[test]
     fn restricted_policy_forwards_complexity() {
-        let coh = CohmeleonPolicy::new(
-            RewardWeights::paper_default(),
-            LearningSchedule::paper_default(10),
-            0,
-        );
+        let coh = CohmeleonPolicy::new(RewardWeights::paper_default(), 10, 0);
         let p = RestrictedPolicy::new(coh, ModeSet::all());
         assert_eq!(p.complexity(), PolicyComplexity::Learned);
     }
@@ -715,11 +698,7 @@ mod tests {
             "fixed-full-coh"
         );
         assert_eq!(RandomPolicy::new(0).name(), "rand");
-        let cohmeleon = CohmeleonPolicy::new(
-            RewardWeights::paper_default(),
-            LearningSchedule::paper_default(10),
-            0,
-        );
+        let cohmeleon = CohmeleonPolicy::new(RewardWeights::paper_default(), 10, 0);
         assert_eq!(cohmeleon.name(), "cohmeleon");
         // The router rebuild must not move the heterogeneous baseline's
         // name (it appears in every persisted paper-suite record).
@@ -732,7 +711,7 @@ mod tests {
         let routed = PolicyRouter::new(AgentScope::PerKind, 0, |_, seed| {
             Box::new(CohmeleonPolicy::new(
                 RewardWeights::paper_default(),
-                LearningSchedule::paper_default(10),
+                10,
                 seed,
             ))
         });
@@ -744,11 +723,7 @@ mod tests {
         let policies: Vec<Box<dyn Policy>> = vec![
             Box::new(RandomPolicy::new(0)),
             Box::new(FixedPolicy::new(CoherenceMode::NonCohDma)),
-            Box::new(CohmeleonPolicy::new(
-                RewardWeights::paper_default(),
-                LearningSchedule::paper_default(10),
-                0,
-            )),
+            Box::new(CohmeleonPolicy::new(RewardWeights::paper_default(), 10, 0)),
         ];
         for mut p in policies {
             let d = p.decide(&snapshot(1024), ModeSet::all(), AccelInstanceId(0));

@@ -10,8 +10,8 @@
 //! spreads credit toward persistently good modes; γ = 0 is the paper's
 //! rule.
 
+use crate::explore::decayed;
 use crate::modes::CoherenceMode;
-use crate::qlearn::decayed;
 use crate::value::QTable;
 
 /// The Q-value update: `Q(s,a) ← (1−α)·Q(s,a) + α·(R + γ·max_a' Q(s,a'))`
@@ -39,8 +39,8 @@ pub struct BlendUpdate {
 
 impl BlendUpdate {
     /// α decaying linearly from `alpha0` to zero over `horizon` training
-    /// iterations (a zero horizon starts — and stays — at zero, exactly as
-    /// `LearningSchedule::alpha_at` behaves), with discount factor `gamma`.
+    /// iterations (a zero horizon starts — and stays — at zero), with
+    /// discount factor `gamma`.
     ///
     /// # Panics
     ///
@@ -56,8 +56,8 @@ impl BlendUpdate {
     }
 
     /// The paper's rule: α₀ = 0.25 over `train_iterations` iterations
-    /// (clamped to at least one, like `LearningSchedule::paper_default`),
-    /// γ = 0.
+    /// (clamped to at least one, as is ε's in
+    /// [`EpsilonGreedy::paper`](crate::explore::EpsilonGreedy::paper)), γ = 0.
     pub fn paper(train_iterations: usize) -> BlendUpdate {
         BlendUpdate::new(0.25, train_iterations.max(1), 0.0)
     }
@@ -124,6 +124,10 @@ mod tests {
         assert_eq!(u.alpha(), 0.25);
         u.begin_iteration(5);
         assert!((u.alpha() - 0.125).abs() < 1e-12);
+        u.begin_iteration(10);
+        assert_eq!(u.alpha(), 0.0);
+        u.begin_iteration(11);
+        assert_eq!(u.alpha(), 0.0);
         u.freeze();
         assert_eq!(u.alpha(), 0.0);
         let mut store = QTable::with_states(1);

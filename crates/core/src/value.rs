@@ -232,4 +232,74 @@ mod tests {
         let ok = QTable::from_tsv_with_states(text, 6).unwrap();
         assert_eq!(ok.get_index(5, 0), 0.1);
     }
+
+    fn any_state() -> State {
+        State::from_index(42)
+    }
+
+    #[test]
+    fn table_has_972_entries() {
+        assert_eq!(QTable::ENTRIES, 972);
+        assert_eq!(QTable::new().iter().count(), 972);
+    }
+
+    #[test]
+    fn get_set_roundtrip() {
+        let mut t = QTable::new();
+        t.set(any_state(), CoherenceMode::CohDma, 0.7);
+        assert_eq!(t.get(any_state(), CoherenceMode::CohDma), 0.7);
+        assert_eq!(t.get(any_state(), CoherenceMode::FullCoh), 0.0);
+    }
+
+    #[test]
+    fn best_action_prefers_highest_q() {
+        let mut t = QTable::new();
+        t.set(any_state(), CoherenceMode::LlcCohDma, 0.9);
+        t.set(any_state(), CoherenceMode::FullCoh, 0.5);
+        assert_eq!(
+            t.best_action(any_state(), ModeSet::all()),
+            Some(CoherenceMode::LlcCohDma)
+        );
+    }
+
+    #[test]
+    fn best_action_respects_availability() {
+        let mut t = QTable::new();
+        t.set(any_state(), CoherenceMode::NonCohDma, 1.0);
+        let available = ModeSet::all().without(CoherenceMode::NonCohDma);
+        let best = t.best_action(any_state(), available).unwrap();
+        assert_ne!(best, CoherenceMode::NonCohDma);
+        assert_eq!(t.best_action(any_state(), ModeSet::EMPTY), None);
+    }
+
+    #[test]
+    fn tsv_roundtrip_preserves_values() {
+        let mut t = QTable::new();
+        t.set(State::from_index(0), CoherenceMode::NonCohDma, 0.125);
+        t.set(State::from_index(42), CoherenceMode::CohDma, 0.75);
+        t.set(State::from_index(242), CoherenceMode::FullCoh, 1.0);
+        let text = t.to_tsv();
+        let back = QTable::from_tsv(&text).unwrap();
+        assert_eq!(t, back);
+    }
+
+    #[test]
+    fn tsv_skips_zero_rows() {
+        let mut t = QTable::new();
+        t.set(State::from_index(7), CoherenceMode::LlcCohDma, 0.5);
+        let text = t.to_tsv();
+        // Header + one populated row.
+        assert_eq!(text.lines().count(), 2);
+    }
+
+    #[test]
+    fn tsv_rejects_malformed_input() {
+        assert!(QTable::from_tsv("1\t2\t3\n").is_err());
+        assert!(QTable::from_tsv("999\t0\t0\t0\t0\n").is_err());
+        assert!(QTable::from_tsv("abc\t0\t0\t0\t0\n").is_err());
+        assert!(QTable::from_tsv("1\t0\tNaN\t0\t0\n").is_err());
+        // Comments and blank lines are tolerated.
+        let ok = QTable::from_tsv("# comment\n\n0\t0.1\t0.2\t0.3\t0.4\n").unwrap();
+        assert_eq!(ok.get(State::from_index(0), CoherenceMode::FullCoh), 0.4);
+    }
 }

@@ -5,7 +5,6 @@ use std::sync::OnceLock;
 
 use cohmeleon_core::manual::{algorithm1_restricted, ManualThresholds};
 use cohmeleon_core::policy::{CohmeleonPolicy, Policy};
-use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::{InvocationMeasurement, RewardHistory, RewardWeights};
 use cohmeleon_core::router::{AgentScope, PolicyRouter};
 use cohmeleon_core::snapshot::{ActiveAccel, ArchParams, SystemSnapshot};
@@ -69,7 +68,7 @@ fn per_kind_router() -> PolicyRouter {
     PolicyRouter::new(AgentScope::PerKind, 5, |_, seed| {
         Box::new(CohmeleonPolicy::new(
             RewardWeights::paper_default(),
-            LearningSchedule::paper_default(2),
+            2,
             seed,
         ))
     })
@@ -189,11 +188,7 @@ fn choices_respect_availability() {
         let mut rng = SmallRng::seed_from_u64(case);
         let available = arb_available(&mut rng);
         let snapshots = arb_snapshots(&mut rng, 50);
-        let mut policy = CohmeleonPolicy::new(
-            RewardWeights::paper_default(),
-            LearningSchedule::paper_default(10),
-            rng.gen(),
-        );
+        let mut policy = CohmeleonPolicy::new(RewardWeights::paper_default(), 10, rng.gen());
         for snapshot in &snapshots {
             let d = policy.decide(snapshot, available, AccelInstanceId(0));
             assert!(available.contains(d.mode), "case {case}: {:?}", d.mode);
@@ -224,11 +219,7 @@ fn cohmeleon_roundtrip_is_sane() {
         let mut rng = SmallRng::seed_from_u64(case);
         let snapshots = arb_snapshots(&mut rng, 30);
         let measurements = arb_measurements(&mut rng, 30);
-        let mut policy = CohmeleonPolicy::new(
-            RewardWeights::paper_default(),
-            LearningSchedule::paper_default(5),
-            9,
-        );
+        let mut policy = CohmeleonPolicy::new(RewardWeights::paper_default(), 5, 9);
         for (snapshot, m) in snapshots.iter().zip(&measurements) {
             let d = policy.decide(snapshot, ModeSet::all(), AccelInstanceId(1));
             assert!(ModeSet::all().contains(d.mode), "case {case}");

@@ -11,7 +11,6 @@
 //! * Namespaced table export/import round-trips for every scope.
 
 use cohmeleon_core::policy::{CohmeleonPolicy, Policy};
-use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::{InvocationMeasurement, RewardWeights};
 use cohmeleon_core::router::{AgentScope, PolicyRouter, ScopeKey};
 use cohmeleon_core::snapshot::{ArchParams, SystemSnapshot};
@@ -57,11 +56,7 @@ fn topology() -> Vec<(AccelInstanceId, AccelKindId)> {
 }
 
 fn paper_agent(iterations: usize, seed: u64) -> CohmeleonPolicy {
-    CohmeleonPolicy::new(
-        RewardWeights::paper_default(),
-        LearningSchedule::paper_default(iterations),
-        seed,
-    )
+    CohmeleonPolicy::new(RewardWeights::paper_default(), iterations, seed)
 }
 
 /// Drives `policy` through `sequence` (3 training iterations split evenly,

@@ -20,7 +20,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cohmeleon_core::policy::{CohmeleonPolicy, FixedPolicy, Policy};
-use cohmeleon_core::qlearn::LearningSchedule;
 use cohmeleon_core::reward::{InvocationMeasurement, RewardWeights};
 use cohmeleon_core::router::{AgentScope, PolicyRouter};
 use cohmeleon_core::snapshot::{ArchParams, SystemSnapshot};
@@ -119,11 +118,7 @@ fn per_instance_routing_keeps_the_decide_path_allocation_free() {
 
     // --- 2. Routing a learning agent adds nothing over the bare agent. ---
     fn agent(seed: u64) -> CohmeleonPolicy {
-        CohmeleonPolicy::new(
-            RewardWeights::paper_default(),
-            LearningSchedule::paper_default(4),
-            seed,
-        )
+        CohmeleonPolicy::new(RewardWeights::paper_default(), 4, seed)
     }
 
     let run = |policy: &mut dyn Policy, snap: &SystemSnapshot| {

@@ -273,7 +273,7 @@ impl LearnerSpec {
     /// The agent auto-freezes after `max(1, train_iterations)`
     /// iterations, the horizon of the paper's ε and α schedules, so the
     /// paper spec builds exactly the agent `CohmeleonPolicy::new` builds
-    /// from `LearningSchedule::paper_default(train_iterations)`.
+    /// from `train_iterations`.
     ///
     /// [`Global`]: AgentScope::Global
     fn build_agent(&self, train_iterations: usize, seed: u64) -> LearnedPolicy {
@@ -336,7 +336,6 @@ mod tests {
     #[test]
     fn paper_spec_builds_the_paper_agent() {
         use cohmeleon_core::policy::CohmeleonPolicy;
-        use cohmeleon_core::qlearn::LearningSchedule;
         use cohmeleon_core::reward::InvocationMeasurement;
         use cohmeleon_core::snapshot::{ArchParams, SystemSnapshot};
         use cohmeleon_core::{AccelInstanceId, ModeSet, PartitionId};
@@ -350,7 +349,7 @@ mod tests {
             let mut built = spec.build(iterations, 7);
             let mut direct: Box<dyn Policy> = Box::new(CohmeleonPolicy::new(
                 RewardWeights::paper_default(),
-                LearningSchedule::paper_default(iterations),
+                iterations,
                 7,
             ));
             assert_eq!(built.name(), "cohmeleon");

@@ -44,14 +44,6 @@ fn bad(line: &str, why: &str) -> String {
     format!("bad fleet message `{line}`: {why}")
 }
 
-/// Replaces whitespace in a worker name so it stays a single token on the
-/// wire.
-pub fn sanitize_name(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_whitespace() { '-' } else { c })
-        .collect()
-}
-
 /// A message a worker sends to the queen.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ToQueen {

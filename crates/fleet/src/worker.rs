@@ -11,16 +11,15 @@
 //! take minutes at full scale) is not mistaken for a dead worker.
 
 use std::io::{self, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cohmeleon_chaos::{FaultPlan, FaultyTransport, Role};
+use cohmeleon_chaos::{connect_with_retry, sanitize_name, FaultPlan, FaultyTransport, Role};
 use cohmeleon_exp::{CellRecord, SweepGrid};
 
-use crate::protocol::{sanitize_name, LineReader, ToQueen, ToWorker};
+use crate::protocol::{LineReader, ToQueen, ToWorker};
 
 /// Tuning knobs for [`run_worker`].
 #[derive(Debug, Clone)]
@@ -210,26 +209,6 @@ fn work_loop(
             }
             ToWorker::Complete => return Ok(()),
             ToWorker::Hello { .. } => return Err(invalid("unexpected mid-session HELLO".into())),
-        }
-    }
-}
-
-/// Retries the initial connect in 20 ms slices capped at the remaining
-/// window, so `--retry-ms` bounds how long a worker lingers instead of
-/// overshooting it by a full retry period.
-fn connect_with_retry(addr: &str, window: Duration) -> io::Result<TcpStream> {
-    let deadline = Instant::now() + window;
-    let slice = Duration::from_millis(20);
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(e);
-                }
-                std::thread::sleep(slice.min(deadline - now));
-            }
         }
     }
 }

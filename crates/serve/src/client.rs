@@ -10,10 +10,9 @@
 //! to local frozen dispatch on the same table.
 
 use std::io::{self, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cohmeleon_chaos::{FaultPlan, FaultyTransport, Role};
+use cohmeleon_chaos::{connect_with_retry, sanitize_name, FaultPlan, FaultyTransport, Role};
 use cohmeleon_core::modes::{CoherenceMode, ModeSet};
 use cohmeleon_core::policy::PolicyComplexity;
 use cohmeleon_core::router::Topology;
@@ -22,7 +21,7 @@ use cohmeleon_core::space::StateSpace;
 use cohmeleon_core::state::State;
 use cohmeleon_core::{AccelInstanceId, AccelKindId, AgentScope, Decision, Policy};
 
-use crate::protocol::{sanitize_name, LineReader, Query, ToClient, ToServer};
+use crate::protocol::{LineReader, Query, ToClient, ToServer};
 
 /// How long [`ServeClient::connect`] keeps retrying a refused connection
 /// (the server may still be binding when clients launch).
@@ -69,23 +68,7 @@ impl ServeClient {
         name: &str,
         chaos: Option<&FaultPlan>,
     ) -> io::Result<ServeClient> {
-        // Retry in 20 ms slices capped at the remaining window (the same
-        // slicing as the fleet worker's connect) so the window bounds
-        // how long a client lingers instead of overshooting.
-        let deadline = Instant::now() + CONNECT_WINDOW;
-        let slice = Duration::from_millis(20);
-        let stream = loop {
-            match TcpStream::connect(addr) {
-                Ok(stream) => break stream,
-                Err(e) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(e);
-                    }
-                    std::thread::sleep(slice.min(deadline - now));
-                }
-            }
-        };
+        let stream = connect_with_retry(addr, CONNECT_WINDOW)?;
         stream.set_nodelay(true)?;
         let stream = FaultyTransport::from_plan(stream, chaos, Role::Client)?;
         let mut writer = stream.try_clone()?;

@@ -50,14 +50,6 @@ fn bad(line: &str, why: &str) -> String {
     format!("bad serve message `{line}`: {why}")
 }
 
-/// Replaces whitespace in a client name so it stays a single token on the
-/// wire.
-pub fn sanitize_name(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_whitespace() { '-' } else { c })
-        .collect()
-}
-
 /// One decision query: which instance is invoking, its registered kind
 /// (if any), the encoded state index, and the 4-bit availability mask of
 /// the modes its tile supports.

@@ -147,7 +147,6 @@ mod tests {
     use super::*;
     use crate::generator::{generate_app, GeneratorParams};
     use cohmeleon_core::policy::{CohmeleonPolicy, FixedPolicy};
-    use cohmeleon_core::qlearn::LearningSchedule;
     use cohmeleon_core::reward::RewardWeights;
     use cohmeleon_core::CoherenceMode;
     use cohmeleon_soc::config::soc1;
@@ -157,11 +156,7 @@ mod tests {
         let config = soc1();
         let train = generate_app(&config, &GeneratorParams::quick(), 1);
         let test = generate_app(&config, &GeneratorParams::quick(), 2);
-        let mut policy = CohmeleonPolicy::new(
-            RewardWeights::paper_default(),
-            LearningSchedule::paper_default(2),
-            42,
-        );
+        let mut policy = CohmeleonPolicy::new(RewardWeights::paper_default(), 2, 42);
         let result = run_protocol(&config, &train, &test, &mut policy, 2, 9);
         assert!(policy.epsilon() == 0.0, "frozen after protocol");
         assert!(result.total_duration() > 0);

@@ -65,5 +65,5 @@ fn main() {
             r.total_cycles as f64 / baseline
         );
     }
-    println!("\n({} cells; the full 18-cell sweep is `cargo run -p cohmeleon-bench --bin learner_ablation`)", records.len());
+    println!("\n({} cells; the full 18-cell sweep is `cargo run -p cohmeleon-bench --bin sweep -- run --grid learners`)", records.len());
 }

@@ -1,7 +1,6 @@
 //! Reproducibility: the whole stack is deterministic given a seed.
 
 use cohmeleon_repro::core::policy::{CohmeleonPolicy, RandomPolicy};
-use cohmeleon_repro::core::qlearn::LearningSchedule;
 use cohmeleon_repro::core::reward::RewardWeights;
 use cohmeleon_repro::soc::config::{soc1, soc2};
 use cohmeleon_repro::workloads::generator::{generate_app, GeneratorParams};
@@ -40,11 +39,7 @@ fn training_is_reproducible_end_to_end() {
     let train = generate_app(&config, &GeneratorParams::quick(), 7);
     let test = generate_app(&config, &GeneratorParams::quick(), 8);
     let run = || {
-        let mut policy = CohmeleonPolicy::new(
-            RewardWeights::paper_default(),
-            LearningSchedule::paper_default(3),
-            42,
-        );
+        let mut policy = CohmeleonPolicy::new(RewardWeights::paper_default(), 3, 42);
         let result = run_protocol(&config, &train, &test, &mut policy, 3, 42);
         (result, policy.table().clone())
     };

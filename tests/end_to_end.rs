@@ -3,7 +3,6 @@
 
 use cohmeleon_repro::core::manual::ManualThresholds;
 use cohmeleon_repro::core::policy::{CohmeleonPolicy, FixedPolicy, ManualPolicy, RandomPolicy};
-use cohmeleon_repro::core::qlearn::LearningSchedule;
 use cohmeleon_repro::core::reward::RewardWeights;
 use cohmeleon_repro::core::CoherenceMode;
 use cohmeleon_repro::soc::config::{soc1, soc4, soc5, soc6, table4};
@@ -86,11 +85,7 @@ fn trained_cohmeleon_beats_random_on_memory_traffic() {
     let mut random = RandomPolicy::new(5);
     let random_result = evaluate_policy(&config, &test, &mut random, 5);
 
-    let mut cohmeleon = CohmeleonPolicy::new(
-        RewardWeights::paper_default(),
-        LearningSchedule::paper_default(6),
-        5,
-    );
+    let mut cohmeleon = CohmeleonPolicy::new(RewardWeights::paper_default(), 6, 5);
     let cohmeleon_result = run_protocol(&config, &train, &test, &mut cohmeleon, 6, 5);
 
     assert!(

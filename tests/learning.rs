@@ -2,7 +2,6 @@
 //! the full simulated system.
 
 use cohmeleon_repro::core::policy::CohmeleonPolicy;
-use cohmeleon_repro::core::qlearn::LearningSchedule;
 use cohmeleon_repro::core::reward::RewardWeights;
 use cohmeleon_repro::core::router::{AgentScope, PolicyRouter};
 use cohmeleon_repro::core::{CoherenceMode, State};
@@ -21,11 +20,7 @@ fn training_populates_the_q_table() {
     let params = GeneratorParams::coverage();
     let train = generate_app(&config, &params, 1);
     let test = generate_app(&config, &params, 2);
-    let mut policy = CohmeleonPolicy::new(
-        RewardWeights::paper_default(),
-        LearningSchedule::paper_default(3),
-        7,
-    );
+    let mut policy = CohmeleonPolicy::new(RewardWeights::paper_default(), 3, 7);
     run_protocol(&config, &train, &test, &mut policy, 3, 7);
     let populated = policy.table().populated_entries();
     assert!(
@@ -58,11 +53,7 @@ fn golden_default_agent_matches_pre_redesign_cohmeleon() {
 ";
 
     // The paper-default alias, constructed the classic way.
-    let direct = CohmeleonPolicy::new(
-        RewardWeights::paper_default(),
-        LearningSchedule::paper_default(3),
-        7,
-    );
+    let direct = CohmeleonPolicy::new(RewardWeights::paper_default(), 3, 7);
     let (result, direct) = run(Box::new(direct));
     assert_eq!(
         result.structural_hash(),
@@ -86,7 +77,7 @@ fn golden_default_agent_matches_pre_redesign_cohmeleon() {
     let routed = PolicyRouter::new(AgentScope::Global, 7, |_, seed| {
         Box::new(CohmeleonPolicy::new(
             RewardWeights::paper_default(),
-            LearningSchedule::paper_default(3),
+            3,
             seed,
         ))
     });
@@ -106,7 +97,7 @@ fn per_kind_router_trains_one_agent_per_kind() {
     let mut router = PolicyRouter::new(AgentScope::PerKind, 7, |_, seed| {
         Box::new(CohmeleonPolicy::new(
             RewardWeights::paper_default(),
-            LearningSchedule::paper_default(2),
+            2,
             seed,
         ))
     });
@@ -129,11 +120,7 @@ fn frozen_model_is_exploitation_only() {
     let config = soc1();
     let train = generate_app(&config, &GeneratorParams::quick(), 1);
     let test = generate_app(&config, &GeneratorParams::quick(), 2);
-    let mut policy = CohmeleonPolicy::new(
-        RewardWeights::paper_default(),
-        LearningSchedule::paper_default(2),
-        7,
-    );
+    let mut policy = CohmeleonPolicy::new(RewardWeights::paper_default(), 2, 7);
     run_protocol(&config, &train, &test, &mut policy, 2, 7);
     assert_eq!(policy.epsilon(), 0.0);
     // A frozen model re-evaluated twice behaves identically (no learning
@@ -149,11 +136,7 @@ fn q_values_stay_within_reward_bounds() {
     let config = soc1();
     let train = generate_app(&config, &GeneratorParams::quick(), 1);
     let test = generate_app(&config, &GeneratorParams::quick(), 2);
-    let mut policy = CohmeleonPolicy::new(
-        RewardWeights::paper_default(),
-        LearningSchedule::paper_default(4),
-        7,
-    );
+    let mut policy = CohmeleonPolicy::new(RewardWeights::paper_default(), 4, 7);
     run_protocol(&config, &train, &test, &mut policy, 4, 7);
     for (state, action, q) in policy.table().iter() {
         assert!(
@@ -171,11 +154,7 @@ fn learned_small_footprint_states_avoid_non_coherent() {
     let config = soc1();
     let train = generate_app(&config, &GeneratorParams::default(), 1);
     let test = generate_app(&config, &GeneratorParams::default(), 2);
-    let mut policy = CohmeleonPolicy::new(
-        RewardWeights::paper_default(),
-        LearningSchedule::paper_default(8),
-        7,
-    );
+    let mut policy = CohmeleonPolicy::new(RewardWeights::paper_default(), 8, 7);
     run_protocol(&config, &train, &test, &mut policy, 8, 7);
 
     // The all-idle, small-footprint state (everything at its minimum).
