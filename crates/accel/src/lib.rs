@@ -18,7 +18,8 @@
 //!   experiments.
 //! * [`schedule`] — expansion of a (profile, footprint) pair into the
 //!   deterministic sequence of DMA bursts and compute phases that the SoC
-//!   simulator executes.
+//!   simulator executes, streamed: an iterator with O(1) state that the
+//!   engine pulls each burst from as it issues it.
 //!
 //! Accelerators here are designed "with no notion of coherence" (paper,
 //! Section 3): a schedule only says *what* to read and write; the SoC's

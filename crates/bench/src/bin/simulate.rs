@@ -94,23 +94,28 @@ fn soc_by_name(name: &str) -> Option<SocConfig> {
     })
 }
 
+/// The fenced block of this file's module doc.
+fn usage() -> String {
+    include_str!("simulate.rs")
+        .lines()
+        .skip_while(|l| *l != "//! ```text")
+        .skip(1)
+        .take_while(|l| *l != "//! ```")
+        .map(|l| l.strip_prefix("//!").unwrap_or(l))
+        .map(|l| l.strip_prefix(' ').unwrap_or(l))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
+        Err(e) if e == "help" => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            // The usage is the fenced block of this file's module doc.
-            let usage: Vec<&str> = include_str!("simulate.rs")
-                .lines()
-                .skip_while(|l| *l != "//! ```text")
-                .skip(1)
-                .take_while(|l| *l != "//! ```")
-                .map(|l| l.strip_prefix("//!").unwrap_or(l))
-                .map(|l| l.strip_prefix(' ').unwrap_or(l))
-                .collect();
-            eprintln!("{}", usage.join("\n"));
+            eprintln!("error: {e}\n\n{}", usage());
             return ExitCode::from(2);
         }
     };

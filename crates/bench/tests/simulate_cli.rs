@@ -9,7 +9,8 @@
 //! that the evaluation does not depend on `--train`. Both table flags
 //! exist only for `--policy cohmeleon`; any other policy refuses them
 //! before the run. `--help` prints the usage block of the binary's module
-//! doc without its doc-comment markup.
+//! doc without its doc-comment markup to stdout and exits 0; a bad flag
+//! prints an error and the usage to stderr and exits 2.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -67,8 +68,8 @@ fn help_prints_only_the_usage() {
         .arg("--help")
         .output()
         .expect("simulate runs");
-    let usage = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{usage}");
+    let usage = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{usage}");
     assert!(usage.starts_with("simulate [--soc NAME]"), "{usage}");
     for line in usage.lines() {
         assert!(
@@ -76,4 +77,13 @@ fn help_prints_only_the_usage() {
             "doc markup in the usage: `{line}`\n{usage}"
         );
     }
+
+    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .arg("--bogus")
+        .output()
+        .expect("simulate runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: unknown flag"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a usage error printed to stdout");
 }

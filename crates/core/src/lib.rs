@@ -159,3 +159,14 @@ impl std::fmt::Display for PartitionId {
         write!(f, "mem{}", self.0)
     }
 }
+
+/// Parses an unsigned decimal written as `Display` writes numbers: ASCII
+/// digits with no sign, and no leading zero unless the number is `0`.
+/// Scope keys and serve queries parse their numbers through it, so every
+/// key or query they accept renders back to the same bytes.
+pub fn parse_canonical<T: std::str::FromStr>(s: &str) -> Option<T> {
+    if s.starts_with('+') || (s.starts_with('0') && s != "0") {
+        return None;
+    }
+    s.parse().ok()
+}

@@ -56,7 +56,7 @@ use crate::policy::{Decision, Policy, PolicyComplexity};
 use crate::reward::InvocationMeasurement;
 use crate::snapshot::SystemSnapshot;
 use crate::value::QTABLE_HEADER;
-use crate::{AccelInstanceId, AccelKindId};
+use crate::{parse_canonical, AccelInstanceId, AccelKindId};
 
 /// How decisions are partitioned across agents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -176,19 +176,14 @@ impl FromStr for ScopeKey {
         if s == "global" {
             return Ok(ScopeKey::Global);
         }
-        if let Some(rest) = s.strip_prefix("kind") {
-            return rest
-                .parse()
-                .map(|n| ScopeKey::Kind(AccelKindId(n)))
-                .map_err(|_| format!("invalid scope key `{s}`"));
-        }
-        if let Some(rest) = s.strip_prefix("acc") {
-            return rest
-                .parse()
-                .map(|n| ScopeKey::Instance(AccelInstanceId(n)))
-                .map_err(|_| format!("invalid scope key `{s}`"));
-        }
-        Err(format!("invalid scope key `{s}`"))
+        let key = if let Some(rest) = s.strip_prefix("kind") {
+            parse_canonical(rest).map(|n| ScopeKey::Kind(AccelKindId(n)))
+        } else if let Some(rest) = s.strip_prefix("acc") {
+            parse_canonical(rest).map(|n| ScopeKey::Instance(AccelInstanceId(n)))
+        } else {
+            None
+        };
+        key.ok_or_else(|| format!("invalid scope key `{s}`"))
     }
 }
 

@@ -36,6 +36,7 @@
 use std::fmt;
 
 pub use cohmeleon_chaos::LineReader;
+use cohmeleon_core::parse_canonical;
 use cohmeleon_core::router::AgentScope;
 
 /// The protocol version token both `HELLO`s must carry.
@@ -77,12 +78,15 @@ impl Query {
         }
     }
 
-    /// Parses a wire token produced by [`to_token`](Self::to_token).
+    /// Parses a wire token produced by [`to_token`](Self::to_token). Every
+    /// number must be written as `to_token` writes it: no sign, and no
+    /// leading zero unless the number is `0`.
     ///
     /// # Errors
     ///
     /// A message naming the token and what is wrong with it (wrong field
-    /// count, non-numeric field, empty or out-of-range mask).
+    /// count, a field that is not such a number, empty or out-of-range
+    /// mask).
     pub fn parse_token(token: &str) -> Result<Query, String> {
         let fields: Vec<&str> = token.split(':').collect();
         let [instance, kind, state, mask] = fields.as_slice() else {
@@ -90,22 +94,19 @@ impl Query {
                 "bad query `{token}`: expected inst:kind:state:mask"
             ));
         };
-        let instance: u16 = instance
-            .parse()
-            .map_err(|_| format!("bad query `{token}`: non-numeric instance"))?;
+        let instance: u16 = parse_canonical(instance)
+            .ok_or_else(|| format!("bad query `{token}`: malformed instance"))?;
         let kind = match *kind {
             "-" => None,
             k => Some(
-                k.parse::<u16>()
-                    .map_err(|_| format!("bad query `{token}`: non-numeric kind"))?,
+                parse_canonical::<u16>(k)
+                    .ok_or_else(|| format!("bad query `{token}`: malformed kind"))?,
             ),
         };
-        let state: u32 = state
-            .parse()
-            .map_err(|_| format!("bad query `{token}`: non-numeric state"))?;
-        let mask: u8 = mask
-            .parse()
-            .map_err(|_| format!("bad query `{token}`: non-numeric mask"))?;
+        let state: u32 = parse_canonical(state)
+            .ok_or_else(|| format!("bad query `{token}`: malformed state"))?;
+        let mask: u8 =
+            parse_canonical(mask).ok_or_else(|| format!("bad query `{token}`: malformed mask"))?;
         if mask == 0 || mask > 0b1111 {
             return Err(format!("bad query `{token}`: mask must be in 1..=15"));
         }

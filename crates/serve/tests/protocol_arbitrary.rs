@@ -8,7 +8,9 @@
 //!   `Query::parse_token`, `AgentScope::from_str` and
 //!   `ScopeKey::from_str`);
 //! * round-trip every value they accept: `to_line`, `to_token` or
-//!   `Display`, then parse again, give the same value.
+//!   `Display`, then parse again, give the same value;
+//! * accept a query token or a scope key only as `to_token` or `Display`
+//!   writes it, so every accepted one re-renders byte for byte.
 
 use std::io;
 
@@ -122,6 +124,7 @@ fn check(input: &str) {
     }
     if let Ok(query) = Query::parse_token(input) {
         assert_eq!(query.to_string(), query.to_token());
+        assert_eq!(query.to_token(), input, "re-render of {input:?}");
         let again = Query::parse_token(&query.to_token());
         assert_eq!(again, Ok(query), "round trip of {input:?}");
     }
@@ -133,6 +136,7 @@ fn check(input: &str) {
         );
     }
     if let Ok(key) = input.parse::<ScopeKey>() {
+        assert_eq!(key.to_string(), input, "re-render of {input:?}");
         assert_eq!(key.to_string().parse(), Ok(key), "round trip of {input:?}");
     }
 }
@@ -173,6 +177,19 @@ fn valid_inputs_round_trip_byte_for_byte() {
         );
         check(&token);
     }
+}
+
+/// A sign or a leading zero is never written, so it is never accepted.
+#[test]
+fn non_canonical_numbers_are_refused() {
+    for key in ["kind+7", "acc007", "kind00", "acc+0"] {
+        assert!(key.parse::<ScopeKey>().is_err(), "{key:?}");
+    }
+    for token in ["+1:2:3:4", "01:2:3:4", "1:02:3:4", "1:-:+3:4", "1:-:3:04"] {
+        assert!(Query::parse_token(token).is_err(), "{token:?}");
+    }
+    assert_eq!("kind0".parse(), Ok(ScopeKey::Kind(AccelKindId(0))));
+    assert!(Query::parse_token("0:0:0:1").is_ok());
 }
 
 #[test]

@@ -15,6 +15,7 @@
 //! to the policy.
 
 use std::collections::VecDeque;
+use std::iter::Peekable;
 
 use cohmeleon_accel::BurstSchedule;
 use cohmeleon_cache::CacheId;
@@ -260,8 +261,8 @@ struct RunCtx {
     loop_i: u32,
     instance: AccelInstanceId,
     decision: Decision,
-    sched: BurstSchedule,
-    op: usize,
+    /// The bursts still to issue, streamed.
+    sched: Peekable<BurstSchedule>,
     invoke_start: Cycle,
     accel_start: Cycle,
     comm_busy: u64,
@@ -480,7 +481,7 @@ impl<'a> Engine<'a> {
 
         let sched_seed = self.sched_seeds.nth(self.invocation_counter).next_u64();
         let profile = &self.soc.config().accels[a].spec.profile;
-        let sched = BurstSchedule::generate(profile, dataset.lines, sched_seed);
+        let sched = BurstSchedule::generate(profile, dataset.lines, sched_seed).peekable();
         self.invocation_counter += 1;
 
         self.threads[i].state = TState::Running(Box::new(RunCtx {
@@ -489,7 +490,6 @@ impl<'a> Engine<'a> {
             instance,
             decision,
             sched,
-            op: 0,
             invoke_start,
             accel_start: t3,
             comm_busy: 0,
@@ -509,7 +509,7 @@ impl<'a> Engine<'a> {
         while ctx.inflight.front().is_some_and(|c| *c <= t) {
             ctx.inflight.pop_front();
         }
-        if ctx.op < ctx.sched.ops().len() {
+        if let Some(&op) = ctx.sched.peek() {
             if ctx.inflight.len() >= MAX_INFLIGHT_BURSTS {
                 // Request queue full: wait for the oldest burst to retire.
                 let until = *ctx.inflight.front().expect("non-empty window");
@@ -517,7 +517,7 @@ impl<'a> Engine<'a> {
                 self.queue.schedule(until, i);
                 return;
             }
-            let op = ctx.sched.ops()[ctx.op];
+            ctx.sched.next();
             let dataset = self.threads[i].dataset;
             let out = self
                 .soc
@@ -532,7 +532,6 @@ impl<'a> Engine<'a> {
             ctx.last_complete = ctx.last_complete.max(out.complete);
             ctx.inflight.push_back(out.complete);
             ctx.true_dram += out.true_dram;
-            ctx.op += 1;
             let next = out.accept.max(t);
             self.threads[i].state = TState::Running(ctx);
             self.queue.schedule(next, i);
